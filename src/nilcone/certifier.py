@@ -24,7 +24,7 @@ from .derivations import (
 )
 from .errors import ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
-from .linalg import ONE, Vec, ZERO, frac, leading_principal_minors
+from .linalg import ONE, Vec, ZERO, fmt_rational, frac, leading_principal_minors
 from .momentricci import MetricExtension, extension_ricci, is_negative_definite, ricci_negative_at
 from .polytope import (
     iter_face_candidates,
@@ -35,12 +35,11 @@ from .polytope import (
     verify_membership,
     weight_set,
 )
-from .simplex import OPTIMAL, solve_lp
+from .simplex import max_margin
 
 POSITIVE_DERIVATION = "PositiveDerivation"
 NICE_CONE = "NiceCone"
 DEGENERATION_CONE = "DegenerationCone"
-WITNESS_METRIC = "WitnessMetric"
 
 CERTIFIED_RN = "CertifiedRN"
 CERTIFIED_NOT_RN = "CertifiedNotRN"
@@ -92,7 +91,7 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
     return True, None
 
 
-def _membership_certificate(
+def membership_certificate(
     d: Vec, lam: LieBracket, kind: str, degeneration
 ) -> Certificate | None:
     w = weight_set(lam)
@@ -119,7 +118,8 @@ def certify_derivation(
 
     Pipeline: entrywise-positive shortcut, necessary condition, nice-basis
     LP, nice face degenerations by decreasing |J|, then Unknown.  Never
-    returns a verdict about the algebra itself.
+    returns a verdict about the algebra itself.  ``budget`` bounds the face
+    subsets tested; a requested witness search runs at its own default.
     """
     require_diagonal_derivation(d, mu)
     d = tuple(frac(x) for x in d)
@@ -142,10 +142,10 @@ def certify_derivation(
         )
 
     if is_nice_basis(mu):
-        cert = _membership_certificate(d, mu, NICE_CONE, None)
+        cert = membership_certificate(d, mu, NICE_CONE, None)
         if cert is not None:
             verdict = Verdict(CERTIFIED_RN, SCOPE_DERIVATION, d, cert, notes="nice basis cone")
-            return _maybe_attach_witness(mu, verdict, want_witness, budget, seed)
+            return _maybe_attach_witness(mu, verdict, want_witness, seed)
         return Verdict(
             UNKNOWN,
             SCOPE_DERIVATION,
@@ -171,23 +171,23 @@ def certify_derivation(
         if not face:
             continue
         # D solves a subset of the defining equations, so it stays a derivation
-        cert = _membership_certificate(d, lam, DEGENERATION_CONE, (alpha, frozenset(j_set)))
+        cert = membership_certificate(d, lam, DEGENERATION_CONE, (alpha, frozenset(j_set)))
         if cert is not None:
             verdict = Verdict(
                 CERTIFIED_RN, SCOPE_DERIVATION, d, cert,
                 notes=f"degeneration keeping {len(j_set)} of {len(mu.keys())} constants",
             )
-            return _maybe_attach_witness(mu, verdict, want_witness, budget, seed)
+            return _maybe_attach_witness(mu, verdict, want_witness, seed)
     note = "no nice face degeneration certifies this derivation"
     if not complete:
         note += " (face budget exhausted)"
     return Verdict(UNKNOWN, SCOPE_DERIVATION, d, notes=note)
 
 
-def _maybe_attach_witness(mu, verdict, want_witness, budget, seed):
+def _maybe_attach_witness(mu, verdict, want_witness, seed):
     if not want_witness or verdict.certificate is None:
         return verdict
-    ext = find_witness_metric(mu, verdict.d, verdict.certificate, budget=budget, seed=seed)
+    ext = find_witness_metric(mu, verdict.d, verdict.certificate, seed=seed)
     if ext is None:
         return verdict
     cert = Certificate(
@@ -210,21 +210,9 @@ def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Ve
     """LP for a derivation with all diagonal entries positive."""
     if dspace.dim == 0:
         return None
-    p = dspace.dim
-    # variables: t = u - v, eps; maximize eps with D(t) >= eps entrywise
-    c = [ZERO] * (2 * p) + [ONE]
-    a_ub = []
-    for r in range(n):
-        row = [-dspace.basis[m][r] for m in range(p)]
-        a_ub.append(row + [-x for x in row] + [ONE])
-    b_ub = [ZERO] * n
-    a_ub.append([ZERO] * (2 * p) + [ONE])
-    b_ub.append(ONE)
-    sol = solve_lp(c, a_ub, b_ub)
-    if sol.status != OPTIMAL or sol.value <= 0:
-        return None
-    t = tuple(sol.x[m] - sol.x[p + m] for m in range(p))
-    return dspace.point(t)
+    a_ub = [[-v[r] for v in dspace.basis] for r in range(n)]
+    sol = max_margin(a_ub, [ZERO] * n, free=True)
+    return None if sol is None else dspace.point(sol[1])
 
 
 def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> list[Vec]:
@@ -450,15 +438,6 @@ def verify_certificate(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
             return True, "all diagonal entries positive"
         return False, "entries are not all positive"
 
-    if cert.kind == WITNESS_METRIC:
-        if cert.witness is None:
-            return False, "missing metric data"
-        if cert.witness.mu != mu or tuple(cert.witness.d) != tuple(d):
-            return False, "metric data does not match the algebra or derivation"
-        if is_negative_definite(extension_ricci(cert.witness)):
-            return True, "extension Ricci is negative definite"
-        return False, "extension Ricci is not negative definite"
-
     if cert.kind == NICE_CONE:
         lam = mu
         if not is_nice_basis(lam):
@@ -500,29 +479,24 @@ def verify_certificate(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
     return True, f"membership verified with slack {slack}"
 
 
-def _fmt(x: Fraction) -> str:
-    x = frac(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def serialize_certificate(mu: LieBracket, cert: Certificate) -> str:
     """Self-contained text block: the algebra, the derivation, and the data."""
     lines = ["certificate", f"kind {cert.kind}"]
     for line in emit_bracket(mu).strip().splitlines():
         lines.append(line)
-    lines.append("derivation " + " ".join(_fmt(x) for x in cert.d))
+    lines.append("derivation " + " ".join(fmt_rational(x) for x in cert.d))
     if cert.degeneration is not None:
         alpha, j_set = cert.degeneration
-        lines.append("alpha " + " ".join(_fmt(x) for x in alpha))
+        lines.append("alpha " + " ".join(fmt_rational(x) for x in alpha))
         for (i, j, k) in sorted(j_set):
             lines.append(f"keep {i} {j} {k}")
     for (i, j, k) in sorted(cert.coefficients):
-        lines.append(f"coeff {i} {j} {k} {_fmt(cert.coefficients[(i, j, k)])}")
+        lines.append(f"coeff {i} {j} {k} {fmt_rational(cert.coefficients[(i, j, k)])}")
     if cert.slack:
-        lines.append(f"slack {_fmt(cert.slack)}")
+        lines.append(f"slack {fmt_rational(cert.slack)}")
     if cert.witness is not None:
-        lines.append(f"metric-scale {_fmt(cert.witness.s)}")
-        lines.append("metric-h " + " ".join(_fmt(x) for x in cert.witness.h))
+        lines.append(f"metric-scale {fmt_rational(cert.witness.s)}")
+        lines.append("metric-h " + " ".join(fmt_rational(x) for x in cert.witness.h))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from .catalog import (
-    FAMILY_SAMPLES,
     catalog_entry,
     catalog_export,
     catalog_get,
@@ -23,10 +22,13 @@ from .catalog import (
 )
 from .certifier import (
     CERTIFIED_RN,
-    Certificate,
+    DEGENERATION_CONE,
+    NICE_CONE,
+    POSITIVE_DERIVATION,
     certify_derivation,
     certify_nilradical,
     find_witness_metric,
+    membership_certificate,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -39,7 +41,7 @@ from .derivations import (
     solve_phi_on_diagonal,
     INFEASIBLE,
 )
-from .errors import NilconeError, ParseError
+from .errors import InvariantViolation, NilconeError, ParseError
 from .liecore import (
     LieBracket,
     center,
@@ -54,9 +56,8 @@ from .momentricci import (
     extension_ricci,
     is_negative_definite,
     moment_map,
-    nil_ricci,
 )
-from .linalg import leading_principal_minors
+from .linalg import fmt_rational, leading_principal_minors
 from .polytope import enumerate_face_degenerations, project_certificate_cone, weight_set
 
 EXIT_OK = 0
@@ -65,13 +66,8 @@ EXIT_INTERNAL = 2
 EXIT_REGRESSION = 3
 
 
-def _fmt(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _fmt_vec(v) -> str:
-    return ",".join(_fmt(x) for x in v)
+    return ",".join(map(fmt_rational, v))
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -120,11 +116,11 @@ class Printer:
     def matrix(self, key: str, m):
         if self.kv:
             for i, row in enumerate(m):
-                print(f"{key}.{i}=" + ",".join(_fmt(x) for x in row))
+                print(f"{key}.{i}=" + _fmt_vec(row))
         else:
             print(f"{key}:")
             for row in m:
-                print("  " + "  ".join(_fmt(x) for x in row))
+                print("  " + "  ".join(map(fmt_rational, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +286,22 @@ def cmd_witness(args, out: Printer) -> int:
     d = _parse_vec(args.derivation, mu.dim, "derivation")
     verdict = certify_derivation(mu, d, budget=args.budget, seed=args.seed)
     cert = verdict.certificate
-    if cert is not None and cert.kind == "PositiveDerivation" and is_nice_basis(mu):
+    if cert is not None and cert.kind == POSITIVE_DERIVATION and is_nice_basis(mu):
         # the search is guided by cone data, so trade the shortcut for one
-        from .certifier import _membership_certificate
-
-        cert = _membership_certificate(d, mu, "NiceCone", None)
+        cert = membership_certificate(d, mu, NICE_CONE, None)
     if verdict.status != CERTIFIED_RN or cert is None or cert.kind not in (
-        "NiceCone", "DegenerationCone",
+        NICE_CONE, DEGENERATION_CONE,
     ):
         out.emit("status", verdict.status)
         out.emit("notes", "witness search needs a cone certificate for this derivation")
         return EXIT_OK
-    ext = find_witness_metric(mu, d, cert, budget=args.budget, seed=args.seed)
+    ext = find_witness_metric(mu, d, cert, seed=args.seed)
     if ext is None:
         out.emit("found", False)
         out.emit("notes", "budget exhausted; existence is still guaranteed by the certificate")
         return EXIT_OK
     out.emit("found", True)
-    out.emit("scale", _fmt(ext.s))
+    out.emit("scale", fmt_rational(ext.s))
     out.emit("h", _fmt_vec(ext.h))
     ric = extension_ricci(ext)
     out.matrix("ricci", ric)
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "kv"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=4096)
+    parser.add_argument("--budget", type=int, default=4096, help="face subsets tested")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, doc in (
@@ -427,12 +421,12 @@ def main(argv=None) -> int:
     out = Printer(args.format)
     try:
         return args.fn(args, out)
+    except InvariantViolation as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (NilconeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -211,18 +211,6 @@ def is_characteristically_nilpotent(mu: LieBracket) -> EngelResult:
     return EngelResult(True, tuple(flag_dims))
 
 
-def diagonal_part(e: Mat) -> Mat:
-    n = len(e)
-    return tuple(
-        tuple(e[i][j] if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def diagonal_projection_is_derivation(mu: LieBracket) -> bool:
-    der = derivation_algebra(mu)
-    return all(is_derivation(diagonal_part(e), mu) for e in der.basis)
-
-
 INFEASIBLE = "infeasible"
 
 

@@ -7,7 +7,7 @@ canonical orientation i < j; antisymmetry is implicit.  Indices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +18,7 @@ from .linalg import (
     Vec,
     ZERO,
     dense_row,
+    fmt_rational,
     frac,
     mat_inv,
     mat_vec,
@@ -186,9 +187,7 @@ def emit_bracket(mu: LieBracket) -> str:
     """Inverse of parse_bracket; rationals in lowest terms, sign on numerator."""
     lines = [f"dim {mu.dim}"]
     for (i, j, k) in mu.keys():
-        v = mu.constants[(i, j, k)]
-        sval = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        lines.append(f"bracket {i} {j} {k} {sval}")
+        lines.append(f"bracket {i} {j} {k} {fmt_rational(mu.constants[(i, j, k)])}")
     return "\n".join(lines) + "\n"
 
 

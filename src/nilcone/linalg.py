@@ -25,24 +25,17 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def fmt_rational(x) -> str:
+    """Lowest terms, sign on the numerator: ``3``, ``-1/2``."""
+    return str(frac(x))
+
+
 def vec(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
-
-
-def zeros(n: int) -> Vec:
-    return (ZERO,) * n
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
 
 
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:

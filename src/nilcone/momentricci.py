@@ -8,9 +8,8 @@ tr(m(mu) E) = <E.mu, mu> / |mu|^2 with no extra factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .derivations import rep_action, require_diagonal_derivation
 from .liecore import LieBracket

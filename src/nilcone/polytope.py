@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import gcd
 
 from .derivations import DiagonalDerivationSpace
+from .errors import InvariantViolation
 from .liecore import Key, LieBracket, is_nice_basis
 from .linalg import ONE, Vec, ZERO, frac
-from .simplex import OPTIMAL, solve_lp
+from .simplex import feasible_nonneg, max_margin
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -73,24 +74,12 @@ def strict_cone_membership(d: Vec, w: WeightSet) -> LPResult:
     means optimal eps > 0.  The returned assignment re-verifies by
     substitution.
     """
-    n = len(d)
-    m = len(w)
-    # variables: a_1..a_m, eps
-    c = [ZERO] * m + [ONE]
-    a_ub = []
-    b_ub = []
-    for r in range(n):
-        a_ub.append([w.weights[q].vec[r] for q in range(m)] + [ONE])
-        b_ub.append(frac(d[r]))
-    a_ub.append([ZERO] * m + [ONE])
-    b_ub.append(ONE)
-    sol = solve_lp(c, a_ub, b_ub)
-    if sol.status != OPTIMAL or sol.value <= 0:
+    sol = max_margin([[wt.vec[r] for wt in w.weights] for r in range(len(d))], d)
+    if sol is None:
         return LPResult(INFEASIBLE, {}, ZERO)
-    assignment = {
-        (wt.i, wt.j, wt.k): sol.x[q] for q, wt in enumerate(w.weights) if sol.x[q]
-    }
-    return LPResult(FEASIBLE, assignment, sol.value)
+    eps, a = sol
+    assignment = {(wt.i, wt.j, wt.k): a[q] for q, wt in enumerate(w.weights) if a[q]}
+    return LPResult(FEASIBLE, assignment, eps)
 
 
 def verify_membership(d: Vec, w: WeightSet, assignment: dict[Key, Fraction]) -> Fraction | None:
@@ -130,10 +119,7 @@ def _is_conic_combination(target: tuple[int, ...], rows: list[tuple[int, ...]]) 
     """target = sum c_i row_i with c >= 0 (Farkas redundancy test)."""
     if not rows:
         return False
-    a_eq = [[frac(r[c]) for r in rows] for c in range(len(target))]
-    b_eq = [frac(t) for t in target]
-    sol = solve_lp([ZERO] * len(rows), a_eq=a_eq, b_eq=b_eq)
-    return sol.status == OPTIMAL
+    return feasible_nonneg([[r[c] for r in rows] for c in range(len(target))], target) is not None
 
 
 def remove_redundant(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -199,7 +185,8 @@ def fourier_motzkin(
         work = pruned
     out = set()
     for e, t, s in work:
-        assert all(x == 0 for x in e)
+        if any(e):
+            raise InvariantViolation("Fourier-Motzkin left an eliminated variable behind")
         if not any(t):
             if s:
                 return ProjectedCone((), empty=True)  # derived 0 > 0
@@ -214,17 +201,8 @@ def fourier_motzkin(
 
 def _strictly_feasible(rows: list[tuple[int, ...]]) -> bool:
     """Does some t satisfy row . t > 0 for every row?  (t free, exact LP.)"""
-    p = len(rows[0])
-    # variables: t = u - v, eps; maximize eps subject to row.(u - v) >= eps
-    c = [ZERO] * (2 * p) + [ONE]
-    a_ub = [
-        [-frac(x) for x in row] + [frac(x) for x in row] + [ONE] for row in rows
-    ]
-    b_ub = [ZERO] * len(rows)
-    a_ub.append([ZERO] * (2 * p) + [ONE])
-    b_ub.append(ONE)
-    sol = solve_lp(c, a_ub, b_ub)
-    return sol.status == OPTIMAL and sol.value > 0
+    negated = [[-x for x in row] for row in rows]
+    return max_margin(negated, [ZERO] * len(rows), free=True) is not None
 
 
 def project_certificate_cone(
@@ -313,25 +291,15 @@ def is_face(j_set, w: WeightSet) -> tuple[bool, Vec | None]:
     n = len(w.weights[0].vec) if w.weights else 0
     if not comp:
         return True, (ZERO,) * n
-    # variables: alpha = u - v (u, v >= 0), eps
-    c = [ZERO] * (2 * n) + [ONE]
-    a_eq, b_eq = [], []
-    for q, key in enumerate(idx):
-        if key in j_set:
-            fv = w.weights[q].vec
-            a_eq.append(list(fv) + [-x for x in fv] + [ZERO])
-            b_eq.append(ZERO)
-    a_ub, b_ub = [], []
-    for q in comp:
-        fv = w.weights[q].vec
-        a_ub.append(list(fv) + [-x for x in fv] + [ONE])
-        b_ub.append(ZERO)
-    a_ub.append([ZERO] * (2 * n) + [ONE])
-    b_ub.append(ONE)
-    sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    if sol.status != OPTIMAL or sol.value <= 0:
+    sol = max_margin(
+        [w.weights[q].vec for q in comp],
+        [ZERO] * len(comp),
+        [wt.vec for key, wt in zip(idx, w.weights) if key in j_set],
+        free=True,
+    )
+    if sol is None:
         return False, None
-    alpha = tuple(sol.x[r] - sol.x[n + r] for r in range(n))
+    alpha = sol[1]
     return True, tuple(frac(x) for x in _canonical(alpha)) if any(alpha) else alpha
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantViolation
 from .linalg import ONE, ZERO, Vec, frac
 
 OPTIMAL = "optimal"
@@ -128,8 +129,8 @@ def solve_lp(
         costs1 = [ZERO] * ncols
         for col in art_cols:
             costs1[col] = -ONE
-        status = _run_simplex(rows, basis, costs1, set(range(ncols)))
-        assert status == OPTIMAL  # phase 1 is always bounded
+        if _run_simplex(rows, basis, costs1, set(range(ncols))) != OPTIMAL:
+            raise InvariantViolation("phase 1 of the simplex is unbounded")
         val = sum((costs1[basis[i]] * rows[i][-1] for i in range(len(rows))), ZERO)
         if val != 0:
             return LPSolution(INFEASIBLE, None, None)
@@ -167,3 +168,34 @@ def feasible_nonneg(a_eq: Sequence[Sequence], b_eq: Sequence) -> Vec | None:
     ncols = len(a_eq[0]) if a_eq else 0
     sol = solve_lp([ZERO] * ncols, a_eq=a_eq, b_eq=b_eq)
     return sol.x if sol.status == OPTIMAL else None
+
+
+def max_margin(
+    a_ub: Sequence[Sequence], b_ub: Sequence, a_eq: Sequence[Sequence] = (), free: bool = False
+) -> tuple[Fraction, Vec] | None:
+    """Strict feasibility of a_ub.x < b_ub, a_eq.x = 0 by one exact LP.
+
+    Maximizes eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0,
+    with x >= 0, or x free (split as u - v); a_ub needs at least one row.
+    Returns (eps, x) when the optimal eps is positive, else None.
+    """
+
+    def split(row) -> list:
+        return list(row) + [-v for v in row] if free else list(row)
+
+    k = len(a_ub[0])
+    width = 2 * k if free else k
+    rows = [split(row) + [ONE] for row in a_ub] + [[ZERO] * width + [ONE]]
+    sol = solve_lp(
+        [ZERO] * width + [ONE],
+        rows,
+        list(b_ub) + [ONE],
+        [split(row) + [ZERO] for row in a_eq],
+        [ZERO] * len(a_eq),
+    )
+    if sol.status != OPTIMAL or sol.value <= 0:
+        return None
+    x = sol.x[:k]
+    if free:
+        x = tuple(u - v for u, v in zip(x, sol.x[k:width]))
+    return sol.value, x

@@ -1,5 +1,11 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import nilcone
+from nilcone import simplex
 from nilcone.cli import main
 
 
@@ -129,3 +135,35 @@ def test_missing_catalog_id_is_input_error(capsys):
     code, _, err = run(capsys, "catalog", "show")
     assert code == 1
     assert "error" in err
+
+
+def test_face_budget_does_not_cap_the_witness_search(capsys):
+    # --degenerations none sets the face budget to 0; the witness search
+    # still runs at its own default budget
+    code, out, _ = run(
+        capsys, "certify", "heis3", "--derivation=-1,5,4", "--witness", "--degenerations", "none"
+    )
+    assert code == 0
+    assert "metric-scale 5329837/721315" in out
+
+
+def test_invariant_violation_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(simplex, "_run_simplex", lambda *args: simplex.UNBOUNDED)
+    code, _, err = run(capsys, "cone", "heis3")
+    assert code == 2
+    assert "internal invariant violated" in err
+
+
+def test_invariant_violation_exits_2_under_optimize():
+    script = (
+        "import sys\n"
+        "from nilcone import cli, simplex\n"
+        "simplex._run_simplex = lambda *args: simplex.UNBOUNDED\n"
+        "sys.exit(cli.main(['cone', 'heis3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nilcone.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "internal invariant violated" in proc.stderr

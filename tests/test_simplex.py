@@ -1,6 +1,10 @@
 from fractions import Fraction as F
 
-from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_nonneg, solve_lp
+import pytest
+
+from nilcone import simplex
+from nilcone.errors import InvariantViolation
+from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_nonneg, max_margin, solve_lp
 
 
 def test_basic_optimal():
@@ -60,3 +64,31 @@ def test_feasible_nonneg():
     x = feasible_nonneg([[1, 1]], [1])
     assert x is not None and sum(x) == 1 and all(v >= 0 for v in x)
     assert feasible_nonneg([[1, 1]], [-1]) is None
+
+
+def test_max_margin_nonneg():
+    # x >= 1 + eps and x <= 2 - eps: the margin peaks at eps = 1/2, x = 3/2
+    assert max_margin([[-1], [1]], [-1, 2]) == (F(1, 2), (F(3, 2),))
+
+
+def test_max_margin_caps_at_one():
+    # x + eps <= 5 alone would allow eps = 5
+    assert max_margin([[1]], [5]) == (F(1), (F(0),))
+
+
+def test_max_margin_free_with_equalities():
+    # x1 <= -eps needs a negative coordinate, so only the free split solves it
+    assert max_margin([[1, 0]], [0], [[1, -1]]) is None
+    eps, x = max_margin([[1, 0]], [0], [[1, -1]], free=True)
+    assert eps == 1 and x[0] == x[1] and x[0] <= -1
+
+
+def test_max_margin_infeasible():
+    assert max_margin([[1], [-1]], [0, 0], free=True) is None  # x < 0 < x
+    assert max_margin([[-1, 0], [0, -1]], [0, 0], [[1, 1]], free=True) is None
+
+
+def test_unbounded_phase_one_raises(monkeypatch):
+    monkeypatch.setattr(simplex, "_run_simplex", lambda *args: UNBOUNDED)
+    with pytest.raises(InvariantViolation):
+        solve_lp([0], a_eq=[[1]], b_eq=[1])
