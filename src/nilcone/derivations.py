@@ -20,8 +20,6 @@ from .linalg import (
     Vec,
     ZERO,
     dense_row,
-    mat_inv,
-    mat_mul,
     min_norm_solution,
     nullspace,
     solve_affine,
@@ -168,46 +166,36 @@ def _common_kernel(mats: list[Mat], n: int) -> list[Vec]:
 
 
 def is_characteristically_nilpotent(mu: LieBracket) -> EngelResult:
-    """Engel-flag decision: true iff all derivations are nilpotent."""
+    """Engel-flag decision: true iff all derivations are nilpotent.
+
+    The flag 0 = V_0 < V_1 < ... grows by the common kernel of the
+    operators Der(mu) induces on the quotient by V_s.  V_s is one echelon
+    form: its free columns c index a complement, and D e_c reduced modulo
+    V_s is column c of the induced operator, read at those columns.
+    """
     n = mu.dim
     der = derivation_algebra(mu)
     if not der.basis:
         return EngelResult(True, (n,))
-    flag_vectors: list[Vec] = []
+    flag = Echelon(n)
     flag_dims: list[int] = []
-    stage = 0
-    while len(flag_vectors) < n:
-        # complement of the current flag subspace by standard basis vectors
-        ech = Echelon(n)
-        for v in flag_vectors:
-            ech.add_row(dense_row(v))
-        comp = ech.free_columns()
-        full = [list(v) for v in flag_vectors] + [
-            [ONE if t == c else ZERO for t in range(n)] for c in comp
-        ]
-        m_cols = tuple(zip(*full))  # columns are the adapted basis
-        m_inv = mat_inv(m_cols)
-        d = len(flag_vectors)
+    while flag.rank < n:
+        comp = flag.free_columns()
         induced = []
         for e in der.basis:
-            t = mat_mul(m_inv, mat_mul(e, m_cols))
-            induced.append(tuple(tuple(t[d + a][d + b] for b in range(len(comp))) for a in range(len(comp))))
+            cols = [flag.reduce({r: e[r][c] for r in range(n)}) for c in comp]
+            induced.append(tuple(tuple(col.get(a, ZERO) for col in cols) for a in comp))
         kernel = _common_kernel(induced, len(comp))
         if not kernel:
             return EngelResult(
                 False,
                 tuple(flag_dims),
-                witness_stage=stage,
+                witness_stage=len(flag_dims),
                 witness_operators=tuple(induced),
             )
         for kv in kernel:
-            lift = tuple(
-                sum((kv[a] * (ONE if t == comp[a] else ZERO) for a in range(len(comp))), ZERO)
-                for t in range(n)
-            )
-            flag_vectors.append(lift)
-        flag_dims.append(len(flag_vectors))
-        stage += 1
+            flag.add_row({c: x for c, x in zip(comp, kv) if x})
+        flag_dims.append(flag.rank)
     return EngelResult(True, tuple(flag_dims))
 
 

@@ -106,9 +106,9 @@ class Echelon:
         self.pivots: dict[int, dict[int, Fraction]] = {}
         self.inconsistent = False
 
-    def add_row(self, row: dict[int, Fraction]) -> None:
+    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+        """The row modulo the span of the pivot rows: no pivot column is left."""
         row = {c: v for c, v in row.items() if v}
-        # eliminate every pivot column already present in the row
         while True:
             hit = max((c for c in row if c in self.pivots), default=None)
             if hit is None:
@@ -121,6 +121,10 @@ class Echelon:
                         row[c] = nv
                     else:
                         row.pop(c, None)
+        return row
+
+    def add_row(self, row: dict[int, Fraction]) -> None:
+        row = self.reduce(row)
         if not row:
             return
         p = max(row)

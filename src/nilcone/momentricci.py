@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivations import rep_action, require_diagonal_derivation
+from .derivations import require_diagonal_derivation
 from .liecore import LieBracket
 from .linalg import (
     Mat,
@@ -27,47 +27,35 @@ def norm_squared(mu: LieBracket) -> Fraction:
     return sum((v * v for v in mu.constants.values()), ZERO)
 
 
-def _pair_with_mu(action: dict[tuple[int, int], Vec], mu: LieBracket) -> Fraction:
-    """<E.mu, mu> summed over the canonical pairs i < j."""
-    total = ZERO
-    for (i, j), v in action.items():
-        for k in range(1, mu.dim + 1):
-            cv = mu.c(i, j, k)
-            if cv:
-                total += v[k - 1] * cv
-    return total
+def _moment_sum(mu: LieBracket) -> Mat:
+    """S(mu) = |mu|^2 m(mu), read off the structure constants.
+
+    S_ab = 1/2 sum_{i,j} c_ij^a c_ij^b - sum_{j,r} c_aj^r c_bj^r, both sums
+    over ordered pairs; the first is one outer product per pair i < j, the
+    second one per (j, r) of the column a -> c_aj^r.
+    """
+    n = mu.dim
+    by_pair: dict[tuple[int, int], dict[int, Fraction]] = {}  # (i, j) -> {a: c_ij^a}
+    by_slot: dict[tuple[int, int], dict[int, Fraction]] = {}  # (j, r) -> {a: c_aj^r}
+    for (i, j, k), v in mu.constants.items():
+        by_pair.setdefault((i, j), {})[k - 1] = v
+        by_slot.setdefault((j, k), {})[i - 1] = v
+        by_slot.setdefault((i, k), {})[j - 1] = -v
+    s = [[ZERO] * n for _ in range(n)]
+    for groups, sign in ((by_pair, ONE), (by_slot, -ONE)):
+        for col in groups.values():
+            for a, x in col.items():
+                for b, y in col.items():
+                    s[a][b] += sign * x * y
+    return tuple(tuple(r) for r in s)
 
 
 def moment_map(mu: LieBracket) -> Mat:
-    """Symmetric matrix m(mu) with tr(m(mu) E) = <E.mu, mu> / |mu|^2.
-
-    Recovered by pairing against E_aa and (E_ab + E_ba) / 2.
-    """
-    n = mu.dim
+    """Symmetric matrix m(mu) with tr(m(mu) E) = <E.mu, mu> / |mu|^2."""
     nsq = norm_squared(mu)
     if nsq == 0:
         raise ValueError("moment map is undefined at the zero bracket")
-
-    def unit(a: int, b: int) -> Mat:
-        return tuple(
-            tuple(ONE if (r, c) == (a, b) else ZERO for c in range(n))
-            for r in range(n)
-        )
-
-    def pair(e: Mat) -> Fraction:
-        return _pair_with_mu(rep_action(e, mu), mu) / nsq
-
-    m = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        m[a][a] = pair(unit(a, a))
-    for a in range(n):
-        for b in range(a + 1, n):
-            sym = tuple(
-                tuple(x + y for x, y in zip(ra, rb))
-                for ra, rb in zip(unit(a, b), unit(b, a))
-            )
-            m[a][b] = m[b][a] = pair(sym) / 2
-    return tuple(tuple(r) for r in m)
+    return tuple(tuple(x / nsq for x in row) for row in _moment_sum(mu))
 
 
 def moment_diagonal(mu: LieBracket) -> Vec:
@@ -89,13 +77,8 @@ def nil_ricci(mu: LieBracket) -> Mat:
 
     Equals (|mu|^2 / 2) m(mu); the zero bracket is flat.
     """
-    n = mu.dim
-    if mu.is_zero():
-        return tuple((ZERO,) * n for _ in range(n))
-    nsq = norm_squared(mu)
-    m = moment_map(mu)
     half = Fraction(1, 2)
-    return tuple(tuple(half * nsq * x for x in row) for row in m)
+    return tuple(tuple(half * x for x in row) for row in _moment_sum(mu))
 
 
 @dataclass(frozen=True)

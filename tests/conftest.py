@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run: tier-1 stays
+# reproducible, and a slow machine cannot trip a per-example deadline.
+settings.register_profile("nilcone", derandomize=True, deadline=None, database=None)
+settings.load_profile("nilcone")
 
 
 def pytest_configure(config):

@@ -64,6 +64,32 @@ def test_echelon_rank_and_consistency():
     assert ech.rank == 2
 
 
+def _echelon(*rows):
+    ech = Echelon(4)
+    for r in rows:
+        ech.add_row(dense_row(vec(r)))
+    return ech
+
+
+def test_echelon_reduce_row_in_span_is_empty():
+    ech = _echelon([1, 2, 0, 1], [0, 1, 1, 0])
+    assert ech.reduce(dense_row(vec([2, 1, -3, 2]))) == {}
+
+
+def test_echelon_reduce_is_idempotent():
+    ech = _echelon([1, 2, 0, 1], [0, 1, 1, 0])
+    once = ech.reduce({0: F(3), 1: F(1), 2: F(5), 3: F(-2)})
+    assert once
+    assert ech.reduce(once) == once
+
+
+def test_echelon_reduce_leaves_no_pivot_column():
+    ech = _echelon([1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0])
+    row = {0: F(1), 1: F(-1), 2: F(2), 3: F(7)}
+    assert not set(ech.reduce(row)) & set(ech.pivots)
+    assert row == {0: F(1), 1: F(-1), 2: F(2), 3: F(7)}  # input left untouched
+
+
 def test_solve_affine_particular_plus_nullspace():
     # x0 + x1 = 3, x1 = 1
     sol = solve_affine([{0: F(1), 1: F(1)}, {1: F(1)}], [F(3), F(1)], 2)
