@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .derivations import (
     DiagonalDerivationSpace,
@@ -118,8 +119,9 @@ def certify_derivation(
 
     Pipeline: entrywise-positive shortcut, necessary condition, nice-basis
     LP, nice face degenerations by decreasing |J|, then Unknown.  Never
-    returns a verdict about the algebra itself.  ``budget`` bounds the face
-    subsets tested; a requested witness search runs at its own default.
+    returns a verdict about the algebra itself.  ``budget`` bounds the nice
+    face subsets tested, i.e. the ``is_face`` LPs; a requested witness
+    search runs at its own default.
     """
     require_diagonal_derivation(d, mu)
     d = tuple(frac(x) for x in d)
@@ -163,10 +165,10 @@ def certify_derivation(
         if tested >= budget:
             complete = False
             break
-        tested += 1
         lam = sub_bracket(mu, j_set)
         if not is_nice_basis(lam):
             continue
+        tested += 1
         face, alpha = is_face(j_set, w)
         if not face:
             continue
@@ -230,7 +232,7 @@ def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> 
     if cone.empty or not cone.inequalities:
         return []
     p = dspace.dim
-    rows = [tuple(map(frac, r)) for r in cone.inequalities]
+    rows = cone.inequalities
     rays: list[Vec] = []
     if p == 1:
         for sgn in (ONE, -ONE):
@@ -244,9 +246,12 @@ def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> 
             ns = ech.nullspace_basis()
             if len(ns) != 1:
                 continue
-            for cand in (ns[0], tuple(-x for x in ns[0])):
-                vals = [sum((r[i] * cand[i] for i in range(p)), ZERO) for r in rows]
-                if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
+            # signs in integers: the rows are integer, so scale ns[0] to one too
+            scale = lcm(*(x.denominator for x in ns[0]))
+            ray = [x.numerator * (scale // x.denominator) for x in ns[0]]
+            vals = [sum(ri * xi for ri, xi in zip(r, ray)) for r in rows]
+            for sgn, cand in ((1, ns[0]), (-1, tuple(-x for x in ns[0]))):
+                if all(v * sgn >= 0 for v in vals) and any(v * sgn > 0 for v in vals):
                     if cand not in rays:
                         rays.append(cand)
     out = [dspace.point(r) for r in rays]

@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "kv"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=4096, help="face subsets tested")
+    parser.add_argument("--budget", type=int, default=4096,
+                        help="nice face subsets tested (degenerate: every subset)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, doc in (

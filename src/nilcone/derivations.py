@@ -87,30 +87,33 @@ def is_derivation(e: Mat, mu: LieBracket) -> bool:
 
 
 def derivation_algebra(mu: LieBracket) -> DerivationBasis:
-    """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based)."""
+    """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
+
+    Row (i, j, r), i < j, is the e_r coefficient of (E.mu)(e_i, e_j) =
+    E mu(e_i, e_j) - mu(E e_i, e_j) - mu(e_i, E e_j).  Each constant
+    c_ab^k is added straight into the rows it touches.
+    """
     n = mu.dim
-    rows = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for r in range(1, n + 1):
-                row: dict[int, Fraction] = {}
+    by_key: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
-                def add(p, q, v):
-                    if v:
-                        idx = (p - 1) * n + (q - 1)
-                        nv = row.get(idx, ZERO) + v
-                        if nv:
-                            row[idx] = nv
-                        else:
-                            row.pop(idx, None)
+    def add(i, j, r, p, q, v):
+        row = by_key.setdefault((i, j, r), {})
+        idx = (p - 1) * n + (q - 1)
+        row[idx] = row.get(idx, ZERO) + v
 
-                for k in range(1, n + 1):
-                    add(r, k, mu.c(i, j, k))
-                for p in range(1, n + 1):
-                    add(p, i, -mu.c(p, j, r))
-                    add(p, j, -mu.c(i, p, r))
-                if row:
-                    rows.append(row)
+    for (a, b, k), v in mu.constants.items():
+        for r in range(1, n + 1):
+            add(a, b, r, r, k, v)  # E mu(e_a, e_b)
+        for i in range(1, b):
+            add(i, b, k, a, i, -v)  # mu(E e_i, e_b) through E_ai
+        for i in range(1, a):
+            add(i, a, k, b, i, v)  # mu(E e_i, e_a) through E_bi
+        for j in range(a + 1, n + 1):
+            add(a, j, k, b, j, -v)  # mu(e_a, E e_j) through E_bj
+        for j in range(b + 1, n + 1):
+            add(b, j, k, a, j, v)  # mu(e_b, E e_j) through E_aj
+    rows = [{c: x for c, x in by_key[key].items() if x} for key in sorted(by_key)]
+    rows = [row for row in rows if row]
     rows.sort(key=len)
     vecs = nullspace(rows, n * n)
     mats = tuple(

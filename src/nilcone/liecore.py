@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ParseError
 from .linalg import (
@@ -17,7 +17,6 @@ from .linalg import (
     ONE,
     Vec,
     ZERO,
-    dense_row,
     fmt_rational,
     frac,
     mat_inv,
@@ -81,13 +80,6 @@ class LieBracket:
         if i < j:
             return self.constants.get((i, j, k), ZERO)
         return -self.constants.get((j, i, k), ZERO)
-
-    def basis_bracket(self, i: int, j: int) -> Vec:
-        """[e_i, e_j] as a coefficient vector (0-based)."""
-        out = [ZERO] * self.dim
-        for k in range(1, self.dim + 1):
-            out[k - 1] = self.c(i, j, k)
-        return tuple(out)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         """mu(x, y) for arbitrary rational vectors (0-based coordinates)."""
@@ -192,67 +184,61 @@ def emit_bracket(mu: LieBracket) -> str:
 
 
 def check_jacobi(mu: LieBracket) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact Jacobi test on all basis triples; returns first violator if any."""
+    """Exact Jacobi test on all basis triples; returns first violator if any.
+
+    The cyclic sum of (a, b, c) is read off the index (i, j) -> {k: c_ij^k},
+    kept for both orientations of each pair.
+    """
     n = mu.dim
-    basis = [tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n)]
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j, k), v in mu.constants.items():
+        brackets.setdefault((i, j), {})[k] = v
+        brackets.setdefault((j, i), {})[k] = -v
+    empty: dict[int, Fraction] = {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            ab = mu.basis_bracket(a, b)
             for c in range(b + 1, n + 1):
-                bc = mu.basis_bracket(b, c)
-                ca = mu.basis_bracket(c, a)
-                total = [
-                    x + y + z
-                    for x, y, z in zip(
-                        mu.bracket(ab, basis[c - 1]),
-                        mu.bracket(bc, basis[a - 1]),
-                        mu.bracket(ca, basis[b - 1]),
-                    )
-                ]
-                if any(total):
+                total: dict[int, Fraction] = {}
+                # [[x, y], z] = sum_k c_xy^k [e_k, e_z]
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for k, v in brackets.get((x, y), empty).items():
+                        for m, w in brackets.get((k, z), empty).items():
+                            total[m] = total.get(m, ZERO) + v * w
+                if any(total.values()):
                     return False, (a, b, c)
     return True, None
 
 
-def _span_basis(vectors: Iterable[Vec], n: int) -> tuple[Vec, ...]:
-    ech = Echelon(n)
-    for v in vectors:
-        ech.add_row(dense_row(v))
-    basis = []
-    for p in sorted(ech.pivots):
-        row = ech.pivots[p]
-        v = [ZERO] * n
-        for c, val in row.items():
-            v[c] = val
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def lower_central_series(mu: LieBracket) -> SubspaceChain:
-    """gamma_1 = n, gamma_{k+1} = [n, gamma_k]; stops at stabilization."""
+    """gamma_1 = n, gamma_{k+1} = [n, gamma_k]; stops at stabilization.
+
+    Each spanning vector v of gamma_k takes one pass over the constants:
+    c_ab^k adds c v_b to [e_a, v]_k and -c v_a to [e_b, v]_k.  The basis
+    of each term is the pivot rows of its reduced echelon form.
+    """
     n = mu.dim
-    current = tuple(
-        tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n)
-    )
-    terms = [current]
+    current: list[dict[int, Fraction]] = [{s: ONE} for s in range(n)]
+    terms = [tuple(tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n))]
     dims = [n]
     while True:
-        images = []
-        for i in range(1, n + 1):
-            ei = tuple(ONE if t == i - 1 else ZERO for t in range(n))
-            for v in current:
-                w = mu.bracket(ei, v)
-                if any(w):
-                    images.append(w)
-        nxt = _span_basis(images, n)
-        d = len(nxt)
-        if d == dims[-1]:
+        ech = Echelon(n)
+        for v in current:
+            images: dict[int, dict[int, Fraction]] = {}
+            for (a, b, k), cv in mu.constants.items():
+                if b - 1 in v:
+                    img = images.setdefault(a, {})
+                    img[k - 1] = img.get(k - 1, ZERO) + cv * v[b - 1]
+                if a - 1 in v:
+                    img = images.setdefault(b, {})
+                    img[k - 1] = img.get(k - 1, ZERO) - cv * v[a - 1]
+            for img in images.values():
+                ech.add_row(img)
+        d = ech.rank
+        if d == 0 or d == dims[-1]:
             return SubspaceChain(tuple(terms), tuple(dims), terminates=(d == 0))
-        if d == 0:
-            return SubspaceChain(tuple(terms), tuple(dims), terminates=True)
-        terms.append(nxt)
+        current = [ech.pivots[p] for p in sorted(ech.pivots)]
+        terms.append(tuple(tuple(row.get(t, ZERO) for t in range(n)) for row in current))
         dims.append(d)
-        current = nxt
 
 
 def is_nilpotent(mu: LieBracket) -> bool:
@@ -260,19 +246,16 @@ def is_nilpotent(mu: LieBracket) -> bool:
 
 
 def center(mu: LieBracket) -> tuple[Vec, ...]:
-    """Exact basis of {X : mu(X, e_i) = 0 for all i}."""
-    n = mu.dim
-    rows = []
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            row = {}
-            for a in range(1, n + 1):
-                cv = mu.c(a, i, k)
-                if cv:
-                    row[a - 1] = cv
-            if row:
-                rows.append(row)
-    return tuple(nullspace(rows, n))
+    """Exact basis of {X : mu(X, e_i) = 0 for all i}.
+
+    Row (i, k) holds c_ai^k in column a: the constant c_ab^k is entry a of
+    row (b, k), and -c_ab^k is entry b of row (a, k).
+    """
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (a, b, k), v in mu.constants.items():
+        rows.setdefault((b, k), {})[a - 1] = v
+        rows.setdefault((a, k), {})[b - 1] = -v
+    return tuple(nullspace(rows.values(), mu.dim))
 
 
 def act(g: Sequence[Sequence[Fraction]], mu: LieBracket) -> LieBracket:

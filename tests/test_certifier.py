@@ -86,6 +86,20 @@ def test_degeneration_certificate_alg1():
     assert ok, msg
 
 
+def test_face_budget_counts_only_nice_subsets():
+    # the first face candidate of n4nonice keeps a non-nice bracket and
+    # never reaches an is_face LP, so it must not use up the budget
+    mu = catalog_get("n4nonice")
+    d = tuple(map(F, (0, 1, 1, 1)))
+    v = certify_derivation(mu, d, budget=1)
+    assert v.status == CERTIFIED_RN
+    assert v.certificate.kind == DEGENERATION_CONE
+    ok, msg = verify_certificate(mu, v.certificate)
+    assert ok, msg
+    v = certify_derivation(mu, d, budget=0)
+    assert v.status == UNKNOWN and "face budget exhausted" in v.notes
+
+
 def test_pinned_alg1_certificate_verifies():
     mu = catalog_get("dim7-alg1")
     d = tuple(map(F, (0, 1, 0, 1, 1, 1, 1)))

@@ -3,7 +3,13 @@
 The algebras are direct sums of small catalog entries (plus abelian lines),
 rescaled by a random positive diagonal h and moved by a random unipotent
 upper-triangular g, so that brackets have several terms and the basis is
-in general not nice.
+in general not nice.  The Jacobi, central-series and center kernels are
+also run on random skew brackets, most of which break Jacobi and many of
+which are not nilpotent.
+
+The ``reference_*`` functions are the dense definitions the sparse kernels
+replaced: Der(mu), the lower central series, the Jacobi test and the
+center, each built from ``mu.c`` or ``mu.bracket`` over full index ranges.
 """
 
 from __future__ import annotations
@@ -16,12 +22,20 @@ from hypothesis import strategies as st
 
 from nilcone.catalog import catalog_entry, catalog_get, catalog_list
 from nilcone.derivations import (
+    DerivationBasis,
     EngelResult,
     derivation_algebra,
     is_characteristically_nilpotent,
     rep_action,
 )
-from nilcone.liecore import LieBracket, act
+from nilcone.liecore import (
+    LieBracket,
+    SubspaceChain,
+    act,
+    center,
+    check_jacobi,
+    lower_central_series,
+)
 from nilcone.linalg import ONE, ZERO, Echelon, dense_row, mat_inv, mat_mul, nullspace
 from nilcone.momentricci import moment_map, nil_ricci, norm_squared
 
@@ -65,6 +79,139 @@ def nilpotent_algebras(draw) -> LieBracket:
         for r in range(n)
     )
     return act(g, mu.diagonal_act(h))
+
+
+@st.composite
+def skew_brackets(draw) -> LieBracket:
+    """Random skew brackets of dim <= 5; Jacobi and nilpotency may both fail."""
+    n = draw(st.integers(2, 5))
+    triples = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               for k in range(1, n + 1)]
+    constants = draw(st.dictionaries(st.sampled_from(triples),
+                                     st.sampled_from([F(-2), F(-1), F(1), F(1, 2), F(3)]),
+                                     max_size=8))
+    return LieBracket(n, constants)
+
+
+def reference_derivation_algebra(mu: LieBracket) -> DerivationBasis:
+    """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based)."""
+    n = mu.dim
+    rows = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for r in range(1, n + 1):
+                row: dict[int, F] = {}
+
+                def add(p, q, v):
+                    if v:
+                        idx = (p - 1) * n + (q - 1)
+                        nv = row.get(idx, ZERO) + v
+                        if nv:
+                            row[idx] = nv
+                        else:
+                            row.pop(idx, None)
+
+                for k in range(1, n + 1):
+                    add(r, k, mu.c(i, j, k))
+                for p in range(1, n + 1):
+                    add(p, i, -mu.c(p, j, r))
+                    add(p, j, -mu.c(i, p, r))
+                if row:
+                    rows.append(row)
+    rows.sort(key=len)
+    vecs = nullspace(rows, n * n)
+    mats = tuple(
+        tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n)) for v in vecs
+    )
+    return DerivationBasis(n, mats)
+
+
+def _basis_bracket(mu: LieBracket, i: int, j: int):
+    """[e_i, e_j] as a coefficient vector (0-based)."""
+    out = [ZERO] * mu.dim
+    for k in range(1, mu.dim + 1):
+        out[k - 1] = mu.c(i, j, k)
+    return tuple(out)
+
+
+def reference_check_jacobi(mu: LieBracket):
+    """Exact Jacobi test on all basis triples; returns first violator if any."""
+    n = mu.dim
+    basis = [tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n)]
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            ab = _basis_bracket(mu, a, b)
+            for c in range(b + 1, n + 1):
+                bc = _basis_bracket(mu, b, c)
+                ca = _basis_bracket(mu, c, a)
+                total = [
+                    x + y + z
+                    for x, y, z in zip(
+                        mu.bracket(ab, basis[c - 1]),
+                        mu.bracket(bc, basis[a - 1]),
+                        mu.bracket(ca, basis[b - 1]),
+                    )
+                ]
+                if any(total):
+                    return False, (a, b, c)
+    return True, None
+
+
+def _span_basis(vectors, n: int):
+    ech = Echelon(n)
+    for v in vectors:
+        ech.add_row(dense_row(v))
+    basis = []
+    for p in sorted(ech.pivots):
+        row = ech.pivots[p]
+        v = [ZERO] * n
+        for c, val in row.items():
+            v[c] = val
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reference_lower_central_series(mu: LieBracket) -> SubspaceChain:
+    """gamma_1 = n, gamma_{k+1} = [n, gamma_k]; stops at stabilization."""
+    n = mu.dim
+    current = tuple(
+        tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n)
+    )
+    terms = [current]
+    dims = [n]
+    while True:
+        images = []
+        for i in range(1, n + 1):
+            ei = tuple(ONE if t == i - 1 else ZERO for t in range(n))
+            for v in current:
+                w = mu.bracket(ei, v)
+                if any(w):
+                    images.append(w)
+        nxt = _span_basis(images, n)
+        d = len(nxt)
+        if d == dims[-1]:
+            return SubspaceChain(tuple(terms), tuple(dims), terminates=(d == 0))
+        if d == 0:
+            return SubspaceChain(tuple(terms), tuple(dims), terminates=True)
+        terms.append(nxt)
+        dims.append(d)
+        current = nxt
+
+
+def reference_center(mu: LieBracket):
+    """Exact basis of {X : mu(X, e_i) = 0 for all i}."""
+    n = mu.dim
+    rows = []
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            row = {}
+            for a in range(1, n + 1):
+                cv = mu.c(a, i, k)
+                if cv:
+                    row[a - 1] = cv
+            if row:
+                rows.append(row)
+    return tuple(nullspace(rows, n))
 
 
 def reference_engel(mu: LieBracket) -> EngelResult:
@@ -145,3 +292,23 @@ def test_moment_map_pairing_identity_entrywise(mu):
 def test_nil_ricci_is_half_norm_times_moment_map(mu):
     half_nsq = norm_squared(mu) / 2
     assert nil_ricci(mu) == tuple(tuple(half_nsq * x for x in row) for row in moment_map(mu))
+
+
+@settings(max_examples=40)
+@given(nilpotent_algebras())
+def test_sparse_kernels_match_dense_references(mu):
+    assert derivation_algebra(mu) == reference_derivation_algebra(mu)
+    assert lower_central_series(mu) == reference_lower_central_series(mu)
+    assert check_jacobi(mu) == reference_check_jacobi(mu) == (True, None)
+    assert center(mu) == reference_center(mu)
+
+
+@settings(max_examples=150)
+@given(skew_brackets())
+@example(LieBracket(5, {(1, 2, 3): F(1), (3, 4, 5): F(1)}))  # violator (1, 2, 4)
+@example(LieBracket(3, {(1, 2, 3): F(2), (1, 3, 1): F(-1), (2, 3, 2): F(1)}))  # sl2
+def test_kernels_match_references_without_jacobi(mu):
+    assert check_jacobi(mu) == reference_check_jacobi(mu)
+    assert lower_central_series(mu) == reference_lower_central_series(mu)
+    assert center(mu) == reference_center(mu)
+    assert derivation_algebra(mu) == reference_derivation_algebra(mu)
