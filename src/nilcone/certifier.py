@@ -260,6 +260,21 @@ def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> 
     return out
 
 
+def _candidates(mu: LieBracket, dspace: DiagonalDerivationSpace, user_d: Vec | None):
+    """Candidate derivations in a fixed order, each computed only when reached.
+
+    A positive derivation is always certified, so the extreme rays (a cone
+    projection and a walk over subsets of its inequalities) are produced
+    only for algebras that have none.
+    """
+    pos = _positive_diagonal_derivation(dspace, mu.dim)
+    if pos is not None:
+        yield pos
+    yield from _extreme_ray_candidates(mu, dspace)
+    if user_d is not None:
+        yield user_d
+
+
 def certify_nilradical(
     mu: LieBracket,
     user_d: Vec | None = None,
@@ -288,17 +303,9 @@ def certify_nilradical(
             "extensions are unimodular",
         )
 
-    dspace = diagonal_derivations(mu)
-    candidates: list[Vec] = []
-    pos = _positive_diagonal_derivation(dspace, mu.dim)
-    if pos is not None:
-        candidates.append(pos)
-    candidates.extend(_extreme_ray_candidates(mu, dspace))
-    if user_d is not None:
-        candidates.append(tuple(frac(x) for x in user_d))
-
+    user_d = None if user_d is None else tuple(frac(x) for x in user_d)
     seen = set()
-    for cand in candidates:
+    for cand in _candidates(mu, diagonal_derivations(mu), user_d):
         cand = _orient_positive_trace(cand)
         if cand is None or cand in seen:
             continue

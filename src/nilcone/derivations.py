@@ -116,8 +116,12 @@ def derivation_algebra(mu: LieBracket) -> DerivationBasis:
     rows = [row for row in rows if row]
     rows.sort(key=len)
     vecs = nullspace(rows, n * n)
+    # most rows of a basis derivation are zero; sharing one zero row keeps
+    # thousands of short-lived n-tuples off the interpreter's free lists
+    zero = (ZERO,) * n
     mats = tuple(
-        tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n)) for v in vecs
+        tuple(row if any(row) else zero for row in (v[p * n:(p + 1) * n] for p in range(n)))
+        for v in vecs
     )
     return DerivationBasis(n, mats)
 

@@ -89,9 +89,32 @@ def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def leading_principal_minors(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Determinants of the k x k top-left submatrices, k = 1..n."""
+    """Determinants of the k x k top-left submatrices, k = 1..n.
+
+    One elimination without row exchanges: adding multiples of earlier rows
+    to later ones keeps every leading minor, so minor k is the product of
+    the first k pivots.  From the first zero pivot on, each remaining minor
+    is a separate ``det``.
+    """
     n = len(a)
-    return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
+    m = [list(row) for row in a]
+    minors = []
+    prod = ONE
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot == 0:
+            return minors + [det([row[: j + 1] for row in a[: j + 1]]) for j in range(k, n)]
+        prod *= pivot
+        minors.append(prod)
+        inv = ONE / pivot
+        pk = m[k]
+        for r in range(k + 1, n):
+            row = m[r]
+            if row[k]:
+                f = row[k] * inv
+                for c in range(k + 1, n):
+                    row[c] -= f * pk[c]
+    return minors
 
 
 class Echelon:

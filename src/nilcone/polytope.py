@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .derivations import DiagonalDerivationSpace
 from .errors import InvariantViolation
@@ -101,18 +101,16 @@ def verify_membership(d: Vec, w: WeightSet, assignment: dict[Key, Fraction]) -> 
 # ---------------------------------------------------------------------------
 
 
+def _primitive(v) -> tuple[int, ...]:
+    """Divide an integer row by the gcd of its entries (a zero row stays zero)."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
 def _canonical(v: tuple[Fraction, ...]) -> tuple[int, ...]:
     """Scale a rational row to coprime integers, preserving direction."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    den = lcm(*(x.denominator for x in v))
+    return _primitive([x.numerator * (den // x.denominator) for x in v])
 
 
 def _is_conic_combination(target: tuple[int, ...], rows: list[tuple[int, ...]]) -> bool:
@@ -149,50 +147,45 @@ def fourier_motzkin(
     """Eliminate the first block of variables from a homogeneous system.
 
     Each row is (elim_coeffs, kept_coeffs, strict) meaning
-    elim.x + kept.t > 0 (strict) or >= 0.
+    elim.x + kept.t > 0 (strict) or >= 0.  Every row is scaled once to a
+    primitive integer vector; a positive scaling keeps its direction, so
+    the elimination runs in ``int`` and a row is its own duplicate key.
     """
-    work = rows
+    split = len(rows[0][0]) if rows else 0
+    work = [(_canonical(e + t), s) for e, t, s in rows]
     for var in range(nelim):
         zero, pos, neg = [], [], []
-        for e, t, s in work:
-            c = e[var]
+        for v, s in work:
+            c = v[var]
             if c == 0:
-                zero.append((e, t, s))
+                zero.append((v, s))
             elif c > 0:
-                pos.append((e, t, s))
+                pos.append((v, s))
             else:
-                neg.append((e, t, s))
+                neg.append((v, s))
         new = zero
-        for (ep, tp, sp) in pos:
-            for (en, tn, sn) in neg:
-                a = ep[var]
-                b = -en[var]
-                e = tuple(b * x + a * y for x, y in zip(ep, en))
-                t = tuple(b * x + a * y for x, y in zip(tp, tn))
-                new.append((e, t, sp or sn))
-        # prune duplicates (up to positive scaling) to tame growth
-        seen = {}
-        pruned = []
-        for e, t, s in new:
-            key = _canonical(e + t)
-            if key in seen:
-                idx = seen[key]
-                if s and not pruned[idx][2]:
-                    pruned[idx] = (e, t, s)
-                continue
-            seen[key] = len(pruned)
-            pruned.append((e, t, s))
-        work = pruned
+        for (vp, sp) in pos:
+            a = vp[var]
+            for (vn, sn) in neg:
+                b = -vn[var]
+                new.append((_primitive([b * x + a * y for x, y in zip(vp, vn)]), sp or sn))
+        # prune duplicates to tame growth; a duplicate keeps the first place
+        # and is strict if any copy is
+        pruned: dict[tuple[int, ...], bool] = {}
+        for v, s in new:
+            pruned[v] = pruned.get(v, False) or s
+        work = list(pruned.items())
     out = set()
-    for e, t, s in work:
-        if any(e):
+    for v, s in work:
+        if any(v[:split]):
             raise InvariantViolation("Fourier-Motzkin left an eliminated variable behind")
+        t = v[split:]
         if not any(t):
             if s:
                 return ProjectedCone((), empty=True)  # derived 0 > 0
             continue
         # rows with a nonzero kept part always trace back to a strict row
-        out.add(_canonical(t))
+        out.add(t)
     kept = remove_redundant(sorted(out))
     if kept and not _strictly_feasible(kept):
         return ProjectedCone(tuple(sorted(kept)), empty=True)

@@ -1,12 +1,14 @@
 """Exact rational linear programming via two-phase simplex with Bland's rule.
 
-Problems here are tiny (tens of variables), so the implementation favors
-clarity and determinism over speed: reduced costs are recomputed from the
-tableau every iteration and Bland's anti-cycling rule is always active.
+Problems here are tiny (tens of variables), so the tableau stays dense and
+Bland's anti-cycling rule is always active.  The reduced costs are built
+once per phase and then eliminated at each pivot like one more tableau
+row, and a pivot only touches the nonzero columns of the pivot row.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,13 +28,25 @@ class LPSolution:
     value: Fraction | None
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, col: int) -> None:
-    inv = ONE / rows[r][col]
-    rows[r] = [v * inv for v in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][col] != 0:
-            f = rows[i][col]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+def _pivot(
+    rows: list[list[Fraction]],
+    basis: list[int],
+    r: int,
+    col: int,
+    extra: tuple[list[Fraction], ...] = (),
+) -> None:
+    """Make column col basic in row r; the rows in extra are eliminated too."""
+    prow = rows[r]
+    inv = ONE / prow[col]
+    nz = [j for j, v in enumerate(prow) if v]
+    if inv != 1:
+        for j in nz:
+            prow[j] *= inv
+    for row in itertools.chain(rows, extra):
+        f = row[col]
+        if f and row is not prow:
+            for j in nz:
+                row[j] -= f * prow[j]
     basis[r] = col
 
 
@@ -43,19 +57,19 @@ def _run_simplex(
     allowed: set[int],
 ) -> str:
     """Maximize costs.x over the tableau in place; returns OPTIMAL or UNBOUNDED."""
-    ncols = len(rows[0]) - 1
+    # reduced costs relative to the current basis; zero on the basic
+    # columns, which are unit columns of the tableau
+    reduced = list(costs) + [ZERO]
+    for i, b in enumerate(basis):
+        cb = costs[b]
+        if cb:
+            for j, v in enumerate(rows[i]):
+                if v:
+                    reduced[j] -= cb * v
+    ncols = len(costs)
     while True:
-        # reduced costs relative to the current basis
-        entering = None
-        for j in range(ncols):
-            if j in basis or j not in allowed:
-                continue
-            rc = costs[j] - sum(
-                (costs[basis[i]] * rows[i][j] for i in range(len(rows))), ZERO
-            )
-            if rc > 0:
-                entering = j  # Bland: first improving index
-                break
+        # Bland: first improving index
+        entering = next((j for j in range(ncols) if reduced[j] > 0 and j in allowed), None)
         if entering is None:
             return OPTIMAL
         leaving = None
@@ -71,7 +85,7 @@ def _run_simplex(
                     leaving = i
         if leaving is None:
             return UNBOUNDED
-        _pivot(rows, basis, leaving, entering)
+        _pivot(rows, basis, leaving, entering, (reduced,))
 
 
 def solve_lp(

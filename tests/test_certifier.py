@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nilcone import certifier
 from nilcone.catalog import catalog_get
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
@@ -25,6 +26,8 @@ from nilcone.errors import ParseError
 from nilcone.liecore import LieBracket
 from nilcone.momentricci import extension_ricci, is_negative_definite
 from nilcone.polytope import strict_cone_membership, weight_set
+from test_golden import _verdict
+from test_golden_cone import _golden_sections
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 
@@ -247,3 +250,35 @@ def test_nilradical_user_derivation_considered():
     mu = catalog_get("dim7-alg1")
     v = certify_nilradical(mu, user_d=tuple(map(F, (0, 1, 0, 1, 1, 1, 1))))
     assert v.status == CERTIFIED_RN
+
+
+M0_8 = LieBracket(8, {(1, i, i + 1): F(1) for i in range(2, 8)})  # Vergne's filiform m_0(8)
+M0_8_VERDICT = (
+    "status CertifiedRN\nnotes positive derivation\ncertificate\nkind PositiveDerivation\n"
+    "dim 8\n" + "".join(f"bracket 1 {i} {i + 1} 1\n" for i in range(2, 8))
+    + "derivation 1 1 2 3 4 5 6 7\nslack 1\nend\n"
+)
+
+
+def _golden_nilradical(label: str) -> str:
+    return _golden_sections()[label].split("--- nilradical\n", 1)[1]
+
+
+@pytest.mark.parametrize("mu,calls,expected", [
+    (catalog_get("heis3"), 0, _golden_nilradical("heis3")),
+    (M0_8, 0, M0_8_VERDICT),
+    (catalog_get("dim7-alg1"), 1, _golden_nilradical("dim7-alg1")),  # no positive derivation
+], ids=["heis3", "m0(8)", "dim7-alg1"])
+def test_extreme_rays_are_computed_only_without_positive_derivation(
+    monkeypatch, mu, calls, expected
+):
+    seen = []
+    original = certifier._extreme_ray_candidates
+
+    def counting(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(certifier, "_extreme_ray_candidates", counting)
+    assert _verdict(mu, certify_nilradical(mu)) == expected
+    assert len(seen) == calls

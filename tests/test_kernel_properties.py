@@ -10,6 +10,9 @@ which are not nilpotent.
 The ``reference_*`` functions are the dense definitions the sparse kernels
 replaced: Der(mu), the lower central series, the Jacobi test and the
 center, each built from ``mu.c`` or ``mu.bracket`` over full index ranges.
+They also keep the slow exact kernels of the certificate cone: the simplex
+that recomputes every reduced cost each iteration, Fourier-Motzkin over
+``Fraction`` rows, and one ``det`` per leading principal minor.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilcone.catalog import catalog_entry, catalog_get, catalog_list
@@ -25,9 +28,12 @@ from nilcone.derivations import (
     DerivationBasis,
     EngelResult,
     derivation_algebra,
+    diagonal_derivations,
     is_characteristically_nilpotent,
     rep_action,
 )
+from nilcone import simplex
+from nilcone.errors import InvariantViolation
 from nilcone.liecore import (
     LieBracket,
     SubspaceChain,
@@ -36,8 +42,29 @@ from nilcone.liecore import (
     check_jacobi,
     lower_central_series,
 )
-from nilcone.linalg import ONE, ZERO, Echelon, dense_row, mat_inv, mat_mul, nullspace
+from nilcone.linalg import (
+    ONE,
+    ZERO,
+    Echelon,
+    dense_row,
+    det,
+    frac,
+    leading_principal_minors,
+    mat_inv,
+    mat_mul,
+    nullspace,
+)
 from nilcone.momentricci import moment_map, nil_ricci, norm_squared
+from nilcone.polytope import (
+    ProjectedCone,
+    _canonical,
+    _strictly_feasible,
+    fourier_motzkin,
+    project_certificate_cone,
+    remove_redundant,
+    weight_set,
+)
+from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
 
 MAX_DIM = 8
 ABELIAN_LINE = LieBracket(1, {})
@@ -68,11 +95,17 @@ SUMS = _direct_sums()
 
 
 @st.composite
-def nilpotent_algebras(draw) -> LieBracket:
+def nilpotent_algebras(draw, unipotent: bool = True) -> LieBracket:
+    """A rescaled direct sum, moved by a random unipotent g unless told not to.
+
+    Most such moves leave no diagonal derivation, so kernels that need
+    one are tested with ``unipotent=False``.
+    """
     mu = draw(st.sampled_from(SUMS))
     n = mu.dim
     h = draw(st.lists(st.fractions(F(1, 3), F(3), max_denominator=3), min_size=n, max_size=n))
-    upper = iter(draw(st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2,
+    entries = st.integers(-2, 2) if unipotent else st.just(0)
+    upper = iter(draw(st.lists(entries, min_size=n * (n - 1) // 2,
                                max_size=n * (n - 1) // 2)))
     g = tuple(
         tuple(ONE if r == c else (F(next(upper)) if c > r else ZERO) for c in range(n))
@@ -312,3 +345,326 @@ def test_kernels_match_references_without_jacobi(mu):
     assert lower_central_series(mu) == reference_lower_central_series(mu)
     assert center(mu) == reference_center(mu)
     assert derivation_algebra(mu) == reference_derivation_algebra(mu)
+
+
+def _reference_pivot(rows: list[list[F]], basis: list[int], r: int, col: int) -> None:
+    inv = ONE / rows[r][col]
+    rows[r] = [v * inv for v in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][col] != 0:
+            f = rows[i][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+    basis[r] = col
+
+
+def _reference_run_simplex(
+    rows: list[list[F]],
+    basis: list[int],
+    costs: list[F],
+    allowed: set[int],
+) -> str:
+    """Maximize costs.x over the tableau in place; returns OPTIMAL or UNBOUNDED."""
+    ncols = len(rows[0]) - 1
+    while True:
+        # reduced costs relative to the current basis
+        entering = None
+        for j in range(ncols):
+            if j in basis or j not in allowed:
+                continue
+            rc = costs[j] - sum(
+                (costs[basis[i]] * rows[i][j] for i in range(len(rows))), ZERO
+            )
+            if rc > 0:
+                entering = j  # Bland: first improving index
+                break
+        if entering is None:
+            return OPTIMAL
+        leaving = None
+        best = None
+        for i in range(len(rows)):
+            a = rows[i][entering]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return UNBOUNDED
+        _reference_pivot(rows, basis, leaving, entering)
+
+
+def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
+    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0."""
+    c = [frac(v) for v in c]
+    n = len(c)
+    ub = [([frac(v) for v in row], frac(b)) for row, b in zip(a_ub, b_ub)]
+    eq = [([frac(v) for v in row], frac(b)) for row, b in zip(a_eq, b_eq)]
+    m_ub = len(ub)
+
+    rows: list[list[F]] = []
+    basis: list[int] = []
+    art_cols: list[int] = []
+    total = n + m_ub  # structural + slack; artificials appended below
+
+    pending = []  # (coeffs over total cols, rhs, slack_is_basic)
+    for i, (arow, b) in enumerate(ub):
+        coeffs = arow + [ZERO] * m_ub
+        coeffs[n + i] = ONE
+        if b < 0:
+            coeffs = [-v for v in coeffs]
+            b = -b
+            pending.append((coeffs, b, False))
+        else:
+            pending.append((coeffs, b, True))
+    for arow, b in eq:
+        coeffs = list(arow) + [ZERO] * m_ub
+        if b < 0:
+            coeffs = [-v for v in coeffs]
+            b = -b
+        pending.append((coeffs, b, False))
+
+    n_art = sum(1 for _, _, ok in pending if not ok)
+    ncols = total + n_art
+    art_i = 0
+    for coeffs, b, slack_basic in pending:
+        row = coeffs + [ZERO] * n_art + [b]
+        if slack_basic:
+            basis.append(coeffs.index(ONE, n))
+        else:
+            col = total + art_i
+            row[col] = ONE
+            art_cols.append(col)
+            basis.append(col)
+            art_i += 1
+        rows.append(row)
+
+    if art_cols:
+        costs1 = [ZERO] * ncols
+        for col in art_cols:
+            costs1[col] = -ONE
+        if _reference_run_simplex(rows, basis, costs1, set(range(ncols))) != OPTIMAL:
+            raise InvariantViolation("phase 1 of the simplex is unbounded")
+        val = sum((costs1[basis[i]] * rows[i][-1] for i in range(len(rows))), ZERO)
+        if val != 0:
+            return LPSolution(INFEASIBLE, None, None)
+        # drive remaining basic artificials out (they sit at level zero)
+        drop = []
+        for i in range(len(rows)):
+            if basis[i] in art_cols:
+                col = next(
+                    (j for j in range(total) if rows[i][j] != 0),
+                    None,
+                )
+                if col is None:
+                    drop.append(i)  # redundant constraint
+                else:
+                    _reference_pivot(rows, basis, i, col)
+        for i in reversed(drop):
+            del rows[i]
+            del basis[i]
+
+    costs2 = c + [ZERO] * (ncols - n)
+    allowed = set(range(total))
+    status = _reference_run_simplex(rows, basis, costs2, allowed)
+    if status == UNBOUNDED:
+        return LPSolution(UNBOUNDED, None, None)
+    x = [ZERO] * n
+    for i, bcol in enumerate(basis):
+        if bcol < n:
+            x[bcol] = rows[i][-1]
+    value = sum((c[j] * x[j] for j in range(n)), ZERO)
+    return LPSolution(OPTIMAL, tuple(x), value)
+
+
+def reference_fourier_motzkin(rows, nelim: int) -> ProjectedCone:
+    """Eliminate the first block of variables from a homogeneous system.
+
+    Each row is (elim_coeffs, kept_coeffs, strict) meaning
+    elim.x + kept.t > 0 (strict) or >= 0.
+    """
+    work = rows
+    for var in range(nelim):
+        zero, pos, neg = [], [], []
+        for e, t, s in work:
+            c = e[var]
+            if c == 0:
+                zero.append((e, t, s))
+            elif c > 0:
+                pos.append((e, t, s))
+            else:
+                neg.append((e, t, s))
+        new = zero
+        for (ep, tp, sp) in pos:
+            for (en, tn, sn) in neg:
+                a = ep[var]
+                b = -en[var]
+                e = tuple(b * x + a * y for x, y in zip(ep, en))
+                t = tuple(b * x + a * y for x, y in zip(tp, tn))
+                new.append((e, t, sp or sn))
+        # prune duplicates (up to positive scaling) to tame growth
+        seen = {}
+        pruned = []
+        for e, t, s in new:
+            key = _canonical(e + t)
+            if key in seen:
+                idx = seen[key]
+                if s and not pruned[idx][2]:
+                    pruned[idx] = (e, t, s)
+                continue
+            seen[key] = len(pruned)
+            pruned.append((e, t, s))
+        work = pruned
+    out = set()
+    for e, t, s in work:
+        if any(e):
+            raise InvariantViolation("Fourier-Motzkin left an eliminated variable behind")
+        if not any(t):
+            if s:
+                return ProjectedCone((), empty=True)  # derived 0 > 0
+            continue
+        # rows with a nonzero kept part always trace back to a strict row
+        out.add(_canonical(t))
+    kept = remove_redundant(sorted(out))
+    if kept and not _strictly_feasible(kept):
+        return ProjectedCone(tuple(sorted(kept)), empty=True)
+    return ProjectedCone(tuple(sorted(kept)))
+
+
+def reference_project_certificate_cone(w, dspace) -> ProjectedCone:
+    """The certificate system of ``project_certificate_cone``, eliminated by the reference."""
+    n = len(dspace.basis[0])
+    m = len(w)
+    p = dspace.dim
+    rows = []
+    for r in range(n):
+        e = tuple(-w.weights[q].vec[r] for q in range(m))
+        t = tuple(dspace.basis[mm][r] for mm in range(p))
+        rows.append((e, t, True))
+    for q in range(m):
+        e = tuple(ONE if qq == q else ZERO for qq in range(m))
+        rows.append((e, (ZERO,) * p, False))
+    return reference_fourier_motzkin(rows, m)
+
+
+def reference_leading_principal_minors(a) -> list[F]:
+    """Determinants of the k x k top-left submatrices, k = 1..n."""
+    n = len(a)
+    return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
+
+
+# Zeros and repeated values make degenerate vertices and ratio-test ties.
+LP_COEFFS = st.sampled_from([F(-2), F(-1), F(0), F(0), F(0), F(1, 2), F(1), F(1), F(3)])
+LP_RHS = st.sampled_from([F(-2), F(-1), F(0), F(0), F(0), F(1), F(1), F(5, 2)])
+
+
+@st.composite
+def small_lps(draw):
+    """(c, a_ub, b_ub, a_eq, b_eq) with at least one ub row, some with a
+    negative right-hand side, and sometimes a redundant copy of an equality."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(LP_COEFFS, min_size=n, max_size=n)
+    c = draw(row)
+    a_ub = draw(st.lists(row, min_size=1, max_size=4))
+    b_ub = draw(st.lists(LP_RHS, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=2))
+    b_eq = draw(st.lists(LP_RHS, min_size=len(a_eq), max_size=len(a_eq)))
+    if a_eq and draw(st.booleans()):
+        k = draw(st.sampled_from([F(2), F(-1, 2)]))
+        a_eq.append([k * x for x in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+# Beale's example: Dantzig's rule cycles on it, Bland's rule does not.
+BEALE = (
+    [F(3, 4), -20, F(1, 2), -6],
+    [[F(1, 4), -8, -1, 9], [F(1, 2), -12, F(-1, 2), 3], [0, 0, 1, 0]],
+    [0, 0, 1],
+    [],
+    [],
+)
+
+
+@settings(max_examples=200)
+@given(small_lps())
+@example(BEALE)
+@example(([1, 1], [[1, 0]], [1], [[1, 1], [2, 2]], [2, 4]))  # redundant equality dropped
+@example(([1, 1], [[1, 1]], [3], [[-1, -1]], [0]))  # artificial driven out at level zero
+def test_simplex_matches_reference(lp):
+    assert solve_lp(*lp) == reference_solve_lp(*lp)
+
+
+@st.composite
+def canonical_tableaux(draw):
+    """[A | I | b] with b >= 0 and the slacks basic, plus costs over all columns."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(LP_COEFFS, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(2), F(5, 2)]), min_size=m, max_size=m))
+    rows = [a[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
+    costs = draw(st.lists(LP_COEFFS, min_size=n, max_size=n)) + [ZERO] * m
+    return rows, list(range(n, n + m)), costs
+
+
+@settings(max_examples=200)
+@given(canonical_tableaux())
+def test_run_simplex_leaves_the_reference_tableau(tableau):
+    # same entering and leaving choice at every pivot, so the same final tableau
+    rows, basis, costs = tableau
+    allowed = set(range(len(costs)))
+    rows_ref, basis_ref = [list(r) for r in rows], list(basis)
+    status = simplex._run_simplex(rows, basis, costs, allowed)
+    assert status == _reference_run_simplex(rows_ref, basis_ref, costs, allowed)
+    assert (rows, basis) == (rows_ref, basis_ref)
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """Rows (elim, kept, strict) over 1-3 eliminated and 1-3 kept variables."""
+    nelim = draw(st.integers(1, 3))
+    nkept = draw(st.integers(1, 3))
+    coeff = st.sampled_from([F(-3), F(-1), F(-1, 2), F(0), F(0), F(1, 3), F(1), F(2)])
+    row = st.tuples(
+        st.tuples(*[coeff] * nelim), st.tuples(*[coeff] * nkept), st.booleans()
+    )
+    return draw(st.lists(row, min_size=1, max_size=6)), nelim
+
+
+@settings(max_examples=100)
+@given(homogeneous_systems())
+@example(([((F(1),), (F(1),), True), ((F(-1),), (F(-1),), True)], 1))  # derives 0 > 0
+# the zero row is derived non-strict first, then strict
+@example(([((F(1),), (F(0),), False), ((F(-1),), (F(0),), False), ((F(2),), (F(0),), True)], 1))
+def test_fourier_motzkin_matches_fraction_reference(system):
+    rows, nelim = system
+    assert fourier_motzkin(rows, nelim) == reference_fourier_motzkin(rows, nelim)
+
+
+@settings(max_examples=30)
+@given(nilpotent_algebras(unipotent=False))
+@example(catalog_get("dim7-alg1"))  # no positive derivation
+@example(catalog_get("ex9"))
+def test_certificate_cone_matches_fraction_reference(mu):
+    dspace = diagonal_derivations(mu)
+    assume(dspace.dim > 0)
+    w = weight_set(mu)
+    assert project_certificate_cone(w, dspace) == reference_project_certificate_cone(w, dspace)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square matrices up to 6 x 6, often with a zero leading pivot."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([F(-2), F(-1), F(0), F(0), F(1, 2), F(1), F(3, 2), F(4)])
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150)
+@given(rational_matrices())
+@example([[F(1), F(1)], [F(1), F(1)]])  # second pivot vanishes, det is 0
+@example([[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]])  # first pivot 0
+@example([[F(1), F(2), F(0)], [F(2), F(4), F(1)], [F(0), F(1), F(3)]])  # 0 pivot, nonzero det
+def test_leading_minors_match_per_k_determinants(a):
+    assert leading_principal_minors(a) == reference_leading_principal_minors(a)

@@ -44,6 +44,13 @@ def test_redundant_equality_dropped():
     assert sol.value == 2
 
 
+def test_every_row_dropped_as_redundant():
+    # 0.x = 0 leaves no row after phase 1; x >= 0 alone bounds only from below
+    assert solve_lp([1], a_eq=[[0]], b_eq=[0]).status == UNBOUNDED
+    sol = solve_lp([-1], a_eq=[[0]], b_eq=[0])
+    assert (sol.status, sol.x, sol.value) == (OPTIMAL, (F(0),), F(0))
+
+
 def test_exact_fractions_survive():
     sol = solve_lp([F(1, 3)], [[F(2, 7)]], [F(1, 5)])
     assert sol.status == OPTIMAL
