@@ -10,10 +10,9 @@ the degeneration search under-approximates the true cone.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 
 from .derivations import (
     DiagonalDerivationSpace,
@@ -23,11 +22,12 @@ from .derivations import (
     is_diagonal_derivation,
     require_diagonal_derivation,
 )
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
 from .linalg import ONE, Vec, ZERO, fmt_rational, frac, leading_principal_minors
-from .momentricci import MetricExtension, extension_ricci, is_negative_definite, ricci_negative_at
+from .momentricci import MetricExtension, extension_ricci, is_negative_definite
 from .polytope import (
+    _canonical,
     iter_face_candidates,
     is_face,
     pairing,
@@ -113,7 +113,6 @@ def certify_derivation(
     d: Vec,
     budget: int = 4096,
     want_witness: bool = False,
-    seed: int = 0,
 ) -> Verdict:
     """Decide whether the diagonal derivation D is Ricci negative.
 
@@ -127,7 +126,7 @@ def certify_derivation(
     d = tuple(frac(x) for x in d)
     trd = sum(d, ZERO)
     if trd <= 0:
-        raise ValueError(f"derivation trace must be positive, got {trd}")
+        raise InputError(f"derivation trace must be positive, got {trd}")
 
     if all(x > 0 for x in d):
         cert = Certificate(POSITIVE_DERIVATION, d, slack=min(d))
@@ -147,7 +146,7 @@ def certify_derivation(
         cert = membership_certificate(d, mu, NICE_CONE, None)
         if cert is not None:
             verdict = Verdict(CERTIFIED_RN, SCOPE_DERIVATION, d, cert, notes="nice basis cone")
-            return _maybe_attach_witness(mu, verdict, want_witness, seed)
+            return _maybe_attach_witness(mu, verdict, want_witness)
         return Verdict(
             UNKNOWN,
             SCOPE_DERIVATION,
@@ -179,28 +178,20 @@ def certify_derivation(
                 CERTIFIED_RN, SCOPE_DERIVATION, d, cert,
                 notes=f"degeneration keeping {len(j_set)} of {len(mu.keys())} constants",
             )
-            return _maybe_attach_witness(mu, verdict, want_witness, seed)
+            return _maybe_attach_witness(mu, verdict, want_witness)
     note = "no nice face degeneration certifies this derivation"
     if not complete:
         note += " (face budget exhausted)"
     return Verdict(UNKNOWN, SCOPE_DERIVATION, d, notes=note)
 
 
-def _maybe_attach_witness(mu, verdict, want_witness, seed):
+def _maybe_attach_witness(mu, verdict, want_witness):
     if not want_witness or verdict.certificate is None:
         return verdict
-    ext = find_witness_metric(mu, verdict.d, verdict.certificate, seed=seed)
+    ext = find_witness_metric(mu, verdict.d, verdict.certificate)
     if ext is None:
         return verdict
-    cert = Certificate(
-        kind=verdict.certificate.kind,
-        d=verdict.certificate.d,
-        degeneration=verdict.certificate.degeneration,
-        coefficients=verdict.certificate.coefficients,
-        slack=verdict.certificate.slack,
-        witness=ext,
-    )
-    return Verdict(verdict.status, verdict.scope, verdict.d, cert, notes=verdict.notes)
+    return replace(verdict, certificate=replace(verdict.certificate, witness=ext))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +238,7 @@ def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> 
             if len(ns) != 1:
                 continue
             # signs in integers: the rows are integer, so scale ns[0] to one too
-            scale = lcm(*(x.denominator for x in ns[0]))
+            scale = math.lcm(*(x.denominator for x in ns[0]))
             ray = [x.numerator * (scale // x.denominator) for x in ns[0]]
             vals = [sum(ri * xi for ri, xi in zip(r, ray)) for r in rows]
             for sgn, cand in ((1, ns[0]), (-1, tuple(-x for x in ns[0]))):
@@ -279,12 +270,11 @@ def certify_nilradical(
     mu: LieBracket,
     user_d: Vec | None = None,
     budget: int = 4096,
-    seed: int = 0,
     want_witness: bool = False,
 ) -> Verdict:
     """Algebra-level verdict: obstructions first, then candidate derivations."""
     if not is_nilpotent(mu):
-        raise ValueError("algebra is not nilpotent")
+        raise InputError("algebra is not nilpotent")
 
     if all_derivations_traceless(mu):
         engel = is_characteristically_nilpotent(mu)
@@ -312,7 +302,7 @@ def certify_nilradical(
         seen.add(cand)
         if not is_diagonal_derivation(cand, mu):
             continue
-        verdict = certify_derivation(mu, cand, budget=budget, want_witness=want_witness, seed=seed)
+        verdict = certify_derivation(mu, cand, budget=budget, want_witness=want_witness)
         if verdict.status == CERTIFIED_RN:
             return Verdict(
                 CERTIFIED_RN, SCOPE_ALGEBRA, verdict.d, verdict.certificate,
@@ -345,91 +335,95 @@ def find_witness_metric(
     d: Vec,
     cert: Certificate,
     budget: int = 400,
-    seed: int = 0,
 ) -> MetricExtension | None:
-    """Search for (s, h) making the extension Ricci negative definite.
+    """Build (s = 1, h) making the extension Ricci negative definite, from a cone certificate.
 
-    Exact grid first (powers of 2 along the degeneration direction), then
-    a float-guided coordinate descent in log space; acceptance is always
-    the exact minor test.  Returns None when the budget runs out.
+    x = log h minimizes 1/2 sum_w c_w^2 e^(2 <F_w, x>) - 2 tr D <P, x> over the
+    weights of the certificate's nice bracket, where P is the certificate's
+    combination with each zero coefficient raised to slack / (4 #zeros); see
+    README "Witness metrics".  ``budget`` caps the Newton steps.  e^x is
+    rounded, finer if needed, and for a degeneration multiplied by
+    2^(t alpha), t = 0, 1, 2, 4, ...  Only the exact Sylvester test accepts;
+    None if no candidate passes it.
     """
     if cert.kind not in (NICE_CONE, DEGENERATION_CONE):
-        raise ValueError("witness search needs a cone certificate")
-    require_diagonal_derivation(d, mu)
-    n = mu.dim
-    alpha = cert.degeneration[0] if cert.degeneration else None
-    tried = 0
-    scales = (ONE, Fraction(1, 2), Fraction(1, 4), Fraction(2), Fraction(1, 8))
-    exps = (0,) if alpha is None else (0, 1, 2, 3, 4, 6, 8)
-    for m in exps:
-        h = (
-            (ONE,) * n
-            if m == 0
-            else tuple(Fraction(2) ** int(m * a) for a in alpha)
-        )
-        for s in scales:
-            if tried >= budget:
-                return None
-            tried += 1
-            ext = MetricExtension(mu, d, s, h)
-            if ricci_negative_at(ext):
+        raise InputError("a witness metric needs a cone certificate")
+    lam = mu if cert.degeneration is None else sub_bracket(mu, cert.degeneration[1])
+    zeros = sum(1 for key in lam.keys() if not cert.coefficients.get(key))
+    eps = cert.slack / (4 * zeros) if zeros else ZERO
+    trd = float(sum(d, ZERO))
+    terms = [
+        ([(r, float(v)) for r, v in enumerate(wt.vec) if v],
+         float(lam.constants[key]) ** 2,
+         2 * trd * float(cert.coefficients.get(key) or eps))
+        for key, wt in zip(lam.keys(), weight_set(lam).weights)
+    ]
+    # a millionth of the margin: the float error is then far below the rounding's
+    x = _newton_log_metric(terms, mu.dim, 1e-6 * float(cert.slack) * trd, budget)
+    alpha = _canonical(cert.degeneration[0]) if cert.degeneration else (0,) * mu.dim
+    for q in (64, 4096, 2 ** 20):
+        h = [_round_exp(v, q) for v in x]
+        for t in (0, 1, 2, 4, 8, 16) if cert.degeneration else (0,):
+            scaled = tuple(hr * Fraction(2) ** (t * a) for hr, a in zip(h, alpha))
+            ext = MetricExtension(mu, d, ONE, scaled)
+            if is_negative_definite(extension_ricci(ext)):
                 return ext
-
-    # float-guided fallback: minimize the worst minor-sign violation
-    import math
-
-    rng = random.Random(seed)
-
-    def violation(log_s: float, log_h: list[float]) -> float:
-        s = Fraction(math.exp(log_s)).limit_denominator(10**6)
-        h = tuple(Fraction(math.exp(x)).limit_denominator(10**6) for x in log_h)
-        if s <= 0 or any(x <= 0 for x in h):
-            return math.inf
-        ext = MetricExtension(mu, d, s, h)
-        minors = leading_principal_minors(extension_ricci(ext))
-        worst = 0.0
-        sign = -1
-        for mv in minors:
-            worst = max(worst, float(-sign * mv))
-            sign = -sign
-        return worst
-
-    log_s = 0.0
-    log_h = [0.0] * n
-    step = 1.0
-    while tried < budget:
-        base = violation(log_s, log_h)
-        if base == 0.0:
-            s = Fraction(math.exp(log_s)).limit_denominator(10**6)
-            h = tuple(Fraction(math.exp(x)).limit_denominator(10**6) for x in log_h)
-            ext = MetricExtension(mu, d, s, h)
-            if ricci_negative_at(ext):
-                return ext
-        improved = False
-        for idx in range(n + 1):
-            for delta in (step, -step):
-                if tried >= budget:
-                    return None
-                tried += 1
-                ls, lh = log_s, list(log_h)
-                if idx == 0:
-                    ls += delta
-                else:
-                    lh[idx - 1] += delta
-                if violation(ls, lh) < base:
-                    log_s, log_h = ls, lh
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            step /= 2
-            if step < 1e-4:
-                # random restart
-                log_s = rng.uniform(-2, 2)
-                log_h = [rng.uniform(-4, 4) for _ in range(n)]
-                step = 1.0
     return None
+
+
+def _newton_log_metric(terms, n: int, tol: float, budget: int) -> list[float]:
+    """Damped Newton on the sum over terms (F, c2, b) of 1/2 c2 e^(2 <F, x>) - b <F, x>.
+
+    Stops once every gradient entry is at most ``tol``.  A tiny ridge keeps
+    the Hessian invertible along the directions every F annihilates.
+    """
+    def value(x):
+        try:
+            return sum(0.5 * c2 * math.exp(2 * y) - b * y
+                       for f, c2, b in terms for y in [sum(v * x[r] for r, v in f)])
+        except OverflowError:
+            return math.inf
+
+    x = [0.0] * n
+    for _ in range(budget):
+        grad = [0.0] * n
+        hess = [[0.0] * n for _ in range(n)]
+        for f, c2, b in terms:
+            z = c2 * math.exp(2 * sum(v * x[r] for r, v in f))
+            for r, v in f:
+                grad[r] += (z - b) * v
+                for s, u in f:
+                    hess[r][s] += 2 * z * v * u
+        if max(map(abs, grad)) <= tol:
+            break
+        for r in range(n):
+            hess[r][r] += 1e-9 * (1 + hess[r][r])
+        step = _solve_positive_definite(hess, [-g for g in grad])
+        slope, f0, t = sum(g * s for g, s in zip(grad, step)), value(x), 1.0
+        # backtracking (Armijo) line search
+        while value(trial := [xr + t * sr for xr, sr in zip(x, step)]) > f0 + t * slope / 4:
+            t /= 2
+            if t < 1e-12:
+                return x
+        x = trial
+    return x
+
+
+def _solve_positive_definite(a: list[list[float]], b: list[float]) -> list[float]:
+    """Gauss-Jordan elimination in floats, without pivoting since ``a`` is positive definite."""
+    for c in range(len(b)):
+        for r in range(len(b)):
+            if r != c:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+                b[r] -= f * b[c]
+    return [b[r] / a[r][r] for r in range(len(b))]
+
+
+def _round_exp(v: float, q: int) -> Fraction:
+    """e^v as 2^k times a mantissa in about [1/2, 1] of denominator <= q."""
+    k = math.floor(v / math.log(2)) + 1
+    return Fraction(math.exp(v - k * math.log(2))).limit_denominator(q) * Fraction(2) ** k
 
 
 # ---------------------------------------------------------------------------

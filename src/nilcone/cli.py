@@ -2,8 +2,8 @@
 
 Algebras are given either as a file in the line-based bracket format or
 as a built-in catalog id (family parameters via --param t=VALUE).  Exit
-codes: 0 verdict produced, 1 input error, 2 internal invariant
-violation, 3 regression failure.
+codes: 0 verdict produced, 1 input error, 2 internal error (an
+invariant violation or any other ValueError), 3 regression failure.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def cmd_momentmap(args, out: Printer) -> int:
 def cmd_ricci(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
     d = _parse_vec(args.derivation, mu.dim, "derivation")
-    s = Fraction(args.scale)
+    s = _parse_vec(args.scale, 1, "scale")[0]
     h = _parse_vec(args.h, mu.dim, "h") if args.h else (Fraction(1),) * mu.dim
     ext = MetricExtension(mu, d, s, h)
     ric = extension_ricci(ext)
@@ -260,13 +260,9 @@ def cmd_certify(args, out: Printer) -> int:
     budget = 0 if args.degenerations == "none" else args.budget
     if args.derivation:
         d = _parse_vec(args.derivation, mu.dim, "derivation")
-        verdict = certify_derivation(
-            mu, d, budget=budget, want_witness=args.witness, seed=args.seed
-        )
+        verdict = certify_derivation(mu, d, budget=budget, want_witness=args.witness)
     else:
-        verdict = certify_nilradical(
-            mu, budget=budget, seed=args.seed, want_witness=args.witness
-        )
+        verdict = certify_nilradical(mu, budget=budget, want_witness=args.witness)
     _print_verdict(mu, verdict, out)
     return EXIT_OK
 
@@ -284,21 +280,21 @@ def cmd_verify(args, out: Printer) -> int:
 def cmd_witness(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
     d = _parse_vec(args.derivation, mu.dim, "derivation")
-    verdict = certify_derivation(mu, d, budget=args.budget, seed=args.seed)
+    verdict = certify_derivation(mu, d, budget=args.budget)
     cert = verdict.certificate
     if cert is not None and cert.kind == POSITIVE_DERIVATION and is_nice_basis(mu):
-        # the search is guided by cone data, so trade the shortcut for one
+        # the metric is built from cone data, so trade the shortcut for one
         cert = membership_certificate(d, mu, NICE_CONE, None)
     if verdict.status != CERTIFIED_RN or cert is None or cert.kind not in (
         NICE_CONE, DEGENERATION_CONE,
     ):
         out.emit("status", verdict.status)
-        out.emit("notes", "witness search needs a cone certificate for this derivation")
+        out.emit("notes", "a witness metric needs a cone certificate for this derivation")
         return EXIT_OK
-    ext = find_witness_metric(mu, d, cert, seed=args.seed)
+    ext = find_witness_metric(mu, d, cert)
     if ext is None:
         out.emit("found", False)
-        out.emit("notes", "budget exhausted; existence is still guaranteed by the certificate")
+        out.emit("notes", "no rounded metric passed the exact test; the certificate still holds")
         return EXIT_OK
     out.emit("found", True)
     out.emit("scale", fmt_rational(ext.s))
@@ -357,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of nilpotent Lie algebras",
     )
     parser.add_argument("--format", choices=("text", "kv"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=4096,
                         help="nice face subsets tested (degenerate: every subset)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -389,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivation", help="certify this diagonal derivation")
     p.add_argument("--degenerations", choices=("auto", "none"), default="auto")
     p.add_argument("--witness", action="store_true",
-                   help="also search for an explicit metric")
+                   help="also build an explicit metric")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("verify", help="re-check a stored certificate file")
     p.add_argument("certificate")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("witness", help="search for an explicit negative-Ricci metric")
+    p = sub.add_parser("witness", help="explicit negative-Ricci metric from the cone certificate")
     _add_algebra_arg(p)
     p.add_argument("--derivation", required=True, help="d1,...,dn")
     p.set_defaults(fn=cmd_witness)
@@ -425,9 +420,12 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (NilconeError, FileNotFoundError, ValueError) as exc:
+    except (NilconeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ValueError as exc:  # input faults raise InputError, so this is a bug
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

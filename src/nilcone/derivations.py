@@ -86,7 +86,7 @@ def is_derivation(e: Mat, mu: LieBracket) -> bool:
     return all(not any(v) for v in rep_action(e, mu).values())
 
 
-def derivation_algebra(mu: LieBracket) -> DerivationBasis:
+def _derivation_nullspace(mu: LieBracket) -> list[Vec]:
     """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
 
     Row (i, j, r), i < j, is the e_r coefficient of (E.mu)(e_i, e_j) =
@@ -115,7 +115,13 @@ def derivation_algebra(mu: LieBracket) -> DerivationBasis:
     rows = [{c: x for c, x in by_key[key].items() if x} for key in sorted(by_key)]
     rows = [row for row in rows if row]
     rows.sort(key=len)
-    vecs = nullspace(rows, n * n)
+    return nullspace(rows, n * n)
+
+
+def derivation_algebra(mu: LieBracket) -> DerivationBasis:
+    """Basis of Der(mu) as n x n matrices."""
+    n = mu.dim
+    vecs = _derivation_nullspace(mu)
     # most rows of a basis derivation are zero; sharing one zero row keeps
     # thousands of short-lived n-tuples off the interpreter's free lists
     zero = (ZERO,) * n
@@ -147,10 +153,9 @@ def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
 
 
 def all_derivations_traceless(mu: LieBracket) -> bool:
-    der = derivation_algebra(mu)
-    return all(
-        sum((e[r][r] for r in range(mu.dim)), ZERO) == 0 for e in der.basis
-    )
+    """Traces read off the nullspace vectors at the diagonal unknowns p*n + p."""
+    n = mu.dim
+    return all(sum((v[p * n + p] for p in range(n)), ZERO) == 0 for v in _derivation_nullspace(mu))
 
 
 @dataclass(frozen=True)

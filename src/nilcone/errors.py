@@ -17,6 +17,10 @@ class NotADerivationError(NilconeError):
     """A vector or matrix claimed to be a derivation is not one."""
 
 
+class InputError(NilconeError, ValueError):
+    """Input the computation is not defined for, e.g. a non-positive trace."""
+
+
 class InvariantViolation(NilconeError):
     """An internal consistency check failed; indicates a bug."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import ParseError
@@ -55,9 +56,9 @@ class LieBracket:
     def __post_init__(self):
         if self.dim < 1:
             raise ParseError("dimension must be positive")
-        object.__setattr__(
-            self, "constants", _normalize_constants(self.dim, self.constants)
-        )
+        # read-only, so the hash of a frozen bracket cannot change under it
+        constants = MappingProxyType(_normalize_constants(self.dim, self.constants))
+        object.__setattr__(self, "constants", constants)
 
     def __eq__(self, other):
         return (

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .derivations import require_diagonal_derivation
+from .errors import InputError
 from .liecore import LieBracket
 from .linalg import (
     Mat,
@@ -54,7 +55,7 @@ def moment_map(mu: LieBracket) -> Mat:
     """Symmetric matrix m(mu) with tr(m(mu) E) = <E.mu, mu> / |mu|^2."""
     nsq = norm_squared(mu)
     if nsq == 0:
-        raise ValueError("moment map is undefined at the zero bracket")
+        raise InputError("moment map is undefined at the zero bracket")
     return tuple(tuple(x / nsq for x in row) for row in _moment_sum(mu))
 
 
@@ -62,7 +63,7 @@ def moment_diagonal(mu: LieBracket) -> Vec:
     """Diagonal of m(mu) as the convex combination sum t_w F_w, t_w = c_w^2 / |mu|^2."""
     nsq = norm_squared(mu)
     if nsq == 0:
-        raise ValueError("moment map is undefined at the zero bracket")
+        raise InputError("moment map is undefined at the zero bracket")
     out = [ZERO] * mu.dim
     for (i, j, k), v in mu.constants.items():
         t = v * v / nsq
@@ -100,9 +101,9 @@ class MetricExtension:
         object.__setattr__(self, "h", tuple(frac(x) for x in self.h))
         object.__setattr__(self, "d", tuple(frac(x) for x in self.d))
         if self.s <= 0:
-            raise ValueError("scale must be positive")
+            raise InputError("scale must be positive")
         if any(x <= 0 for x in self.h):
-            raise ValueError("diagonal basis change must be positive")
+            raise InputError("diagonal basis change must be positive")
         require_diagonal_derivation(self.d, self.mu)
 
     @property
@@ -145,7 +146,3 @@ def is_negative_definite(a: Mat) -> bool:
             return False
         sign = -sign
     return True
-
-
-def ricci_negative_at(ext: MetricExtension) -> bool:
-    return is_negative_definite(extension_ricci(ext))

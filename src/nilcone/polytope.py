@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .derivations import DiagonalDerivationSpace
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 from .liecore import Key, LieBracket, is_nice_basis
 from .linalg import ONE, Vec, ZERO, frac
 from .simplex import feasible_nonneg, max_margin
@@ -207,7 +207,7 @@ def project_certificate_cone(
     the d-space parameters, lexicographically sorted, irredundant.
     """
     if dspace.dim == 0:
-        raise ValueError("empty diagonal-derivation space")
+        raise InputError("empty diagonal-derivation space")
     n = len(dspace.basis[0])
     m = len(w)
     p = dspace.dim
@@ -279,7 +279,7 @@ def is_face(j_set, w: WeightSet) -> tuple[bool, Vec | None]:
     j_set = set(j_set)
     idx = w.index_set
     if not j_set <= set(idx):
-        raise ValueError("J is not a subset of the index set")
+        raise InputError("J is not a subset of the index set")
     comp = [q for q, key in enumerate(idx) if key not in j_set]
     n = len(w.weights[0].vec) if w.weights else 0
     if not comp:

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import nilcone
-from nilcone import simplex
+from nilcone import cli, simplex
 from nilcone.cli import main
 
 
@@ -137,14 +137,39 @@ def test_missing_catalog_id_is_input_error(capsys):
     assert "error" in err
 
 
-def test_face_budget_does_not_cap_the_witness_search(capsys):
-    # --degenerations none sets the face budget to 0; the witness search
-    # still runs at its own default budget
+def test_face_budget_does_not_cap_the_witness_search(tmp_path, capsys):
+    # --degenerations none sets the face budget to 0; the witness metric is
+    # still built, at its own default budget of Newton steps
     code, out, _ = run(
         capsys, "certify", "heis3", "--derivation=-1,5,4", "--witness", "--degenerations", "none"
     )
     assert code == 0
-    assert "metric-scale 5329837/721315" in out
+    assert "metric-scale 1\nmetric-h 32/57 32/57 98/55\n" in out
+    path = tmp_path / "cert.txt"
+    path.write_text(extract_block(out))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "valid: True" in out
+
+
+def test_input_errors_exit_1(capsys):
+    # InputError from the library, and a malformed number caught at parse time
+    code, _, err = run(capsys, "ricci", "heis3", "--derivation", "1,1,2", "--scale", "0")
+    assert code == 1
+    assert "error: scale must be positive" in err
+    code, _, err = run(capsys, "ricci", "heis3", "--derivation", "1,1,2", "--scale", "x")
+    assert code == 1
+    assert "error: bad scale" in err
+
+
+def test_other_value_error_exits_2(monkeypatch, capsys):
+    def broken(mu):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "check_jacobi", broken)
+    code, _, err = run(capsys, "check", "heis3")
+    assert code == 2
+    assert "internal error: boom" in err
 
 
 def test_invariant_violation_exits_2(monkeypatch, capsys):

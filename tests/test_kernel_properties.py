@@ -5,7 +5,8 @@ rescaled by a random positive diagonal h and moved by a random unipotent
 upper-triangular g, so that brackets have several terms and the basis is
 in general not nice.  The Jacobi, central-series and center kernels are
 also run on random skew brackets, most of which break Jacobi and many of
-which are not nilpotent.
+which are not nilpotent.  Witness metrics are built for every derivation
+of the generated algebras that gets a cone certificate.
 
 The ``reference_*`` functions are the dense definitions the sparse kernels
 replaced: Der(mu), the lower central series, the Jacobi test and the
@@ -17,6 +18,7 @@ that recomputes every reduced cost each iteration, Fourier-Motzkin over
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -24,6 +26,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilcone.catalog import catalog_entry, catalog_get, catalog_list
+from nilcone.certifier import (
+    DEGENERATION_CONE,
+    NICE_CONE,
+    POSITIVE_DERIVATION,
+    certify_derivation,
+    find_witness_metric,
+    membership_certificate,
+    parse_certificate,
+    serialize_certificate,
+    verify_certificate,
+)
 from nilcone.derivations import (
     DerivationBasis,
     EngelResult,
@@ -40,6 +53,7 @@ from nilcone.liecore import (
     act,
     center,
     check_jacobi,
+    is_nice_basis,
     lower_central_series,
 )
 from nilcone.linalg import (
@@ -54,7 +68,13 @@ from nilcone.linalg import (
     mat_mul,
     nullspace,
 )
-from nilcone.momentricci import moment_map, nil_ricci, norm_squared
+from nilcone.momentricci import (
+    extension_ricci,
+    is_negative_definite,
+    moment_map,
+    nil_ricci,
+    norm_squared,
+)
 from nilcone.polytope import (
     ProjectedCone,
     _canonical,
@@ -651,6 +671,45 @@ def test_certificate_cone_matches_fraction_reference(mu):
     assume(dspace.dim > 0)
     w = weight_set(mu)
     assert project_certificate_cone(w, dspace) == reference_project_certificate_cone(w, dspace)
+
+
+@st.composite
+def diagonal_derivations_of_algebras(draw):
+    """(mu, D): a generated algebra and a point of its diagonal-derivation space."""
+    mu = draw(nilpotent_algebras(unipotent=False))
+    dspace = diagonal_derivations(mu)
+    assume(dspace.dim > 0)
+    d = dspace.point(draw(st.lists(st.integers(-3, 3), min_size=dspace.dim, max_size=dspace.dim)))
+    return mu, d if sum(d) >= 0 else tuple(-x for x in d)
+
+
+def _listed(id_):
+    """A catalog algebra with its first listed derivation."""
+    return catalog_get(id_), catalog_entry(id_).derivations[0]
+
+
+FILIFORM_8 = LieBracket(8, {(1, i, i + 1): ONE for i in range(2, 8)})  # m_0(8)
+
+
+@settings(max_examples=40)
+@given(diagonal_derivations_of_algebras())
+@example(_listed("ex9"))
+@example((FILIFORM_8, (F(-1), F(7), F(6), F(5), F(4), F(3), F(2), F(1))))
+@example(_listed("dim7-alg2"))  # rounded h passes only after one step along alpha
+def test_every_cone_certificate_gets_a_verified_witness_metric(case):
+    mu, d = case
+    assume(sum(d) > 0)
+    cert = certify_derivation(mu, d, budget=64).certificate
+    if cert is not None and cert.kind == POSITIVE_DERIVATION and is_nice_basis(mu):
+        cert = membership_certificate(d, mu, NICE_CONE, None)
+    assume(cert is not None and cert.kind in (NICE_CONE, DEGENERATION_CONE))
+    ext = find_witness_metric(mu, d, cert)
+    assert ext is not None
+    assert ext.s == 1 and is_negative_definite(extension_ricci(ext))
+    mu2, cert2 = parse_certificate(serialize_certificate(mu, replace(cert, witness=ext)))
+    assert cert2.witness == ext
+    ok, msg = verify_certificate(mu2, cert2)
+    assert ok, msg
 
 
 @st.composite

@@ -102,6 +102,16 @@ def test_abelian_center_is_everything():
     assert len(center(ab)) == 3
 
 
+def test_constants_are_read_only():
+    raw = {(1, 2, 3): F(1)}
+    mu = LieBracket(3, raw)
+    before = hash(mu)
+    with pytest.raises(TypeError):
+        mu.constants[(1, 2, 3)] = F(2)
+    raw[(1, 2, 3)] = F(2)  # the bracket keeps its own copy
+    assert mu == HEIS and hash(mu) == before
+
+
 def test_diagonal_act():
     mu = HEIS.diagonal_act((F(2), F(3), F(5)))
     assert mu.constants[(1, 2, 3)] == F(5, 6)
