@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .derivations import (
     DiagonalDerivationSpace,
-    all_derivations_traceless,
+    der_if_traceless,
     diagonal_derivations,
-    is_characteristically_nilpotent,
+    engel_flag,
     is_diagonal_derivation,
     require_diagonal_derivation,
 )
@@ -272,12 +272,18 @@ def certify_nilradical(
     budget: int = 4096,
     want_witness: bool = False,
 ) -> Verdict:
-    """Algebra-level verdict: obstructions first, then candidate derivations."""
+    """Algebra-level verdict: obstructions first, then candidate derivations.
+
+    The diagonal derivations serve both the traceless test and the
+    candidates, and Der(mu) is built only when they are all traceless.
+    """
     if not is_nilpotent(mu):
         raise InputError("algebra is not nilpotent")
 
-    if all_derivations_traceless(mu):
-        engel = is_characteristically_nilpotent(mu)
+    dspace = diagonal_derivations(mu)
+    der = der_if_traceless(mu, dspace)
+    if der is not None:
+        engel = engel_flag(der)
         if engel.is_nilpotent:
             return Verdict(
                 CERTIFIED_NOT_RN,
@@ -295,7 +301,7 @@ def certify_nilradical(
 
     user_d = None if user_d is None else tuple(frac(x) for x in user_d)
     seen = set()
-    for cand in _candidates(mu, diagonal_derivations(mu), user_d):
+    for cand in _candidates(mu, dspace, user_d):
         cand = _orient_positive_trace(cand)
         if cand is None or cand in seen:
             continue

@@ -34,14 +34,14 @@ from .certifier import (
     verify_certificate,
 )
 from .derivations import (
+    INFEASIBLE,
+    der_if_traceless,
     derivation_algebra,
     diagonal_derivations,
-    all_derivations_traceless,
-    is_characteristically_nilpotent,
-    solve_phi_on_diagonal,
-    INFEASIBLE,
+    engel_flag,
+    solve_phi,
 )
-from .errors import InvariantViolation, NilconeError, ParseError
+from .errors import InputError, InvariantViolation, NilconeError, ParseError
 from .liecore import (
     LieBracket,
     center,
@@ -83,10 +83,18 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; a file that cannot be read is an input fault."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def load_algebra(spec: str, params: list[str]) -> LieBracket:
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return parse_bracket(fh.read())
+        return parse_bracket(_read_input(spec))
     return catalog_get(spec, **_parse_params(params))
 
 
@@ -152,12 +160,12 @@ def cmd_der(args, out: Printer) -> int:
     out.emit("diagonal-dim", dsp.dim)
     for i, v in enumerate(dsp.basis):
         out.emit(f"diagonal-basis.{i}", _fmt_vec(v))
-    out.emit("traceless", all_derivations_traceless(mu))
-    engel = is_characteristically_nilpotent(mu)
+    out.emit("traceless", der_if_traceless(mu, dsp, der) is not None)
+    engel = engel_flag(der)
     out.emit("characteristically-nilpotent", engel.is_nilpotent)
     if not engel.is_nilpotent and engel.witness_stage is not None:
         out.emit("engel-witness-stage", engel.witness_stage)
-    phi = solve_phi_on_diagonal(mu)
+    phi = solve_phi(der, dsp)
     if phi == INFEASIBLE:
         out.emit("phi-diagonal", "infeasible")
     else:
@@ -268,9 +276,7 @@ def cmd_certify(args, out: Printer) -> int:
 
 
 def cmd_verify(args, out: Printer) -> int:
-    with open(args.certificate) as fh:
-        text = fh.read()
-    mu, cert = parse_certificate(text)
+    mu, cert = parse_certificate(_read_input(args.certificate))
     ok, reason = verify_certificate(mu, cert)
     out.emit("valid", ok)
     out.emit("reason", reason)
@@ -420,7 +426,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (NilconeError, FileNotFoundError) as exc:
+    except NilconeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:  # input faults raise InputError, so this is a bug

@@ -1,9 +1,13 @@
 """Derivation algebras, diagonal derivations, and the obstruction tests.
 
 The derivation algebra Der(mu) is the exact nullspace of E -> E.mu on
-n x n matrices.  The characteristically-nilpotent decision builds an
-Engel flag: it succeeds iff every derivation is strictly triangular in
-an adapted basis, and fails with a stage witness otherwise.
+n x n matrices.  Whether every derivation is traceless is decided on the
+diagonal derivations first, and needs Der(mu) only when they are all
+traceless.  The characteristically-nilpotent decision builds an Engel
+flag: it succeeds iff every derivation is strictly triangular in an
+adapted basis, and fails with a stage witness otherwise.  The Engel flag
+and the phi solve also take a Der(mu) already built, so that a caller
+that needs several of these builds it once.
 """
 
 from __future__ import annotations
@@ -152,10 +156,31 @@ def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
     return all(d[k - 1] == d[i - 1] + d[j - 1] for (i, j, k) in mu.keys())
 
 
+def _trace(e: Mat) -> Fraction:
+    return sum((e[r][r] for r in range(len(e))), ZERO)
+
+
+def der_if_traceless(
+    mu: LieBracket, dspace: DiagonalDerivationSpace, der: DerivationBasis | None = None
+) -> DerivationBasis | None:
+    """Der(mu) when every derivation is traceless, else None.
+
+    The diagonal torus decides first, and exactly: diag(d) with
+    d_k = d_i + d_j on every nonzero constant is itself a derivation, of
+    trace sum(d).  So one vector of ``dspace`` with a nonzero sum settles
+    the question without Der(mu).  Only a traceless torus needs the traces
+    of Der(mu): of ``der`` when given, else of one built here.
+    """
+    if any(sum(v, ZERO) for v in dspace.basis):
+        return None
+    if der is None:
+        der = derivation_algebra(mu)
+    return None if any(_trace(e) for e in der.basis) else der
+
+
 def all_derivations_traceless(mu: LieBracket) -> bool:
-    """Traces read off the nullspace vectors at the diagonal unknowns p*n + p."""
-    n = mu.dim
-    return all(sum((v[p * n + p] for p in range(n)), ZERO) == 0 for v in _derivation_nullspace(mu))
+    """True iff every derivation of mu has trace 0."""
+    return der_if_traceless(mu, diagonal_derivations(mu)) is not None
 
 
 @dataclass(frozen=True)
@@ -178,15 +203,19 @@ def _common_kernel(mats: list[Mat], n: int) -> list[Vec]:
 
 
 def is_characteristically_nilpotent(mu: LieBracket) -> EngelResult:
-    """Engel-flag decision: true iff all derivations are nilpotent.
+    """Engel-flag decision: true iff all derivations are nilpotent."""
+    return engel_flag(derivation_algebra(mu))
+
+
+def engel_flag(der: DerivationBasis) -> EngelResult:
+    """The Engel flag of the derivations in ``der``.
 
     The flag 0 = V_0 < V_1 < ... grows by the common kernel of the
     operators Der(mu) induces on the quotient by V_s.  V_s is one echelon
     form: its free columns c index a complement, and D e_c reduced modulo
     V_s is column c of the induced operator, read at those columns.
     """
-    n = mu.dim
-    der = derivation_algebra(mu)
+    n = der.dim_algebra
     if not der.basis:
         return EngelResult(True, (n,))
     flag = Echelon(n)
@@ -221,12 +250,15 @@ def solve_phi_on_diagonal(mu: LieBracket) -> Vec | str:
     diagonal derivation satisfies the trace pairing (which does not prove
     a pre-Einstein derivation fails to exist off the diagonal).
     """
-    n = mu.dim
-    der = derivation_algebra(mu)
-    dspace = diagonal_derivations(mu)
+    return solve_phi(derivation_algebra(mu), diagonal_derivations(mu))
+
+
+def solve_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace) -> Vec | str:
+    """``solve_phi_on_diagonal`` over a Der(mu) and a diagonal space already built."""
+    n = der.dim_algebra
     if dspace.dim == 0:
         # phi = 0 is the only candidate; works iff every trace vanishes
-        if all(sum((e[r][r] for r in range(n)), ZERO) == 0 for e in der.basis):
+        if not any(_trace(e) for e in der.basis):
             return (ZERO,) * n
         return INFEASIBLE
     # unknowns: coordinates t over the diagonal-derivation basis
@@ -239,7 +271,7 @@ def solve_phi_on_diagonal(mu: LieBracket) -> Vec | str:
             if coeff:
                 row[m] = coeff
         rows.append(row)
-        rhs.append(sum((e[r][r] for r in range(n)), ZERO))
+        rhs.append(_trace(e))
     sol = solve_affine(rows, rhs, dspace.dim)
     if sol is None:
         return INFEASIBLE

@@ -42,14 +42,6 @@ def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
     return tuple(sum((r[j] * v[j] for j in range(len(v))), ZERO) for r in a)
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum((ra[k] * cb[k] for k in range(len(ra))), ZERO) for cb in bt)
-        for ra in a
-    )
-
-
 def mat_inv(a: Sequence[Sequence[Fraction]]) -> Mat:
     n = len(a)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
@@ -225,13 +217,6 @@ def solve_affine(
     if part is None:
         return None
     return part, ech.nullspace_basis()
-
-
-def span_rank(vectors: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    ech = Echelon(ncols)
-    for v in vectors:
-        ech.add_row({i: x for i, x in enumerate(v) if x})
-    return ech.rank
 
 
 def dense_row(v: Sequence[Fraction]) -> dict[int, Fraction]:

@@ -222,15 +222,6 @@ def project_certificate_cone(
     return fourier_motzkin(rows, m)
 
 
-def evaluate_cone(cone: ProjectedCone, t: Vec) -> bool:
-    if cone.empty:
-        return False
-    return all(
-        sum((frac(c) * t[i] for i, c in enumerate(row)), ZERO) > 0
-        for row in cone.inequalities
-    )
-
-
 # ---------------------------------------------------------------------------
 # Toral degenerations
 # ---------------------------------------------------------------------------

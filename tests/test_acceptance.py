@@ -32,13 +32,13 @@ from nilcone.momentricci import (
     norm_squared,
 )
 from nilcone.polytope import (
-    evaluate_cone,
     is_face,
     project_certificate_cone,
     strict_cone_membership,
     sub_bracket,
     weight_set,
 )
+from test_polytope import evaluate_cone
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 

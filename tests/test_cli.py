@@ -152,7 +152,7 @@ def test_face_budget_does_not_cap_the_witness_search(tmp_path, capsys):
     assert "valid: True" in out
 
 
-def test_input_errors_exit_1(capsys):
+def test_input_errors_exit_1(tmp_path, capsys):
     # InputError from the library, and a malformed number caught at parse time
     code, _, err = run(capsys, "ricci", "heis3", "--derivation", "1,1,2", "--scale", "0")
     assert code == 1
@@ -160,6 +160,18 @@ def test_input_errors_exit_1(capsys):
     code, _, err = run(capsys, "ricci", "heis3", "--derivation", "1,1,2", "--scale", "x")
     assert code == 1
     assert "error: bad scale" in err
+    # an input path that cannot be read: a directory, a missing or a binary file
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes(range(128, 256)))
+    for argv in (
+        ("check", str(tmp_path)),
+        ("verify", str(tmp_path)),
+        ("verify", str(tmp_path / "missing.txt")),
+        ("check", str(binary)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: "), (argv, err)
 
 
 def test_other_value_error_exits_2(monkeypatch, capsys):

@@ -6,7 +6,9 @@ upper-triangular g, so that brackets have several terms and the basis is
 in general not nice.  The Jacobi, central-series and center kernels are
 also run on random skew brackets, most of which break Jacobi and many of
 which are not nilpotent.  Witness metrics are built for every derivation
-of the generated algebras that gets a cone certificate.
+of the generated algebras that gets a cone certificate.  The traceless
+decision, made on the diagonal torus before Der(mu), is checked against
+the traces of the dense Der(mu).
 
 The ``reference_*`` functions are the dense definitions the sparse kernels
 replaced: Der(mu), the lower central series, the Jacobi test and the
@@ -26,11 +28,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilcone.catalog import catalog_entry, catalog_get, catalog_list
+from nilcone import derivations
 from nilcone.certifier import (
+    CERTIFIED_NOT_RN,
     DEGENERATION_CONE,
     NICE_CONE,
     POSITIVE_DERIVATION,
+    SCOPE_ALGEBRA,
     certify_derivation,
+    certify_nilradical,
     find_witness_metric,
     membership_certificate,
     parse_certificate,
@@ -40,6 +46,8 @@ from nilcone.certifier import (
 from nilcone.derivations import (
     DerivationBasis,
     EngelResult,
+    all_derivations_traceless,
+    der_if_traceless,
     derivation_algebra,
     diagonal_derivations,
     is_characteristically_nilpotent,
@@ -65,7 +73,6 @@ from nilcone.linalg import (
     frac,
     leading_principal_minors,
     mat_inv,
-    mat_mul,
     nullspace,
 )
 from nilcone.momentricci import (
@@ -85,6 +92,7 @@ from nilcone.polytope import (
     weight_set,
 )
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
+from test_linalg import mat_mul
 
 MAX_DIM = 8
 ABELIAN_LINE = LieBracket(1, {})
@@ -305,6 +313,57 @@ def reference_engel(mu: LieBracket) -> EngelResult:
         flag_dims.append(len(flag_vectors))
         stage += 1
     return EngelResult(True, tuple(flag_dims))
+
+
+# n4nice moved by g = 1 + (ones on the superdiagonal): no diagonal
+# derivation is left, but Der(mu) still holds one of trace != 0
+N4NICE_MOVED = act(
+    tuple(tuple(ONE if c in (r, r + 1) else ZERO for c in range(4)) for r in range(4)),
+    catalog_get("n4nice"),
+)
+
+
+@settings(max_examples=40)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
+@example(catalog_get("ex3"))  # traceless, not characteristically nilpotent
+@example(catalog_get("ex4-1"))  # traceless and characteristically nilpotent
+@example(catalog_get("heis3"))  # decided by the diagonal torus
+@example(N4NICE_MOVED)  # traceless torus, traced Der(mu): the fallback says no
+def test_traceless_test_matches_every_reference_derivation(mu):
+    reference = reference_derivation_algebra(mu)
+    want = all(sum((e[r][r] for r in range(mu.dim)), ZERO) == 0 for e in reference.basis)
+    assert all_derivations_traceless(mu) == want
+    der = der_if_traceless(mu, diagonal_derivations(mu))
+    assert (der is not None) == want
+    if der is not None:
+        assert der == reference
+    # budget 0: no face search, so a non-traceless algebra ends quickly too
+    verdict = certify_nilradical(mu, budget=0)
+    assert (verdict.status == CERTIFIED_NOT_RN and verdict.scope == SCOPE_ALGEBRA) == want
+
+
+def test_fallback_example_has_a_traceless_torus_and_a_traced_derivation():
+    assert not any(sum(v) for v in diagonal_derivations(N4NICE_MOVED).basis)
+    assert not all_derivations_traceless(N4NICE_MOVED)
+
+
+FILIFORM_12 = LieBracket(12, {(1, i, i + 1): ONE for i in range(2, 12)})  # m_0(12)
+
+
+def test_certify_nilradical_solves_der_mu_at_most_once(monkeypatch):
+    calls = []
+    solve = derivations._derivation_nullspace
+
+    def counted(mu):
+        calls.append(mu)
+        return solve(mu)
+
+    monkeypatch.setattr(derivations, "_derivation_nullspace", counted)
+    for mu, want in ((catalog_get("heis3"), 0), (FILIFORM_12, 0),
+                     (catalog_get("ex4-1"), 1), (catalog_get("ex3"), 1)):
+        calls.clear()
+        certify_nilradical(mu)
+        assert len(calls) == want, mu
 
 
 def _pair(mu: LieBracket, e) -> F:

@@ -8,8 +8,8 @@ from nilcone.liecore import LieBracket
 from nilcone.polytope import (
     NoLimit,
     Weight,
+    ProjectedCone,
     enumerate_face_degenerations,
-    evaluate_cone,
     is_face,
     limit_along,
     project_certificate_cone,
@@ -20,6 +20,13 @@ from nilcone.polytope import (
 )
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
+
+
+def evaluate_cone(cone: ProjectedCone, t) -> bool:
+    """Oracle: t satisfies every projected inequality strictly."""
+    if cone.empty:
+        return False
+    return all(sum(F(c) * x for c, x in zip(row, t)) > 0 for row in cone.inequalities)
 
 
 def test_weight_vectors():
