@@ -24,10 +24,9 @@ from .derivations import (
 )
 from .errors import InputError, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
-from .linalg import ONE, Vec, ZERO, fmt_rational, frac, leading_principal_minors
+from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row, leading_principal_minors
 from .momentricci import MetricExtension, extension_ricci, is_negative_definite
 from .polytope import (
-    _canonical,
     iter_face_candidates,
     is_face,
     pairing,
@@ -83,10 +82,9 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
         return False, f"trace {trd} is not positive"
     z = center(mu)
     if z:
-        gram = [
-            [sum((d[r] * za[r] * zb[r] for r in range(mu.dim)), ZERO) for zb in z]
-            for za in z
-        ]
+        # only coordinates where d and both center vectors are nonzero add
+        weighted = [[(r, d[r] * v) for r, v in enumerate(za) if v and d[r]] for za in z]
+        gram = [[sum((w * zb[r] for r, w in dza if zb[r]), ZERO) for zb in z] for dza in weighted]
         if any(m <= 0 for m in leading_principal_minors(gram)):
             return False, "restriction to the center is not positive definite"
     return True, None
@@ -366,7 +364,7 @@ def find_witness_metric(
     ]
     # a millionth of the margin: the float error is then far below the rounding's
     x = _newton_log_metric(terms, mu.dim, 1e-6 * float(cert.slack) * trd, budget)
-    alpha = _canonical(cert.degeneration[0]) if cert.degeneration else (0,) * mu.dim
+    alpha = integer_row(cert.degeneration[0]) if cert.degeneration else (0,) * mu.dim
     for q in (64, 4096, 2 ** 20):
         h = [_round_exp(v, q) for v in x]
         for t in (0, 1, 2, 4, 8, 16) if cert.degeneration else (0,):

@@ -185,28 +185,37 @@ def emit_bracket(mu: LieBracket) -> str:
 
 
 def check_jacobi(mu: LieBracket) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact Jacobi test on all basis triples; returns first violator if any.
+    """Exact Jacobi test on all basis triples; returns the least violator if any.
 
     The cyclic sum of (a, b, c) is read off the index (i, j) -> {k: c_ij^k},
-    kept for both orientations of each pair.
+    kept for both orientations of each pair.  A term [[x, y], z] is nonzero
+    only along a chain (x, y) -> k, (k, z) -> m of nonzero constants, so
+    only the triples such chains reach are tested, in increasing order.
     """
-    n = mu.dim
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    partners: dict[int, list[int]] = {}
     for (i, j, k), v in mu.constants.items():
         brackets.setdefault((i, j), {})[k] = v
         brackets.setdefault((j, i), {})[k] = -v
+        partners.setdefault(i, []).append(j)
+        partners.setdefault(j, []).append(i)
+    reached = {
+        tuple(sorted((x, y, z)))
+        for (x, y), images in brackets.items()
+        for k in images
+        for z in partners.get(k, ())
+        if z != x and z != y
+    }
     empty: dict[int, Fraction] = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(b + 1, n + 1):
-                total: dict[int, Fraction] = {}
-                # [[x, y], z] = sum_k c_xy^k [e_k, e_z]
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for k, v in brackets.get((x, y), empty).items():
-                        for m, w in brackets.get((k, z), empty).items():
-                            total[m] = total.get(m, ZERO) + v * w
-                if any(total.values()):
-                    return False, (a, b, c)
+    for a, b, c in sorted(reached):
+        total: dict[int, Fraction] = {}
+        # [[x, y], z] = sum_k c_xy^k [e_k, e_z]
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for k, v in brackets.get((x, y), empty).items():
+                for m, w in brackets.get((k, z), empty).items():
+                    total[m] = total.get(m, ZERO) + v * w
+        if any(total.values()):
+            return False, (a, b, c)
     return True, None
 
 

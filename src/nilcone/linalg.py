@@ -1,15 +1,18 @@
 """Exact rational linear algebra for small dense and sparse systems.
 
 All routines work over ``fractions.Fraction``; no floating point is used
-anywhere.  Nullspaces are computed by sparse Gaussian elimination with a
-fixed pivot rule (always the largest column index present in a row), so
-free variables accumulate at the low-index coordinates and bases are
+anywhere.  ``integer_row`` and ``primitive`` put a rational row in coprime
+integers, the form in which the simplex and Fourier-Motzkin work.
+Nullspaces are computed by sparse Gaussian elimination with a fixed pivot
+rule (always the largest column index present in a row), so free
+variables accumulate at the low-index coordinates and bases are
 reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError
@@ -28,6 +31,20 @@ def frac(x) -> Fraction:
 def fmt_rational(x) -> str:
     """Lowest terms, sign on the numerator: ``3``, ``-1/2``."""
     return str(frac(x))
+
+
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer row by the gcd of its entries (a zero row stays zero)."""
+    g = gcd(*v)
+    return tuple([x // g for x in v]) if g > 1 else tuple(v)
+
+
+def integer_row(v: Iterable) -> tuple[int, ...]:
+    """Scale a rational row (int or Fraction entries) to coprime integers,
+    preserving direction."""
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*(d for _, d in ratios))
+    return primitive([a * (den // d) for a, d in ratios])
 
 
 def vec(xs: Iterable) -> Vec:

@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .derivations import DiagonalDerivationSpace
 from .errors import InputError, InvariantViolation
 from .liecore import Key, LieBracket, is_nice_basis
-from .linalg import ONE, Vec, ZERO, frac
+from .linalg import ONE, Vec, ZERO, frac, integer_row, primitive
 from .simplex import feasible_nonneg, max_margin
 
 FEASIBLE = "feasible"
@@ -101,18 +100,6 @@ def verify_membership(d: Vec, w: WeightSet, assignment: dict[Key, Fraction]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _primitive(v) -> tuple[int, ...]:
-    """Divide an integer row by the gcd of its entries (a zero row stays zero)."""
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
-
-
-def _canonical(v: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """Scale a rational row to coprime integers, preserving direction."""
-    den = lcm(*(x.denominator for x in v))
-    return _primitive([x.numerator * (den // x.denominator) for x in v])
-
-
 def _is_conic_combination(target: tuple[int, ...], rows: list[tuple[int, ...]]) -> bool:
     """target = sum c_i row_i with c >= 0 (Farkas redundancy test)."""
     if not rows:
@@ -152,7 +139,7 @@ def fourier_motzkin(
     the elimination runs in ``int`` and a row is its own duplicate key.
     """
     split = len(rows[0][0]) if rows else 0
-    work = [(_canonical(e + t), s) for e, t, s in rows]
+    work = [(integer_row(e + t), s) for e, t, s in rows]
     for var in range(nelim):
         zero, pos, neg = [], [], []
         for v, s in work:
@@ -168,7 +155,7 @@ def fourier_motzkin(
             a = vp[var]
             for (vn, sn) in neg:
                 b = -vn[var]
-                new.append((_primitive([b * x + a * y for x, y in zip(vp, vn)]), sp or sn))
+                new.append((primitive([b * x + a * y for x, y in zip(vp, vn)]), sp or sn))
         # prune duplicates to tame growth; a duplicate keeps the first place
         # and is strict if any copy is
         pruned: dict[tuple[int, ...], bool] = {}
@@ -284,7 +271,7 @@ def is_face(j_set, w: WeightSet) -> tuple[bool, Vec | None]:
     if sol is None:
         return False, None
     alpha = sol[1]
-    return True, tuple(frac(x) for x in _canonical(alpha)) if any(alpha) else alpha
+    return True, tuple(frac(x) for x in integer_row(alpha)) if any(alpha) else alpha
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
-"""Exact rational linear programming via two-phase simplex with Bland's rule.
+"""Exact linear programming via two-phase simplex with Bland's rule.
 
 Problems here are tiny (tens of variables), so the tableau stays dense and
-Bland's anti-cycling rule is always active.  The reduced costs are built
-once per phase and then eliminated at each pivot like one more tableau
-row, and a pivot only touches the nonzero columns of the pivot row.
+Bland's anti-cycling rule is always active.  The tableau holds Python ints
+only: each row is the rational row times a positive scale, and for a
+constraint row that scale is its entry in its basic column.  A pivot
+replaces each row with a nonzero in the entering column by
+p*row - f*prow divided by the gcd of its entries, which keeps every sign
+and every ratio of the rational tableau, so Bland's rule takes the same
+pivots and the solution read off at the end is the same.  The reduced
+costs are one more such row, with its own positive scale, built once per
+phase and eliminated at each pivot.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .linalg import ONE, ZERO, Vec, frac
+from .linalg import ONE, ZERO, Vec, frac, integer_row, primitive
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -28,61 +34,65 @@ class LPSolution:
     value: Fraction | None
 
 
+def _eliminate(row: list[int], prow: list[int], p: int, f: int) -> None:
+    """row := (p*row - f*prow) / gcd in place; p > 0 keeps the scale positive."""
+    row[:] = primitive([p * a - f * b for a, b in zip(row, prow)])
+
+
 def _pivot(
-    rows: list[list[Fraction]],
+    rows: list[list[int]],
     basis: list[int],
     r: int,
     col: int,
-    extra: tuple[list[Fraction], ...] = (),
+    extra: tuple[list[int], ...] = (),
 ) -> None:
     """Make column col basic in row r; the rows in extra are eliminated too."""
     prow = rows[r]
-    inv = ONE / prow[col]
-    nz = [j for j, v in enumerate(prow) if v]
-    if inv != 1:
-        for j in nz:
-            prow[j] *= inv
+    p = prow[col]
+    if p < 0:  # only the phase-1 drive-out pivots on a negative entry
+        prow[:] = [-v for v in prow]
+        p = -p
     for row in itertools.chain(rows, extra):
         f = row[col]
         if f and row is not prow:
-            for j in nz:
-                row[j] -= f * prow[j]
+            _eliminate(row, prow, p, f)
     basis[r] = col
 
 
 def _run_simplex(
-    rows: list[list[Fraction]],
+    rows: list[list[int]],
     basis: list[int],
-    costs: list[Fraction],
+    costs: Sequence,
     allowed: set[int],
 ) -> str:
-    """Maximize costs.x over the tableau in place; returns OPTIMAL or UNBOUNDED."""
+    """Maximize costs.x over the tableau in place; returns OPTIMAL or UNBOUNDED.
+
+    costs are rationals; the reduced costs are kept as an integer row with
+    a positive scale, of which only the signs are read.
+    """
     # reduced costs relative to the current basis; zero on the basic
-    # columns, which are unit columns of the tableau
-    reduced = list(costs) + [ZERO]
+    # columns, which are (scaled) unit columns of the tableau
+    reduced = [*integer_row(costs), 0]
     for i, b in enumerate(basis):
-        cb = costs[b]
-        if cb:
-            for j, v in enumerate(rows[i]):
-                if v:
-                    reduced[j] -= cb * v
+        if reduced[b]:
+            _eliminate(reduced, rows[i], rows[i][b], reduced[b])
     ncols = len(costs)
     while True:
         # Bland: first improving index
         entering = next((j for j in range(ncols) if reduced[j] > 0 and j in allowed), None)
         if entering is None:
             return OPTIMAL
+        # the ratio rhs_i / a_i is the rational one: the row scale cancels
         leaving = None
-        best = None
-        for i in range(len(rows)):
-            a = rows[i][entering]
+        for i, row in enumerate(rows):
+            a = row[entering]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
+                if leaving is None:
+                    leaving, rhs, den = i, row[-1], a
+                    continue
+                lhs, cur = row[-1] * den, rhs * a
+                if lhs < cur or (lhs == cur and basis[i] < basis[leaving]):
+                    leaving, rhs, den = i, row[-1], a
         if leaving is None:
             return UNBOUNDED
         _pivot(rows, basis, leaving, entering, (reduced,))
@@ -98,64 +108,54 @@ def solve_lp(
     """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0."""
     c = [frac(v) for v in c]
     n = len(c)
-    ub = [([frac(v) for v in row], frac(b)) for row, b in zip(a_ub, b_ub)]
-    eq = [([frac(v) for v in row], frac(b)) for row, b in zip(a_eq, b_eq)]
+    ub = list(zip(a_ub, b_ub))
     m_ub = len(ub)
-
-    rows: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
     total = n + m_ub  # structural + slack; artificials appended below
 
-    pending = []  # (coeffs over total cols, rhs, slack_is_basic)
-    for i, (arow, b) in enumerate(ub):
-        coeffs = arow + [ZERO] * m_ub
-        coeffs[n + i] = ONE
-        if b < 0:
+    # each row over the structural and slack columns in coprime integers;
+    # its slack (or artificial) entry is the row's positive scale.  A row
+    # with a negative rhs is negated and gets an artificial instead.
+    pending = []  # (coeffs, rhs, scale, basic slack column or None)
+    for i, (arow, b) in enumerate(itertools.chain(ub, zip(a_eq, b_eq))):
+        *coeffs, s, rhs = integer_row([*arow, 1, b])
+        coeffs += [0] * m_ub
+        slack = None
+        if i < m_ub:
+            coeffs[n + i] = s
+            slack = n + i
+        if rhs < 0:
             coeffs = [-v for v in coeffs]
-            b = -b
-            pending.append((coeffs, b, False))
-        else:
-            pending.append((coeffs, b, True))
-    for arow, b in eq:
-        coeffs = list(arow) + [ZERO] * m_ub
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-        pending.append((coeffs, b, False))
+            rhs = -rhs
+            slack = None
+        pending.append((coeffs, rhs, s, slack))
 
-    n_art = sum(1 for _, _, ok in pending if not ok)
+    n_art = sum(1 for *_, slack in pending if slack is None)
     ncols = total + n_art
-    art_i = 0
-    for coeffs, b, slack_basic in pending:
-        row = coeffs + [ZERO] * n_art + [b]
-        if slack_basic:
-            basis.append(coeffs.index(ONE, n))
-        else:
-            col = total + art_i
-            row[col] = ONE
-            art_cols.append(col)
-            basis.append(col)
-            art_i += 1
+    rows: list[list[int]] = []
+    basis: list[int] = []
+    art = total
+    for coeffs, rhs, s, slack in pending:
+        row = coeffs + [0] * n_art + [rhs]
+        if slack is None:
+            slack = art
+            row[slack] = s
+            art += 1
+        basis.append(slack)
         rows.append(row)
 
-    if art_cols:
-        costs1 = [ZERO] * ncols
-        for col in art_cols:
-            costs1[col] = -ONE
+    if n_art:
+        costs1 = [0] * total + [-1] * n_art
         if _run_simplex(rows, basis, costs1, set(range(ncols))) != OPTIMAL:
             raise InvariantViolation("phase 1 of the simplex is unbounded")
-        val = sum((costs1[basis[i]] * rows[i][-1] for i in range(len(rows))), ZERO)
-        if val != 0:
+        # every rhs stays >= 0, so phase 1 reaches 0 exactly when no basic
+        # artificial has a positive rhs
+        if any(bcol >= total and row[-1] for row, bcol in zip(rows, basis)):
             return LPSolution(INFEASIBLE, None, None)
         # drive remaining basic artificials out (they sit at level zero)
         drop = []
         for i in range(len(rows)):
-            if basis[i] in art_cols:
-                col = next(
-                    (j for j in range(total) if rows[i][j] != 0),
-                    None,
-                )
+            if basis[i] >= total:
+                col = next((j for j in range(total) if rows[i][j]), None)
                 if col is None:
                     drop.append(i)  # redundant constraint
                 else:
@@ -165,15 +165,15 @@ def solve_lp(
             del basis[i]
 
     costs2 = c + [ZERO] * (ncols - n)
-    allowed = set(range(total))
-    status = _run_simplex(rows, basis, costs2, allowed)
+    status = _run_simplex(rows, basis, costs2, set(range(total)))
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None)
     x = [ZERO] * n
-    for i, bcol in enumerate(basis):
+    value = ZERO
+    for row, bcol in zip(rows, basis):
         if bcol < n:
-            x[bcol] = rows[i][-1]
-    value = sum((c[j] * x[j] for j in range(n)), ZERO)
+            x[bcol] = Fraction(row[-1], row[bcol])
+            value += c[bcol] * x[bcol]
     return LPSolution(OPTIMAL, tuple(x), value)
 
 

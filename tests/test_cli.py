@@ -35,6 +35,18 @@ def test_check_file(tmp_path, capsys):
     assert "jacobi: True" in out
 
 
+def test_check_dim_400_single_constant(tmp_path, capsys):
+    # C(400, 3) basis triples, but no chain of nonzero constants reaches one
+    path = tmp_path / "alg.txt"
+    path.write_text("dim 400\nbracket 1 2 3 1\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert out == (
+        "dim: 400\njacobi: True\nnilpotent: True\nlower-central-series: 400,1\n"
+        "nilpotency-class: 2\ncenter-dim: 398\n"
+    )
+
+
 def test_cone_heis_text(capsys):
     code, out, _ = run(capsys, "cone", "heis3")
     assert code == 0

@@ -13,9 +13,12 @@ the traces of the dense Der(mu).
 The ``reference_*`` functions are the dense definitions the sparse kernels
 replaced: Der(mu), the lower central series, the Jacobi test and the
 center, each built from ``mu.c`` or ``mu.bracket`` over full index ranges.
-They also keep the slow exact kernels of the certificate cone: the simplex
-that recomputes every reduced cost each iteration, Fourier-Motzkin over
+They also keep the slow exact kernels of the certificate cone: the
+``Fraction`` simplex that recomputes every reduced cost each iteration
+(the library's tableau holds integer rows), Fourier-Motzkin over
 ``Fraction`` rows, and one ``det`` per leading principal minor.
+Certificates from both certifiers are checked to survive serialize,
+parse and verify.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from nilcone.catalog import catalog_entry, catalog_get, catalog_list
 from nilcone import derivations
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
+    CERTIFIED_RN,
     DEGENERATION_CONE,
     NICE_CONE,
     POSITIVE_DERIVATION,
@@ -71,6 +75,7 @@ from nilcone.linalg import (
     dense_row,
     det,
     frac,
+    integer_row,
     leading_principal_minors,
     mat_inv,
     nullspace,
@@ -84,7 +89,6 @@ from nilcone.momentricci import (
 )
 from nilcone.polytope import (
     ProjectedCone,
-    _canonical,
     _strictly_feasible,
     fourier_motzkin,
     project_certificate_cone,
@@ -92,6 +96,7 @@ from nilcone.polytope import (
     weight_set,
 )
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
+from test_golden_kernels import CASES
 from test_linalg import mat_mul
 
 MAX_DIM = 8
@@ -586,7 +591,7 @@ def reference_fourier_motzkin(rows, nelim: int) -> ProjectedCone:
         seen = {}
         pruned = []
         for e, t, s in new:
-            key = _canonical(e + t)
+            key = integer_row(e + t)
             if key in seen:
                 idx = seen[key]
                 if s and not pruned[idx][2]:
@@ -604,7 +609,7 @@ def reference_fourier_motzkin(rows, nelim: int) -> ProjectedCone:
                 return ProjectedCone((), empty=True)  # derived 0 > 0
             continue
         # rows with a nonzero kept part always trace back to a strict row
-        out.add(_canonical(t))
+        out.add(integer_row(t))
     kept = remove_redundant(sorted(out))
     if kept and not _strictly_feasible(kept):
         return ProjectedCone(tuple(sorted(kept)), empty=True)
@@ -636,14 +641,37 @@ def reference_leading_principal_minors(a) -> list[F]:
 # Zeros and repeated values make degenerate vertices and ratio-test ties.
 LP_COEFFS = st.sampled_from([F(-2), F(-1), F(0), F(0), F(0), F(1, 2), F(1), F(1), F(3)])
 LP_RHS = st.sampled_from([F(-2), F(-1), F(0), F(0), F(0), F(1), F(1), F(5, 2)])
+# Denominators that differ from row to row, so each row gets its own lcm.
+MARGIN_RHS = st.sampled_from([F(-5, 6), F(-1, 3), F(0), F(0), F(1, 4), F(2, 3), F(7, 2)])
 
 
 @st.composite
 def small_lps(draw):
     """(c, a_ub, b_ub, a_eq, b_eq) with at least one ub row, some with a
-    negative right-hand side, and sometimes a redundant copy of an equality."""
+    negative right-hand side, and sometimes a redundant copy of an equality.
+
+    Half the draws are shaped like the LP of ``max_margin``: x free as
+    u - v, eps in every ub row and capped by eps <= 1, equality rows with a
+    zero right-hand side, and ub right-hand sides with denominators.
+    """
     n = draw(st.integers(1, 4))
     row = st.lists(LP_COEFFS, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        a = draw(st.lists(row, min_size=1, max_size=4))
+        b = draw(st.lists(MARGIN_RHS, min_size=len(a), max_size=len(a)))
+        eq = draw(st.lists(row, max_size=2))
+
+        def split(r):
+            return r + [-v for v in r]
+
+        zeros = [ZERO] * (2 * n)
+        return (
+            zeros + [ONE],
+            [split(r) + [ONE] for r in a] + [zeros + [ONE]],
+            b + [ONE],
+            [split(r) + [ZERO] for r in eq],
+            [ZERO] * len(eq),
+        )
     c = draw(row)
     a_ub = draw(st.lists(row, min_size=1, max_size=4))
     b_ub = draw(st.lists(LP_RHS, min_size=len(a_ub), max_size=len(a_ub)))
@@ -690,13 +718,35 @@ def canonical_tableaux(draw):
 @settings(max_examples=200)
 @given(canonical_tableaux())
 def test_run_simplex_leaves_the_reference_tableau(tableau):
-    # same entering and leaving choice at every pivot, so the same final tableau
+    # same entering and leaving choice at every pivot, so the same final
+    # tableau: each integer row read as row[j] / row[basis[i]]
     rows, basis, costs = tableau
     allowed = set(range(len(costs)))
-    rows_ref, basis_ref = [list(r) for r in rows], list(basis)
-    status = simplex._run_simplex(rows, basis, costs, allowed)
-    assert status == _reference_run_simplex(rows_ref, basis_ref, costs, allowed)
-    assert (rows, basis) == (rows_ref, basis_ref)
+    rows_int, basis_int = [list(integer_row(r)) for r in rows], list(basis)
+    status = simplex._run_simplex(rows_int, basis_int, costs, allowed)
+    assert status == _reference_run_simplex(rows, basis, costs, allowed)
+    assert basis_int == basis
+    assert [[F(v, row[b]) for v in row] for row, b in zip(rows_int, basis_int)] == rows
+
+
+def test_every_catalog_lp_matches_the_reference(monkeypatch):
+    """Each LP that the certifiers pose on the catalog, against the rational tableau."""
+    solved = []
+
+    def checked(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        assert sol == reference_solve_lp(*args, **kwargs)
+        solved.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(simplex, "solve_lp", checked)
+    for _, id_, params in CASES:
+        mu = catalog_get(id_, **params)
+        certify_nilradical(mu)
+        for d in catalog_entry(id_).derivations:
+            if sum(d) > 0:
+                certify_derivation(mu, d)
+    assert {OPTIMAL, INFEASIBLE} <= set(solved)
 
 
 @st.composite
@@ -769,6 +819,27 @@ def test_every_cone_certificate_gets_a_verified_witness_metric(case):
     assert cert2.witness == ext
     ok, msg = verify_certificate(mu2, cert2)
     assert ok, msg
+
+
+def _survives_round_trip(mu: LieBracket, verdict) -> None:
+    if verdict.status != CERTIFIED_RN:
+        return
+    mu2, cert2 = parse_certificate(serialize_certificate(mu, verdict.certificate))
+    assert cert2 == verdict.certificate
+    ok, msg = verify_certificate(mu2, cert2)
+    assert ok, msg
+
+
+@settings(max_examples=40)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)),
+       diagonal_derivations_of_algebras())
+@example(catalog_get("ex9"), _listed("ex9"))  # a degeneration cone certificate
+@example(catalog_get("dim7-alg1"), _listed("dim7-alg2"))
+def test_certificates_survive_serialize_parse_verify(mu, case):
+    _survives_round_trip(mu, certify_nilradical(mu))
+    lam, d = case
+    if sum(d) > 0:
+        _survives_round_trip(lam, certify_derivation(lam, d, budget=64))
 
 
 @st.composite

@@ -77,6 +77,12 @@ def test_jacobi_violation_reported():
     assert not ok and triple == (1, 2, 4)
 
 
+def test_jacobi_least_violator_in_dim_400():
+    # the chain (396, 397) -> 398, (398, 399) -> 400 breaks Jacobi on (396, 397, 399)
+    bad = LieBracket(400, {(396, 397, 398): F(1), (398, 399, 400): F(1)})
+    assert check_jacobi(bad) == (False, (396, 397, 399))
+
+
 def test_lower_central_series_heis():
     lcs = lower_central_series(HEIS)
     assert lcs.dims == (3, 1)
