@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .certifier import (
@@ -23,11 +24,12 @@ from .certifier import (
     necessary_condition,
 )
 from .derivations import (
-    all_derivations_traceless,
+    der_if_traceless,
+    derivation_algebra,
     diagonal_derivations,
-    is_characteristically_nilpotent,
+    engel_flag,
     is_diagonal_derivation,
-    solve_phi_on_diagonal,
+    solve_phi,
 )
 from .errors import UnknownCatalogEntry
 from .liecore import LieBracket, center, check_jacobi, emit_bracket, is_nice_basis, is_nilpotent, lower_central_series
@@ -474,7 +476,24 @@ class CheckResult:
     flagged: bool = False
 
 
-def _check(entry: CatalogEntry, mu: LieBracket, exp: Expected) -> CheckResult:
+class _Shared:
+    """What the checks of one bracket share: its diagonal derivations and
+    its Der(mu), each built on first use and at most once."""
+
+    def __init__(self, mu: LieBracket):
+        self.mu = mu
+
+    @cached_property
+    def dspace(self):
+        return diagonal_derivations(self.mu)
+
+    @cached_property
+    def der(self):
+        return derivation_algebra(self.mu)
+
+
+def _check(entry: CatalogEntry, shared: _Shared, exp: Expected) -> CheckResult:
+    mu = shared.mu
     name = exp.name
     want = exp.value
     flagged = False
@@ -485,25 +504,25 @@ def _check(entry: CatalogEntry, mu: LieBracket, exp: Expected) -> CheckResult:
     elif name == "nice":
         got = is_nice_basis(mu)
     elif name == "dspace-basis":
-        got = diagonal_derivations(mu).basis
+        got = shared.dspace.basis
     elif name == "dspace-dim":
-        got = diagonal_derivations(mu).dim
+        got = shared.dspace.dim
     elif name == "cone":
-        got = project_certificate_cone(weight_set(mu), diagonal_derivations(mu)).inequalities
+        got = project_certificate_cone(weight_set(mu), shared.dspace).inequalities
     elif name == "vertex-cone":
         got = project_certificate_cone(
-            weight_set(sub_bracket(mu, [(1, 2, 4)])), diagonal_derivations(mu)
+            weight_set(sub_bracket(mu, [(1, 2, 4)])), shared.dspace
         ).inequalities
     elif name == "phi-diagonal":
-        got = solve_phi_on_diagonal(mu)
+        got = solve_phi(shared.der, shared.dspace)
     elif name == "proper-faces":
         enum = enumerate_face_degenerations(mu)
         full = frozenset(mu.keys())
         got = sum(1 for f in enum.faces if f.j_set != full)
     elif name == "traceless":
-        got = all_derivations_traceless(mu)
+        got = der_if_traceless(mu, shared.dspace, shared.der) is not None
     elif name == "char-nilpotent":
-        got = is_characteristically_nilpotent(mu).is_nilpotent
+        got = engel_flag(shared.der).is_nilpotent
     elif name == "listed-derivations":
         got = all(is_diagonal_derivation(d, mu) for d in entry.derivations)
     elif name == "listed-derivation-trace":
@@ -564,13 +583,13 @@ def run_regression(ids: list[str] | None = None) -> RegressionReport:
     for entry in entries:
         if entry.params:
             for t in FAMILY_SAMPLES:
-                mu = entry.bracket(t=t)
+                shared = _Shared(entry.bracket(t=t))
                 for exp in entry.expected:
-                    r = _check(entry, mu, exp)
+                    r = _check(entry, shared, exp)
                     results.append(CheckResult(
                         f"{entry.id}(t={t})", r.name, r.ok, r.detail, r.flagged))
         else:
-            mu = entry.bracket()
+            shared = _Shared(entry.bracket())
             for exp in entry.expected:
-                results.append(_check(entry, mu, exp))
+                results.append(_check(entry, shared, exp))
     return RegressionReport(tuple(results))

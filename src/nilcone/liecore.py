@@ -94,12 +94,6 @@ class LieBracket:
     def is_zero(self) -> bool:
         return not self.constants
 
-    def scale(self, s) -> "LieBracket":
-        s = frac(s)
-        if s == 0:
-            return LieBracket(self.dim, {})
-        return LieBracket(self.dim, {key: s * v for key, v in self.constants.items()})
-
     def diagonal_act(self, h: Sequence[Fraction]) -> "LieBracket":
         """h . mu for h = Diag(h_1, ..., h_n): c' = (h_k / (h_i h_j)) c."""
         new = {}

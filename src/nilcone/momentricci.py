@@ -4,51 +4,68 @@ Conventions are fixed by the normalization m(mu) for the Heisenberg
 bracket [e1, e2] = e3 being Diag(-1, -1, 1): the squared norm is the
 plain sum of squared structure constants and the moment map satisfies
 tr(m(mu) E) = <E.mu, mu> / |mu|^2 with no extra factor.
+
+Every matrix is accumulated from one pass over the nonzero structure
+constants; entries that no constant reaches are the shared ``ZERO``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .derivations import require_diagonal_derivation
 from .errors import InputError
-from .liecore import LieBracket
+from .liecore import Key, LieBracket
 from .linalg import (
     Mat,
-    ONE,
     Vec,
     ZERO,
     frac,
-    leading_principal_minors,
+    integer_row,
+    primitive,
 )
+
+Upper = dict[tuple[int, int], Fraction]
 
 
 def norm_squared(mu: LieBracket) -> Fraction:
     return sum((v * v for v in mu.constants.values()), ZERO)
 
 
-def _moment_sum(mu: LieBracket) -> Mat:
-    """S(mu) = |mu|^2 m(mu), read off the structure constants.
+def _moment_sum(constants: Iterable[tuple[Key, Fraction]]) -> Upper:
+    """Nonzero entries S_ab, a <= b, of S(mu) = |mu|^2 m(mu) (0-based).
 
     S_ab = 1/2 sum_{i,j} c_ij^a c_ij^b - sum_{j,r} c_aj^r c_bj^r, both sums
     over ordered pairs; the first is one outer product per pair i < j, the
-    second one per (j, r) of the column a -> c_aj^r.
+    second one per (j, r) of the column a -> c_aj^r.  S is symmetric, so
+    each outer product is added on and above the diagonal only.
     """
-    n = mu.dim
-    by_pair: dict[tuple[int, int], dict[int, Fraction]] = {}  # (i, j) -> {a: c_ij^a}
-    by_slot: dict[tuple[int, int], dict[int, Fraction]] = {}  # (j, r) -> {a: c_aj^r}
-    for (i, j, k), v in mu.constants.items():
-        by_pair.setdefault((i, j), {})[k - 1] = v
-        by_slot.setdefault((j, k), {})[i - 1] = v
-        by_slot.setdefault((i, k), {})[j - 1] = -v
-    s = [[ZERO] * n for _ in range(n)]
-    for groups, sign in ((by_pair, ONE), (by_slot, -ONE)):
+    by_pair: dict[tuple[int, int], list] = {}  # (i, j) -> [(a, c_ij^a)]
+    by_slot: dict[tuple[int, int], list] = {}  # (j, r) -> [(a, c_aj^r)]
+    for (i, j, k), v in constants:
+        by_pair.setdefault((i, j), []).append((k - 1, v))
+        by_slot.setdefault((j, k), []).append((i - 1, v))
+        by_slot.setdefault((i, k), []).append((j - 1, -v))
+    s: Upper = {}
+    for groups, add in ((by_pair, operator.add), (by_slot, operator.sub)):
         for col in groups.values():
-            for a, x in col.items():
-                for b, y in col.items():
-                    s[a][b] += sign * x * y
-    return tuple(tuple(r) for r in s)
+            for p, (a, x) in enumerate(col):
+                for b, y in col[p:]:
+                    key = (a, b) if a <= b else (b, a)
+                    s[key] = add(s.get(key, ZERO), x * y)
+    return {key: x for key, x in s.items() if x}
+
+
+def _dense(n: int, upper: Upper, offset: int = 0) -> list[list[Fraction]]:
+    """Rows of the symmetric matrix with the given upper triangle, its
+    indices shifted by ``offset``; ZERO everywhere else."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for (a, b), x in upper.items():
+        rows[a + offset][b + offset] = rows[b + offset][a + offset] = x
+    return rows
 
 
 def moment_map(mu: LieBracket) -> Mat:
@@ -56,7 +73,8 @@ def moment_map(mu: LieBracket) -> Mat:
     nsq = norm_squared(mu)
     if nsq == 0:
         raise InputError("moment map is undefined at the zero bracket")
-    return tuple(tuple(x / nsq for x in row) for row in _moment_sum(mu))
+    s = _moment_sum(mu.constants.items())
+    return tuple(map(tuple, _dense(mu.dim, {key: x / nsq for key, x in s.items()})))
 
 
 def moment_diagonal(mu: LieBracket) -> Vec:
@@ -78,8 +96,8 @@ def nil_ricci(mu: LieBracket) -> Mat:
 
     Equals (|mu|^2 / 2) m(mu); the zero bracket is flat.
     """
-    half = Fraction(1, 2)
-    return tuple(tuple(half * x for x in row) for row in _moment_sum(mu))
+    s = _moment_sum(mu.constants.items())
+    return tuple(map(tuple, _dense(mu.dim, {key: x / 2 for key, x in s.items()})))
 
 
 @dataclass(frozen=True)
@@ -106,43 +124,65 @@ class MetricExtension:
             raise InputError("diagonal basis change must be positive")
         require_diagonal_derivation(self.d, self.mu)
 
-    @property
-    def nu(self) -> LieBracket:
-        return self.mu.diagonal_act(self.h).scale(self.s)
-
 
 def extension_ricci(ext: MetricExtension) -> Mat:
     """Ricci matrix of R f + n, index 0 the f-direction, in the pulled-back frame.
 
     Uses (0,0) = -tr D^2, (0,i) = -tr(D ad_nu(e_i)), and the nilpotent
-    block shifted by the mean-curvature term -tr(D) D.
+    block Ric(nu) shifted by the mean-curvature term -tr(D) D.  Each
+    constant of nu = s (h . mu) is c' = s h_k / (h_i h_j) c, and
+    tr(D ad_nu(e_i)) = sum_k d_k c'_ik^k, so only constants with k = j
+    (row i) or k = i (row j, opposite sign) reach row 0.
     """
-    mu = ext.mu
+    mu, d, h, s = ext.mu, ext.d, ext.h, ext.s
     n = mu.dim
-    d = ext.d
-    nu = ext.nu
+    row0 = [-sum((x * x for x in d), ZERO)] + [ZERO] * n
+    hr = [(x.numerator, x.denominator) for x in h]
+    scaled = []
+    for (i, j, k), v in mu.constants.items():
+        (ni, di), (nj, dj), (nk, dk) = hr[i - 1], hr[j - 1], hr[k - 1]
+        c = Fraction(s.numerator * nk * di * dj * v.numerator,
+                     s.denominator * dk * ni * nj * v.denominator)
+        scaled.append(((i, j, k), c))
+        if k == j:
+            row0[i] -= d[k - 1] * c
+        elif k == i:
+            row0[j] += d[k - 1] * c
+    s_nu = _moment_sum(scaled)
+    ric = _dense(n + 1, {key: x / 2 for key, x in s_nu.items()}, offset=1)
+    ric[0] = row0
+    for a in range(1, n + 1):
+        ric[a][0] = row0[a]
     trd = sum(d, ZERO)
-    ric = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    ric[0][0] = -sum((x * x for x in d), ZERO)
-    for i in range(1, n + 1):
-        # tr(D ad_nu(e_i)) = sum_j d_j <nu(e_i, e_j), e_j> = sum d_k c'_{ik}^{k}
-        val = ZERO
-        for k in range(1, n + 1):
-            val += d[k - 1] * nu.c(i, k, k)
-        ric[0][i] = ric[i][0] = -val
-    block = nil_ricci(nu)
-    for a in range(n):
-        for b in range(n):
-            ric[a + 1][b + 1] = block[a][b] - (trd * d[a] if a == b else ZERO)
-    return tuple(tuple(r) for r in ric)
+    for a, x in enumerate(d, start=1):
+        if x:
+            ric[a][a] -= trd * x
+    return tuple(map(tuple, ric))
 
 
 def is_negative_definite(a: Mat) -> bool:
-    """Exact Sylvester test: (-1)^k det(A_k) > 0 for all leading minors."""
-    minors = leading_principal_minors(a)
-    sign = -ONE
-    for m in minors:
-        if sign * m <= 0:
+    """Exact Sylvester test: every leading minor of -A is positive.
+
+    Each row of -A is scaled to coprime integers, a positive factor per
+    row, so no leading minor changes sign.  Elimination without row
+    exchanges then replaces each later row with a nonzero f under the
+    pivot p > 0 by p row - f prow, divided by its gcd, which again scales
+    the leading minors by positive factors.  So minor k of -A is a
+    positive multiple of the product of the first k pivots, and the test
+    fails at the first pivot that is not positive.
+    """
+    rows = [[-x for x in integer_row(r)] for r in a]
+    for k in range(len(rows)):
+        prow = rows[k]
+        p = prow[0]
+        if p <= 0:
             return False
-        sign = -sign
+        tail = prow[1:]
+        for r in range(k + 1, len(rows)):
+            row = rows[r]
+            f = row[0]
+            if f:
+                rows[r] = primitive([p * x - f * y for x, y in zip(row[1:], tail)])
+            else:
+                rows[r] = row[1:]
     return True

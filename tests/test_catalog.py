@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nilcone import derivations
 from nilcone.catalog import (
     catalog_entry,
     catalog_export,
@@ -74,3 +75,19 @@ def test_regression_flags_do_not_fail():
     report = run_regression(["ex1ex2ex5-i"])
     assert report.ok
     assert any(r.flagged for r in report.results)
+
+
+def test_regression_solves_der_mu_once_per_bracket(monkeypatch):
+    # the traceless, char-nilpotent and phi-diagonal checks share one
+    # Der(mu) per bracket (heis3, ex10, ex3, ex4-1, ex4-2); the
+    # nilradical-verdict checks of ex10, ex3, ex4-1 and ex4-2 solve their own
+    calls = []
+    solve = derivations._derivation_nullspace
+
+    def counted(mu):
+        calls.append(mu)
+        return solve(mu)
+
+    monkeypatch.setattr(derivations, "_derivation_nullspace", counted)
+    assert run_regression().ok
+    assert len(calls) == 9

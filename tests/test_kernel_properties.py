@@ -11,12 +11,14 @@ decision, made on the diagonal torus before Der(mu), is checked against
 the traces of the dense Der(mu).
 
 The ``reference_*`` functions are the dense definitions the sparse kernels
-replaced: Der(mu), the lower central series, the Jacobi test and the
-center, each built from ``mu.c`` or ``mu.bracket`` over full index ranges.
-They also keep the slow exact kernels of the certificate cone: the
+replaced: Der(mu), the lower central series, the Jacobi test, the center,
+the moment map and the nilpotent and extension Ricci matrices, each built
+from ``mu.c`` or ``mu.bracket`` over full index ranges or as a dense n x n
+sum.  They also keep the slow exact kernels of the certificate cone: the
 ``Fraction`` simplex that recomputes every reduced cost each iteration
 (the library's tableau holds integer rows), Fourier-Motzkin over
-``Fraction`` rows, and one ``det`` per leading principal minor.
+``Fraction`` rows, and one ``det`` per leading principal minor.  The
+integer Sylvester test is checked against the signs of those minors.
 Certificates from both certifiers are checked to survive serialize,
 parse and verify.
 """
@@ -31,7 +33,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilcone.catalog import catalog_entry, catalog_get, catalog_list
-from nilcone import derivations
+from nilcone import certifier, derivations
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
     CERTIFIED_RN,
@@ -81,6 +83,7 @@ from nilcone.linalg import (
     nullspace,
 )
 from nilcone.momentricci import (
+    MetricExtension,
     extension_ricci,
     is_negative_definite,
     moment_map,
@@ -857,3 +860,162 @@ def rational_matrices(draw):
 @example([[F(1), F(2), F(0)], [F(2), F(4), F(1)], [F(0), F(1), F(3)]])  # 0 pivot, nonzero det
 def test_leading_minors_match_per_k_determinants(a):
     assert leading_principal_minors(a) == reference_leading_principal_minors(a)
+
+
+def reference_moment_sum(mu: LieBracket):
+    """S(mu) = |mu|^2 m(mu) as a dense matrix, one outer product per group.
+
+    S_ab = 1/2 sum_{i,j} c_ij^a c_ij^b - sum_{j,r} c_aj^r c_bj^r, both sums
+    over ordered pairs; the first is one outer product per pair i < j, the
+    second one per (j, r) of the column a -> c_aj^r.
+    """
+    n = mu.dim
+    by_pair: dict[tuple[int, int], dict[int, F]] = {}  # (i, j) -> {a: c_ij^a}
+    by_slot: dict[tuple[int, int], dict[int, F]] = {}  # (j, r) -> {a: c_aj^r}
+    for (i, j, k), v in mu.constants.items():
+        by_pair.setdefault((i, j), {})[k - 1] = v
+        by_slot.setdefault((j, k), {})[i - 1] = v
+        by_slot.setdefault((i, k), {})[j - 1] = -v
+    s = [[ZERO] * n for _ in range(n)]
+    for groups, sign in ((by_pair, ONE), (by_slot, -ONE)):
+        for col in groups.values():
+            for a, x in col.items():
+                for b, y in col.items():
+                    s[a][b] += sign * x * y
+    return tuple(tuple(r) for r in s)
+
+
+def reference_moment_map(mu: LieBracket):
+    nsq = norm_squared(mu)
+    return tuple(tuple(x / nsq for x in row) for row in reference_moment_sum(mu))
+
+
+def reference_nil_ricci(mu: LieBracket):
+    half = F(1, 2)
+    return tuple(tuple(half * x for x in row) for row in reference_moment_sum(mu))
+
+
+def reference_extension_ricci(ext: MetricExtension):
+    """The extension Ricci matrix from the bracket nu = s (h . mu), built whole.
+
+    (0,0) = -tr D^2, (0,i) = -tr(D ad_nu(e_i)) by n lookups nu.c(i, k, k),
+    and the dense block Ric(nu) - tr(D) D.
+    """
+    mu, d = ext.mu, ext.d
+    n = mu.dim
+    moved = mu.diagonal_act(ext.h)
+    nu = LieBracket(n, {key: ext.s * v for key, v in moved.constants.items()})
+    trd = sum(d, ZERO)
+    ric = [[ZERO] * (n + 1) for _ in range(n + 1)]
+    ric[0][0] = -sum((x * x for x in d), ZERO)
+    for i in range(1, n + 1):
+        val = ZERO
+        for k in range(1, n + 1):
+            val += d[k - 1] * nu.c(i, k, k)
+        ric[0][i] = ric[i][0] = -val
+    block = reference_nil_ricci(nu)
+    for a in range(n):
+        for b in range(n):
+            ric[a + 1][b + 1] = block[a][b] - (trd * d[a] if a == b else ZERO)
+    return tuple(tuple(r) for r in ric)
+
+
+POSITIVE = st.fractions(F(1, 5), F(5), max_denominator=6)
+
+
+@st.composite
+def metric_extensions(draw) -> MetricExtension:
+    """A bracket, a point of its diagonal-derivation space, and positive s and h.
+
+    The brackets are generated algebras, moved and unmoved, and skew
+    brackets.  Constants c_ij^j or c_ij^i (k = j or k = i) come mostly from
+    the skew brackets; such a constant forces d_i = 0 or d_j = 0 but
+    leaves d_k free, and it reaches row 0 as d_k c'.
+    """
+    mu = draw(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False),
+                        skew_brackets()))
+    n = mu.dim
+    dspace = diagonal_derivations(mu)
+    t = draw(st.lists(st.integers(-3, 3), min_size=dspace.dim, max_size=dspace.dim))
+    d = dspace.point(t) if dspace.dim else (ZERO,) * n
+    h = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+    return MetricExtension(mu, d, draw(POSITIVE), h)
+
+
+def _exact(m) -> bool:
+    return all(type(x) is F for row in m for x in row)
+
+
+@settings(max_examples=150)
+@given(metric_extensions())
+@example(MetricExtension(LieBracket(3, {(1, 2, 2): ONE, (1, 3, 3): F(2)}),
+                         (ZERO, ONE, F(3)), F(2), (F(1, 2), F(3), ONE)))  # k == j
+@example(MetricExtension(LieBracket(2, {(1, 2, 1): F(-3)}), (F(2), ZERO), ONE, (F(5), F(1, 3))))  # k == i
+@example(MetricExtension(catalog_get("ex9"), catalog_entry("ex9").derivations[0], F(3, 7),
+                         tuple(F(k + 2, k + 1) for k in range(10))))
+@example(MetricExtension(N4NICE_MOVED, (ZERO,) * 4, ONE, (ONE, F(2), F(1, 3), F(5))))  # not nice
+def test_sparse_ricci_matches_dense_references(ext):
+    mu = ext.mu
+    ric = extension_ricci(ext)
+    assert ric == reference_extension_ricci(ext) and _exact(ric)
+    block = nil_ricci(mu)
+    assert block == reference_nil_ricci(mu) and _exact(block)
+    if not mu.is_zero():
+        m = moment_map(mu)
+        assert m == reference_moment_map(mu) and _exact(m)
+
+
+def sylvester_negative_definite(a) -> bool:
+    """(-1)^k det(A_k) > 0 for every leading minor A_k, k = 1..n."""
+    return all((-1) ** k * m > 0 for k, m in enumerate(leading_principal_minors(a), start=1))
+
+
+def _witness_candidates(mu: LieBracket, d) -> list:
+    """Every Ricci matrix that find_witness_metric tests for (mu, d), in order."""
+    seen = []
+    test = certifier.is_negative_definite
+
+    def recorded(a):
+        seen.append(a)
+        return test(a)
+
+    cert = certify_derivation(mu, d).certificate
+    certifier.is_negative_definite = recorded
+    try:
+        find_witness_metric(mu, d, cert)
+    finally:
+        certifier.is_negative_definite = test
+    return seen
+
+
+WITNESS_RICCI = (_witness_candidates(*_listed("ex9"))
+                 + _witness_candidates(FILIFORM_8, (F(-1), F(7), F(6), F(5), F(4), F(3), F(2), F(1))))
+
+
+def _symmetrized(a):
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=200)
+@given(rational_matrices().map(_symmetrized))
+@example([[F(-1), ONE, ZERO], [ONE, F(-1), ONE], [ZERO, ONE, F(-1)]])  # minor 2 is 0, det 1
+@example([[F(-2), ONE, ONE], [ONE, F(-2), ONE], [ONE, ONE, F(-2)]])  # singular, minors -2, 3, 0
+@example([[F(-1), F(2)], [F(2), F(-1)]])  # indefinite, first pivot -1: fails at the second
+@example([[ONE, F(2)], [F(2), F(-3)]])  # indefinite, first pivot of -A is -1: fails at once
+@example([[F(-1, 2), F(1, 3)], [F(1, 3), F(-5, 7)]])  # negative definite, rational rows
+@_with_examples(WITNESS_RICCI)
+def test_sign_test_is_the_sylvester_reading_of_the_minors(a):
+    assert is_negative_definite(a) == sylvester_negative_definite(a)
+
+
+def test_witness_examples_include_the_accepted_ricci_matrices():
+    # both searches accept a metric, so each tested at least one matrix
+    assert sum(map(is_negative_definite, WITNESS_RICCI)) == 2
