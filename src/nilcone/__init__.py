@@ -19,13 +19,13 @@ from .liecore import (
     parse_bracket,
 )
 from .derivations import (
+    Analysis,
     derivation_algebra,
     diagonal_derivations,
-    all_derivations_traceless,
-    is_characteristically_nilpotent,
+    engel_flag,
     is_derivation,
     is_diagonal_derivation,
-    solve_phi_on_diagonal,
+    solve_phi,
 )
 from .polytope import (
     enumerate_face_degenerations,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 from .certifier import (
@@ -23,14 +22,7 @@ from .certifier import (
     certify_nilradical,
     necessary_condition,
 )
-from .derivations import (
-    der_if_traceless,
-    derivation_algebra,
-    diagonal_derivations,
-    engel_flag,
-    is_diagonal_derivation,
-    solve_phi,
-)
+from .derivations import Analysis, engel_flag, is_diagonal_derivation, solve_phi
 from .errors import UnknownCatalogEntry
 from .liecore import LieBracket, center, check_jacobi, emit_bracket, is_nice_basis, is_nilpotent, lower_central_series
 from .linalg import Vec, frac
@@ -476,24 +468,8 @@ class CheckResult:
     flagged: bool = False
 
 
-class _Shared:
-    """What the checks of one bracket share: its diagonal derivations and
-    its Der(mu), each built on first use and at most once."""
-
-    def __init__(self, mu: LieBracket):
-        self.mu = mu
-
-    @cached_property
-    def dspace(self):
-        return diagonal_derivations(self.mu)
-
-    @cached_property
-    def der(self):
-        return derivation_algebra(self.mu)
-
-
-def _check(entry: CatalogEntry, shared: _Shared, exp: Expected) -> CheckResult:
-    mu = shared.mu
+def _check(entry: CatalogEntry, a: Analysis, exp: Expected) -> CheckResult:
+    mu = a.mu
     name = exp.name
     want = exp.value
     flagged = False
@@ -504,25 +480,25 @@ def _check(entry: CatalogEntry, shared: _Shared, exp: Expected) -> CheckResult:
     elif name == "nice":
         got = is_nice_basis(mu)
     elif name == "dspace-basis":
-        got = shared.dspace.basis
+        got = a.dspace.basis
     elif name == "dspace-dim":
-        got = shared.dspace.dim
+        got = a.dspace.dim
     elif name == "cone":
-        got = project_certificate_cone(weight_set(mu), shared.dspace).inequalities
+        got = project_certificate_cone(weight_set(mu), a.dspace).inequalities
     elif name == "vertex-cone":
         got = project_certificate_cone(
-            weight_set(sub_bracket(mu, [(1, 2, 4)])), shared.dspace
+            weight_set(sub_bracket(mu, [(1, 2, 4)])), a.dspace
         ).inequalities
     elif name == "phi-diagonal":
-        got = solve_phi(shared.der, shared.dspace)
+        got = solve_phi(a.der, a.dspace)
     elif name == "proper-faces":
         enum = enumerate_face_degenerations(mu)
         full = frozenset(mu.keys())
         got = sum(1 for f in enum.faces if f.j_set != full)
     elif name == "traceless":
-        got = der_if_traceless(mu, shared.dspace, shared.der) is not None
+        got = a.traceless
     elif name == "char-nilpotent":
-        got = engel_flag(shared.der).is_nilpotent
+        got = engel_flag(a.der).is_nilpotent
     elif name == "listed-derivations":
         got = all(is_diagonal_derivation(d, mu) for d in entry.derivations)
     elif name == "listed-derivation-trace":
@@ -583,13 +559,13 @@ def run_regression(ids: list[str] | None = None) -> RegressionReport:
     for entry in entries:
         if entry.params:
             for t in FAMILY_SAMPLES:
-                shared = _Shared(entry.bracket(t=t))
+                a = Analysis(entry.bracket(t=t))
                 for exp in entry.expected:
-                    r = _check(entry, shared, exp)
+                    r = _check(entry, a, exp)
                     results.append(CheckResult(
                         f"{entry.id}(t={t})", r.name, r.ok, r.detail, r.flagged))
         else:
-            shared = _Shared(entry.bracket())
+            a = Analysis(entry.bracket())
             for exp in entry.expected:
-                results.append(_check(entry, shared, exp))
+                results.append(_check(entry, a, exp))
     return RegressionReport(tuple(results))

@@ -15,27 +15,27 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .derivations import (
+    Analysis,
     DiagonalDerivationSpace,
-    der_if_traceless,
-    diagonal_derivations,
     engel_flag,
     is_diagonal_derivation,
     require_diagonal_derivation,
 )
 from .errors import InputError, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
-from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row, leading_principal_minors
+from .linalg import ONE, Echelon, Vec, ZERO, dense_row, fmt_rational, frac, integer_row, leading_principal_minors
 from .momentricci import MetricExtension, extension_ricci, is_negative_definite
 from .polytope import (
+    interior_point,
     iter_face_candidates,
     is_face,
     pairing,
+    project_certificate_cone,
     strict_cone_membership,
     sub_bracket,
     verify_membership,
     weight_set,
 )
-from .simplex import max_margin
 
 POSITIVE_DERIVATION = "PositiveDerivation"
 NICE_CONE = "NiceCone"
@@ -201,9 +201,8 @@ def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Ve
     """LP for a derivation with all diagonal entries positive."""
     if dspace.dim == 0:
         return None
-    a_ub = [[-v[r] for v in dspace.basis] for r in range(n)]
-    sol = max_margin(a_ub, [ZERO] * n, free=True)
-    return None if sol is None else dspace.point(sol[1])
+    t = interior_point([[v[r] for v in dspace.basis] for r in range(n)])
+    return None if t is None else dspace.point(t)
 
 
 def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> list[Vec]:
@@ -212,9 +211,6 @@ def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> 
     Enumerated from the projected inequality description; skipped when the
     projection would be too large to be worth it.
     """
-    from .linalg import Echelon, dense_row
-    from .polytope import project_certificate_cone
-
     if dspace.dim == 0 or len(mu.keys()) > 16:
         return []
     cone = project_certificate_cone(weight_set(mu), dspace)
@@ -236,8 +232,7 @@ def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> 
             if len(ns) != 1:
                 continue
             # signs in integers: the rows are integer, so scale ns[0] to one too
-            scale = math.lcm(*(x.denominator for x in ns[0]))
-            ray = [x.numerator * (scale // x.denominator) for x in ns[0]]
+            ray = integer_row(ns[0])
             vals = [sum(ri * xi for ri, xi in zip(r, ray)) for r in rows]
             for sgn, cand in ((1, ns[0]), (-1, tuple(-x for x in ns[0]))):
                 if all(v * sgn >= 0 for v in vals) and any(v * sgn > 0 for v in vals):
@@ -249,7 +244,7 @@ def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> 
     return out
 
 
-def _candidates(mu: LieBracket, dspace: DiagonalDerivationSpace, user_d: Vec | None):
+def _candidates(mu: LieBracket, dspace: DiagonalDerivationSpace):
     """Candidate derivations in a fixed order, each computed only when reached.
 
     A positive derivation is always certified, so the extreme rays (a cone
@@ -260,16 +255,9 @@ def _candidates(mu: LieBracket, dspace: DiagonalDerivationSpace, user_d: Vec | N
     if pos is not None:
         yield pos
     yield from _extreme_ray_candidates(mu, dspace)
-    if user_d is not None:
-        yield user_d
 
 
-def certify_nilradical(
-    mu: LieBracket,
-    user_d: Vec | None = None,
-    budget: int = 4096,
-    want_witness: bool = False,
-) -> Verdict:
+def certify_nilradical(mu: LieBracket, budget: int = 4096, want_witness: bool = False) -> Verdict:
     """Algebra-level verdict: obstructions first, then candidate derivations.
 
     The diagonal derivations serve both the traceless test and the
@@ -278,10 +266,9 @@ def certify_nilradical(
     if not is_nilpotent(mu):
         raise InputError("algebra is not nilpotent")
 
-    dspace = diagonal_derivations(mu)
-    der = der_if_traceless(mu, dspace)
-    if der is not None:
-        engel = engel_flag(der)
+    a = Analysis(mu)
+    if a.traceless:
+        engel = engel_flag(a.der)
         if engel.is_nilpotent:
             return Verdict(
                 CERTIFIED_NOT_RN,
@@ -297,15 +284,12 @@ def certify_nilradical(
             "extensions are unimodular",
         )
 
-    user_d = None if user_d is None else tuple(frac(x) for x in user_d)
     seen = set()
-    for cand in _candidates(mu, dspace, user_d):
+    for cand in _candidates(mu, a.dspace):
         cand = _orient_positive_trace(cand)
         if cand is None or cand in seen:
             continue
         seen.add(cand)
-        if not is_diagonal_derivation(cand, mu):
-            continue
         verdict = certify_derivation(mu, cand, budget=budget, want_witness=want_witness)
         if verdict.status == CERTIFIED_RN:
             return Verdict(
@@ -436,7 +420,22 @@ def _round_exp(v: float, q: int) -> Fraction:
 
 
 def verify_certificate(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
-    """Exact re-check of a stored certificate; no search is re-run."""
+    """Exact re-check of a stored certificate; no search is re-run.
+
+    The data of the certificate's kind is checked first.  A metric
+    attached to a certificate of any kind must then match it and make the
+    extension Ricci negative definite.
+    """
+    ok, reason = _verify_kind_data(mu, cert)
+    if ok and cert.witness is not None:
+        if cert.witness.mu != mu or tuple(cert.witness.d) != tuple(cert.d):
+            return False, "metric data does not match the algebra or derivation"
+        if not is_negative_definite(extension_ricci(cert.witness)):
+            return False, "attached metric is not negative definite"
+    return ok, reason
+
+
+def _verify_kind_data(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
     d = cert.d
     if not is_diagonal_derivation(d, mu):
         return False, "stored D is not a diagonal derivation"
@@ -481,11 +480,6 @@ def verify_certificate(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
         return False, "coefficients do not witness strict membership"
     if cert.slack <= 0 or slack < cert.slack:
         return False, f"claimed slack {cert.slack} exceeds actual {slack}"
-    if cert.witness is not None:
-        if cert.witness.mu != mu or tuple(cert.witness.d) != tuple(d):
-            return False, "metric data does not match the algebra or derivation"
-        if not is_negative_definite(extension_ricci(cert.witness)):
-            return False, "attached metric is not negative definite"
     return True, f"membership verified with slack {slack}"
 
 

@@ -33,14 +33,7 @@ from .certifier import (
     serialize_certificate,
     verify_certificate,
 )
-from .derivations import (
-    INFEASIBLE,
-    der_if_traceless,
-    derivation_algebra,
-    diagonal_derivations,
-    engel_flag,
-    solve_phi,
-)
+from .derivations import INFEASIBLE, Analysis, diagonal_derivations, engel_flag, solve_phi
 from .errors import InputError, InvariantViolation, NilconeError, ParseError
 from .liecore import (
     LieBracket,
@@ -153,19 +146,17 @@ def cmd_check(args, out: Printer) -> int:
 
 
 def cmd_der(args, out: Printer) -> int:
-    mu = load_algebra(args.algebra, args.param)
-    der = derivation_algebra(mu)
-    dsp = diagonal_derivations(mu)
-    out.emit("der-dim", len(der))
-    out.emit("diagonal-dim", dsp.dim)
-    for i, v in enumerate(dsp.basis):
+    a = Analysis(load_algebra(args.algebra, args.param))
+    out.emit("der-dim", len(a.der))
+    out.emit("diagonal-dim", a.dspace.dim)
+    for i, v in enumerate(a.dspace.basis):
         out.emit(f"diagonal-basis.{i}", _fmt_vec(v))
-    out.emit("traceless", der_if_traceless(mu, dsp, der) is not None)
-    engel = engel_flag(der)
+    out.emit("traceless", a.traceless)
+    engel = engel_flag(a.der)
     out.emit("characteristically-nilpotent", engel.is_nilpotent)
     if not engel.is_nilpotent and engel.witness_stage is not None:
         out.emit("engel-witness-stage", engel.witness_stage)
-    phi = solve_phi(der, dsp)
+    phi = solve_phi(a.der, a.dspace)
     if phi == INFEASIBLE:
         out.emit("phi-diagonal", "infeasible")
     else:
@@ -265,12 +256,11 @@ def _print_verdict(mu, verdict, out: Printer):
 
 def cmd_certify(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
-    budget = 0 if args.degenerations == "none" else args.budget
     if args.derivation:
         d = _parse_vec(args.derivation, mu.dim, "derivation")
-        verdict = certify_derivation(mu, d, budget=budget, want_witness=args.witness)
+        verdict = certify_derivation(mu, d, budget=args.budget, want_witness=args.witness)
     else:
-        verdict = certify_nilradical(mu, budget=budget, want_witness=args.witness)
+        verdict = certify_nilradical(mu, budget=args.budget, want_witness=args.witness)
     _print_verdict(mu, verdict, out)
     return EXIT_OK
 
@@ -388,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="verdict pipeline with certificate output")
     _add_algebra_arg(p)
     p.add_argument("--derivation", help="certify this diagonal derivation")
-    p.add_argument("--degenerations", choices=("auto", "none"), default="auto")
     p.add_argument("--witness", action="store_true",
                    help="also build an explicit metric")
     p.set_defaults(fn=cmd_certify)

@@ -5,15 +5,16 @@ n x n matrices.  Whether every derivation is traceless is decided on the
 diagonal derivations first, and needs Der(mu) only when they are all
 traceless.  The characteristically-nilpotent decision builds an Engel
 flag: it succeeds iff every derivation is strictly triangular in an
-adapted basis, and fails with a stage witness otherwise.  The Engel flag
-and the phi solve also take a Der(mu) already built, so that a caller
-that needs several of these builds it once.
+adapted basis, and fails with a stage witness otherwise.  ``Analysis``
+holds one bracket's Der(mu) and diagonal torus for one call, so that the
+traceless test, the Engel flag and the phi solve build each at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotADerivationError
 from .liecore import LieBracket
@@ -160,27 +161,37 @@ def _trace(e: Mat) -> Fraction:
     return sum((e[r][r] for r in range(len(e))), ZERO)
 
 
-def der_if_traceless(
-    mu: LieBracket, dspace: DiagonalDerivationSpace, der: DerivationBasis | None = None
-) -> DerivationBasis | None:
-    """Der(mu) when every derivation is traceless, else None.
+class Analysis:
+    """Der(mu) and the diagonal torus of one bracket, each built on first use.
 
-    The diagonal torus decides first, and exactly: diag(d) with
-    d_k = d_i + d_j on every nonzero constant is itself a derivation, of
-    trace sum(d).  So one vector of ``dspace`` with a nonzero sum settles
-    the question without Der(mu).  Only a traceless torus needs the traces
-    of Der(mu): of ``der`` when given, else of one built here.
+    An instance serves one call and is dropped with it; nothing is cached
+    on the bracket or across calls.
     """
-    if any(sum(v, ZERO) for v in dspace.basis):
-        return None
-    if der is None:
-        der = derivation_algebra(mu)
-    return None if any(_trace(e) for e in der.basis) else der
 
+    def __init__(self, mu: LieBracket):
+        self.mu = mu
 
-def all_derivations_traceless(mu: LieBracket) -> bool:
-    """True iff every derivation of mu has trace 0."""
-    return der_if_traceless(mu, diagonal_derivations(mu)) is not None
+    @cached_property
+    def dspace(self) -> DiagonalDerivationSpace:
+        return diagonal_derivations(self.mu)
+
+    @cached_property
+    def der(self) -> DerivationBasis:
+        return derivation_algebra(self.mu)
+
+    @cached_property
+    def traceless(self) -> bool:
+        """True iff every derivation of mu has trace 0.
+
+        The diagonal torus decides first, and exactly: diag(d) with
+        d_k = d_i + d_j on every nonzero constant is itself a derivation,
+        of trace sum(d).  So one vector of ``dspace`` with a nonzero sum
+        settles the question without Der(mu).  Only a traceless torus
+        reads the traces of ``der``.
+        """
+        if any(sum(v, ZERO) for v in self.dspace.basis):
+            return False
+        return not any(_trace(e) for e in self.der.basis)
 
 
 @dataclass(frozen=True)
@@ -200,11 +211,6 @@ def _common_kernel(mats: list[Mat], n: int) -> list[Vec]:
             if row:
                 rows.append(row)
     return nullspace(rows, n)
-
-
-def is_characteristically_nilpotent(mu: LieBracket) -> EngelResult:
-    """Engel-flag decision: true iff all derivations are nilpotent."""
-    return engel_flag(derivation_algebra(mu))
 
 
 def engel_flag(der: DerivationBasis) -> EngelResult:
@@ -243,18 +249,13 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
 INFEASIBLE = "infeasible"
 
 
-def solve_phi_on_diagonal(mu: LieBracket) -> Vec | str:
+def solve_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace) -> Vec | str:
     """Solve tr(phi . E) = tr(E) over the Der basis, phi in the diagonal torus.
 
     Returns the minimum-norm diagonal solution, or INFEASIBLE when no
     diagonal derivation satisfies the trace pairing (which does not prove
     a pre-Einstein derivation fails to exist off the diagonal).
     """
-    return solve_phi(derivation_algebra(mu), diagonal_derivations(mu))
-
-
-def solve_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace) -> Vec | str:
-    """``solve_phi_on_diagonal`` over a Der(mu) and a diagonal space already built."""
     n = der.dim_algebra
     if dspace.dim == 0:
         # phi = 0 is the only candidate; works iff every trace vanishes

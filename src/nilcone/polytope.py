@@ -174,15 +174,15 @@ def fourier_motzkin(
         # rows with a nonzero kept part always trace back to a strict row
         out.add(t)
     kept = remove_redundant(sorted(out))
-    if kept and not _strictly_feasible(kept):
+    if kept and interior_point(kept) is None:
         return ProjectedCone(tuple(sorted(kept)), empty=True)
     return ProjectedCone(tuple(sorted(kept)))
 
 
-def _strictly_feasible(rows: list[tuple[int, ...]]) -> bool:
-    """Does some t satisfy row . t > 0 for every row?  (t free, exact LP.)"""
-    negated = [[-x for x in row] for row in rows]
-    return max_margin(negated, [ZERO] * len(rows), free=True) is not None
+def interior_point(rows) -> Vec | None:
+    """Some t with row . t > 0 for every row, or None if there is none (t free, exact LP)."""
+    sol = max_margin([[-x for x in row] for row in rows], [ZERO] * len(rows), free=True)
+    return None if sol is None else sol[1]
 
 
 def project_certificate_cone(

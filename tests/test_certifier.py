@@ -246,12 +246,6 @@ def test_nilradical_rejects_non_nilpotent():
         certify_nilradical(sl2)
 
 
-def test_nilradical_user_derivation_considered():
-    mu = catalog_get("dim7-alg1")
-    v = certify_nilradical(mu, user_d=tuple(map(F, (0, 1, 0, 1, 1, 1, 1))))
-    assert v.status == CERTIFIED_RN
-
-
 M0_8 = LieBracket(8, {(1, i, i + 1): F(1) for i in range(2, 8)})  # Vergne's filiform m_0(8)
 M0_8_VERDICT = (
     "status CertifiedRN\nnotes positive derivation\ncertificate\nkind PositiveDerivation\n"

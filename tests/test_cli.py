@@ -5,7 +5,8 @@ import sys
 from pathlib import Path
 
 import nilcone
-from nilcone import cli, simplex
+from nilcone import cli, derivations, simplex
+from nilcone.catalog import catalog_entry, catalog_list
 from nilcone.cli import main
 
 
@@ -150,10 +151,10 @@ def test_missing_catalog_id_is_input_error(capsys):
 
 
 def test_face_budget_does_not_cap_the_witness_search(tmp_path, capsys):
-    # --degenerations none sets the face budget to 0; the witness metric is
-    # still built, at its own default budget of Newton steps
+    # --budget 0 tests no face; the witness metric is still built, at its
+    # own default budget of Newton steps
     code, out, _ = run(
-        capsys, "certify", "heis3", "--derivation=-1,5,4", "--witness", "--degenerations", "none"
+        capsys, "--budget", "0", "certify", "heis3", "--derivation=-1,5,4", "--witness"
     )
     assert code == 0
     assert "metric-scale 1\nmetric-h 32/57 32/57 98/55\n" in out
@@ -162,6 +163,40 @@ def test_face_budget_does_not_cap_the_witness_search(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "valid: True" in out
+
+
+POSITIVE_WITH_METRIC = (
+    "certificate\nkind PositiveDerivation\ndim 3\nbracket 1 2 3 1\nderivation 1 1 2\n"
+    "slack 1\nmetric-scale 1\nmetric-h {}\nend\n"
+)
+
+
+def test_verify_checks_a_metric_on_a_positive_derivation(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    path.write_text(POSITIVE_WITH_METRIC.format("1 1 1000"))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == "valid: False\nreason: attached metric is not negative definite\n"
+    path.write_text(POSITIVE_WITH_METRIC.format("49/55 49/55 64/57"))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out == "valid: True\nreason: all diagonal entries positive\n"
+
+
+def test_der_solves_der_mu_once_on_every_catalog_entry(monkeypatch, capsys):
+    calls = []
+    solve = derivations._derivation_nullspace
+
+    def counted(mu):
+        calls.append(mu)
+        return solve(mu)
+
+    monkeypatch.setattr(derivations, "_derivation_nullspace", counted)
+    for id_, _, _ in catalog_list():
+        params = ["--param", "t=1/2"] if catalog_entry(id_).params else []
+        calls.clear()
+        assert run(capsys, "der", id_, *params)[0] == 0
+        assert len(calls) == 1, id_
 
 
 def test_input_errors_exit_1(tmp_path, capsys):

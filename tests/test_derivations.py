@@ -5,19 +5,28 @@ import pytest
 from nilcone.catalog import catalog_get
 from nilcone.derivations import (
     INFEASIBLE,
-    all_derivations_traceless,
+    Analysis,
     derivation_algebra,
     diagonal_derivations,
-    is_characteristically_nilpotent,
+    engel_flag,
     is_derivation,
     is_diagonal_derivation,
     require_diagonal_derivation,
-    solve_phi_on_diagonal,
+    solve_phi,
 )
 from nilcone.errors import NotADerivationError
 from nilcone.liecore import LieBracket
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
+
+
+def _engel(mu):
+    return engel_flag(derivation_algebra(mu))
+
+
+def _phi(mu):
+    a = Analysis(mu)
+    return solve_phi(a.der, a.dspace)
 
 
 def _diag(*xs):
@@ -63,19 +72,19 @@ def test_non_diagonal_derivation_check():
 
 
 def test_traceless_examples():
-    assert all_derivations_traceless(catalog_get("ex3"))
-    assert all_derivations_traceless(catalog_get("ex10"))
-    assert not all_derivations_traceless(HEIS)
+    assert Analysis(catalog_get("ex3")).traceless
+    assert Analysis(catalog_get("ex10")).traceless
+    assert not Analysis(HEIS).traceless
 
 
 def test_characteristically_nilpotent_positive():
-    res = is_characteristically_nilpotent(catalog_get("ex4-1"))
+    res = _engel(catalog_get("ex4-1"))
     assert res.is_nilpotent
     assert res.flag_dims[-1] == 12
 
 
 def test_characteristically_nilpotent_negative():
-    res = is_characteristically_nilpotent(HEIS)
+    res = _engel(HEIS)
     assert not res.is_nilpotent
     # the stage witness exhibits a nonzero acting space with zero common kernel
     assert res.witness_stage is not None
@@ -85,21 +94,21 @@ def test_characteristically_nilpotent_negative():
 def test_ex10_complex_rank_one():
     # traceless yet not characteristically nilpotent
     mu = catalog_get("ex10")
-    assert not is_characteristically_nilpotent(mu).is_nilpotent
+    assert not _engel(mu).is_nilpotent
 
 
 def test_abelian_is_not_char_nilpotent():
-    assert not is_characteristically_nilpotent(LieBracket(2, {})).is_nilpotent
+    assert not _engel(LieBracket(2, {})).is_nilpotent
 
 
 def test_phi_heis():
-    phi = solve_phi_on_diagonal(HEIS)
+    phi = _phi(HEIS)
     assert phi == (F(2, 3), F(2, 3), F(4, 3))
 
 
 def test_phi_trace_pairing():
     mu = catalog_get("n4nice")
-    phi = solve_phi_on_diagonal(mu)
+    phi = _phi(mu)
     for e in derivation_algebra(mu).basis:
         tr_e = sum(e[r][r] for r in range(mu.dim))
         tr_phi_e = sum(phi[r] * e[r][r] for r in range(mu.dim))
@@ -107,7 +116,7 @@ def test_phi_trace_pairing():
 
 
 def test_phi_zero_when_all_traceless():
-    assert solve_phi_on_diagonal(catalog_get("ex4-1")) in (
+    assert _phi(catalog_get("ex4-1")) in (
         (F(0),) * 12, INFEASIBLE,
     )
 
@@ -115,4 +124,4 @@ def test_phi_zero_when_all_traceless():
 def test_phi_ex10_infeasible_on_diagonal():
     # no diagonal derivations but nonzero traces cannot happen; ex10 has
     # zero diagonal space and all traces zero, so phi = 0 works
-    assert solve_phi_on_diagonal(catalog_get("ex10")) == (F(0),) * 11
+    assert _phi(catalog_get("ex10")) == (F(0),) * 11

@@ -50,13 +50,12 @@ from nilcone.certifier import (
     verify_certificate,
 )
 from nilcone.derivations import (
+    Analysis,
     DerivationBasis,
     EngelResult,
-    all_derivations_traceless,
-    der_if_traceless,
     derivation_algebra,
     diagonal_derivations,
-    is_characteristically_nilpotent,
+    engel_flag,
     rep_action,
 )
 from nilcone import simplex
@@ -92,8 +91,8 @@ from nilcone.momentricci import (
 )
 from nilcone.polytope import (
     ProjectedCone,
-    _strictly_feasible,
     fourier_motzkin,
+    interior_point,
     project_certificate_cone,
     remove_redundant,
     weight_set,
@@ -340,11 +339,10 @@ N4NICE_MOVED = act(
 def test_traceless_test_matches_every_reference_derivation(mu):
     reference = reference_derivation_algebra(mu)
     want = all(sum((e[r][r] for r in range(mu.dim)), ZERO) == 0 for e in reference.basis)
-    assert all_derivations_traceless(mu) == want
-    der = der_if_traceless(mu, diagonal_derivations(mu))
-    assert (der is not None) == want
-    if der is not None:
-        assert der == reference
+    a = Analysis(mu)
+    assert a.traceless == want
+    if want:
+        assert a.der == reference
     # budget 0: no face search, so a non-traceless algebra ends quickly too
     verdict = certify_nilradical(mu, budget=0)
     assert (verdict.status == CERTIFIED_NOT_RN and verdict.scope == SCOPE_ALGEBRA) == want
@@ -352,7 +350,7 @@ def test_traceless_test_matches_every_reference_derivation(mu):
 
 def test_fallback_example_has_a_traceless_torus_and_a_traced_derivation():
     assert not any(sum(v) for v in diagonal_derivations(N4NICE_MOVED).basis)
-    assert not all_derivations_traceless(N4NICE_MOVED)
+    assert not Analysis(N4NICE_MOVED).traceless
 
 
 FILIFORM_12 = LieBracket(12, {(1, i, i + 1): ONE for i in range(2, 12)})  # m_0(12)
@@ -392,7 +390,7 @@ def _unit(n: int, a: int, b: int):
 @example(catalog_get("ex10"))  # fails at stage 1: witness operators on a proper quotient
 @example(catalog_get("ex4-1"))  # characteristically nilpotent: the flag reaches n
 def test_engel_flag_matches_adapted_basis_reference(mu):
-    assert is_characteristically_nilpotent(mu) == reference_engel(mu)
+    assert engel_flag(derivation_algebra(mu)) == reference_engel(mu)
 
 
 @settings(max_examples=15)
@@ -614,7 +612,7 @@ def reference_fourier_motzkin(rows, nelim: int) -> ProjectedCone:
         # rows with a nonzero kept part always trace back to a strict row
         out.add(integer_row(t))
     kept = remove_redundant(sorted(out))
-    if kept and not _strictly_feasible(kept):
+    if kept and interior_point(kept) is None:
         return ProjectedCone(tuple(sorted(kept)), empty=True)
     return ProjectedCone(tuple(sorted(kept)))
 

@@ -10,6 +10,7 @@ from nilcone.polytope import (
     Weight,
     ProjectedCone,
     enumerate_face_degenerations,
+    interior_point,
     is_face,
     limit_along,
     project_certificate_cone,
@@ -145,6 +146,14 @@ def test_face_budget():
     enum = enumerate_face_degenerations(catalog_get("n4nonice"), budget=2)
     assert not enum.complete
     assert enum.tested == 2
+
+
+def test_interior_point_is_strictly_inside_or_none():
+    rows = [(1, 0, -1), (0, 1, 0), (F(1, 2), 0, 1)]
+    t = interior_point(rows)
+    assert all(sum(r * x for r, x in zip(row, t)) > 0 for row in rows)
+    assert interior_point([(1, 0), (-1, 0), (0, 1)]) is None  # d1 > 0 and -d1 > 0
+    assert interior_point([(1, 1), (-1, -1)]) is None
 
 
 def test_empty_cone_detected():
