@@ -30,7 +30,6 @@ from .derivations import (
 from .polytope import (
     enumerate_face_degenerations,
     is_face,
-    limit_along,
     project_certificate_cone,
     strict_cone_membership,
     weight_set,

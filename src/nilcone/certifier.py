@@ -9,7 +9,6 @@ the degeneration search under-approximates the true cone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -21,21 +20,21 @@ from .derivations import (
     is_diagonal_derivation,
     require_diagonal_derivation,
 )
-from .errors import InputError, ParseError
+from .errors import InputError, InvariantViolation, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
-from .linalg import ONE, Echelon, Vec, ZERO, dense_row, fmt_rational, frac, integer_row, leading_principal_minors
+from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row, leading_principal_minors
 from .momentricci import MetricExtension, extension_ricci, is_negative_definite
 from .polytope import (
     interior_point,
     iter_face_candidates,
     is_face,
     pairing,
-    project_certificate_cone,
     strict_cone_membership,
     sub_bracket,
     verify_membership,
     weight_set,
 )
+from .simplex import max_margin
 
 POSITIVE_DERIVATION = "PositiveDerivation"
 NICE_CONE = "NiceCone"
@@ -128,7 +127,7 @@ def certify_derivation(
 
     if all(x > 0 for x in d):
         cert = Certificate(POSITIVE_DERIVATION, d, slack=min(d))
-        return Verdict(CERTIFIED_RN, SCOPE_DERIVATION, d, cert, notes="positive derivation")
+        return _certified(mu, SCOPE_DERIVATION, cert, False)
 
     ok, reason = necessary_condition(mu, d)
     if not ok:
@@ -140,56 +139,65 @@ def certify_derivation(
             notes="verdict applies to this derivation only",
         )
 
-    if is_nice_basis(mu):
-        cert = membership_certificate(d, mu, NICE_CONE, None)
+    note = "no nice face degeneration certifies this derivation"
+    for face in _nice_faces(mu, budget):
+        if face is None:
+            note += " (face budget exhausted)"
+            break
+        lam, kind, degeneration = face
+        cert = membership_certificate(d, lam, kind, degeneration)
         if cert is not None:
-            verdict = Verdict(CERTIFIED_RN, SCOPE_DERIVATION, d, cert, notes="nice basis cone")
-            return _maybe_attach_witness(mu, verdict, want_witness)
-        return Verdict(
-            UNKNOWN,
-            SCOPE_DERIVATION,
-            d,
-            notes="cone membership over the full hull is infeasible; "
-            "the certified cone under-approximates the true one",
-        )
+            return _certified(mu, SCOPE_DERIVATION, cert, want_witness)
+        if kind == NICE_CONE:
+            note = ("cone membership over the full hull is infeasible; "
+                    "the certified cone under-approximates the true one")
+    return Verdict(UNKNOWN, SCOPE_DERIVATION, d, notes=note)
 
+
+def _nice_faces(mu: LieBracket, budget: int):
+    """The brackets a cone certificate may rest on, in search order.
+
+    Yields (lam, kind, degeneration): mu itself when its basis is nice;
+    otherwise lambda_J for every nice face J other than the full index
+    set, by decreasing |J|.  A diagonal derivation of mu solves a subset
+    of its defining equations on lambda_J, so it stays a derivation there.
+    ``budget`` bounds the nice subsets tested, i.e. the ``is_face`` LPs;
+    once it is spent with subsets left, yields None and stops.
+    """
+    if is_nice_basis(mu):
+        yield mu, NICE_CONE, None
+        return
     w = weight_set(mu)
+    full = frozenset(mu.keys())
     tested = 0
-    complete = True
     for j_set in iter_face_candidates(mu):
-        if j_set == frozenset(mu.keys()):
+        if j_set == full:
             continue  # the full hull needs a nice basis, handled above
         if tested >= budget:
-            complete = False
-            break
+            yield None
+            return
         lam = sub_bracket(mu, j_set)
         if not is_nice_basis(lam):
             continue
         tested += 1
         face, alpha = is_face(j_set, w)
-        if not face:
-            continue
-        # D solves a subset of the defining equations, so it stays a derivation
-        cert = membership_certificate(d, lam, DEGENERATION_CONE, (alpha, frozenset(j_set)))
-        if cert is not None:
-            verdict = Verdict(
-                CERTIFIED_RN, SCOPE_DERIVATION, d, cert,
-                notes=f"degeneration keeping {len(j_set)} of {len(mu.keys())} constants",
-            )
-            return _maybe_attach_witness(mu, verdict, want_witness)
-    note = "no nice face degeneration certifies this derivation"
-    if not complete:
-        note += " (face budget exhausted)"
-    return Verdict(UNKNOWN, SCOPE_DERIVATION, d, notes=note)
+        if face:
+            yield lam, DEGENERATION_CONE, (alpha, j_set)
 
 
-def _maybe_attach_witness(mu, verdict, want_witness):
-    if not want_witness or verdict.certificate is None:
-        return verdict
-    ext = find_witness_metric(mu, verdict.d, verdict.certificate)
-    if ext is None:
-        return verdict
-    return replace(verdict, certificate=replace(verdict.certificate, witness=ext))
+def _certified(mu: LieBracket, scope: str, cert: Certificate, want_witness: bool) -> Verdict:
+    """CertifiedRN on cert.d, noted by kind; a cone certificate gets a witness metric if asked."""
+    if cert.kind == POSITIVE_DERIVATION:
+        note = "positive derivation"
+    elif cert.degeneration is None:
+        note = "nice basis cone"
+    else:
+        note = f"degeneration keeping {len(cert.degeneration[1])} of {len(mu.keys())} constants"
+    if want_witness:
+        ext = find_witness_metric(mu, cert.d, cert)
+        if ext is not None:
+            cert = replace(cert, witness=ext)
+    return Verdict(CERTIFIED_RN, scope, cert.d, cert, notes=note)
 
 
 # ---------------------------------------------------------------------------
@@ -205,63 +213,29 @@ def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Ve
     return None if t is None else dspace.point(t)
 
 
-def _extreme_ray_candidates(mu: LieBracket, dspace: DiagonalDerivationSpace) -> list[Vec]:
-    """Extreme rays of the closed certificate cone in the d-space, plus their sum.
-
-    Enumerated from the projected inequality description; skipped when the
-    projection would be too large to be worth it.
-    """
-    if dspace.dim == 0 or len(mu.keys()) > 16:
-        return []
-    cone = project_certificate_cone(weight_set(mu), dspace)
-    if cone.empty or not cone.inequalities:
-        return []
-    p = dspace.dim
-    rows = cone.inequalities
-    rays: list[Vec] = []
-    if p == 1:
-        for sgn in (ONE, -ONE):
-            if all(r[0] * sgn >= 0 for r in rows) and any(r[0] * sgn > 0 for r in rows):
-                rays.append((sgn,))
-    else:
-        for subset in itertools.combinations(range(len(rows)), p - 1):
-            ech = Echelon(p)
-            for idx in subset:
-                ech.add_row(dense_row(rows[idx]))
-            ns = ech.nullspace_basis()
-            if len(ns) != 1:
-                continue
-            # signs in integers: the rows are integer, so scale ns[0] to one too
-            ray = integer_row(ns[0])
-            vals = [sum(ri * xi for ri, xi in zip(r, ray)) for r in rows]
-            for sgn, cand in ((1, ns[0]), (-1, tuple(-x for x in ns[0]))):
-                if all(v * sgn >= 0 for v in vals) and any(v * sgn > 0 for v in vals):
-                    if cand not in rays:
-                        rays.append(cand)
-    out = [dspace.point(r) for r in rays]
-    if len(out) > 1:
-        out.append(tuple(sum(col, ZERO) for col in zip(*out)))
-    return out
-
-
-def _candidates(mu: LieBracket, dspace: DiagonalDerivationSpace):
-    """Candidate derivations in a fixed order, each computed only when reached.
-
-    A positive derivation is always certified, so the extreme rays (a cone
-    projection and a walk over subsets of its inequalities) are produced
-    only for algebras that have none.
-    """
-    pos = _positive_diagonal_derivation(dspace, mu.dim)
-    if pos is not None:
-        yield pos
-    yield from _extreme_ray_candidates(mu, dspace)
+def _torus_cone_point(dspace: DiagonalDerivationSpace, lam: LieBracket) -> Vec | None:
+    """One LP over (t free, a >= 0): D = point(t) with D - sum a_w F_w > 0
+    over the weights of lam and tr D > 0, as a primitive integer vector."""
+    weights = weight_set(lam).weights
+    rows = [[-v[r] for v in dspace.basis] + [wt.vec[r] for wt in weights]
+            for r in range(lam.dim)]
+    rows.append([-sum(v, ZERO) for v in dspace.basis] + [ZERO] * len(weights))
+    sol = max_margin(rows, [ZERO] * len(rows), free=dspace.dim)
+    if sol is None:
+        return None
+    return tuple(map(frac, integer_row(dspace.point(sol[1][:dspace.dim]))))
 
 
 def certify_nilradical(mu: LieBracket, budget: int = 4096, want_witness: bool = False) -> Verdict:
-    """Algebra-level verdict: obstructions first, then candidate derivations.
+    """Algebra-level verdict: obstructions first, then a search over the torus.
 
-    The diagonal derivations serve both the traceless test and the
-    candidates, and Der(mu) is built only when they are all traceless.
+    The diagonal derivations serve both the traceless test and the search,
+    and Der(mu) is built only when they are all traceless.  The search
+    tries a positive derivation, then rules out every torus D by one LP
+    when no D has tr D > 0 and D_r > 0 at each sink r (an index never
+    bracketed from, where every weight has F_w[r] >= 0), then solves one
+    torus LP per bracket of ``_nice_faces``.  ``budget`` is as for
+    ``certify_derivation``.
     """
     if not is_nilpotent(mu):
         raise InputError("algebra is not nilpotent")
@@ -284,33 +258,32 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096, want_witness: bool = 
             "extensions are unimodular",
         )
 
-    seen = set()
-    for cand in _candidates(mu, a.dspace):
-        cand = _orient_positive_trace(cand)
-        if cand is None or cand in seen:
-            continue
-        seen.add(cand)
-        verdict = certify_derivation(mu, cand, budget=budget, want_witness=want_witness)
-        if verdict.status == CERTIFIED_RN:
-            return Verdict(
-                CERTIFIED_RN, SCOPE_ALGEBRA, verdict.d, verdict.certificate,
-                notes=verdict.notes,
-            )
+    pos = _positive_diagonal_derivation(a.dspace, mu.dim)
+    if pos is not None:
+        cert = Certificate(POSITIVE_DERIVATION, pos, slack=min(pos))
+        return _certified(mu, SCOPE_ALGEBRA, cert, False)
+
+    basis = a.dspace.basis
+    bracketed = {x - 1 for (i, j, _) in mu.keys() for x in (i, j)}
+    sinks = [[v[r] for v in basis] for r in range(mu.dim) if r not in bracketed]
+    if interior_point([[sum(v, ZERO) for v in basis], *sinks]) is not None:
+        for face in _nice_faces(mu, budget):
+            if face is None:
+                break
+            lam, kind, degeneration = face
+            d = _torus_cone_point(a.dspace, lam)
+            if d is None:
+                continue
+            cert = membership_certificate(d, lam, kind, degeneration)
+            if cert is None:
+                raise InvariantViolation("a torus LP point fails its membership LP")
+            return _certified(mu, SCOPE_ALGEBRA, cert, want_witness)
     return Verdict(
         UNKNOWN,
         SCOPE_ALGEBRA,
         notes="no candidate derivation certified; obstruction tests passed, "
         "so the algebra may still be a Ricci negative nilradical",
     )
-
-
-def _orient_positive_trace(d: Vec) -> Vec | None:
-    tr = sum(d, ZERO)
-    if tr > 0:
-        return d
-    if tr < 0:
-        return tuple(-x for x in d)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +416,15 @@ def _verify_kind_data(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
         return False, "stored D has non-positive trace"
 
     if cert.kind == POSITIVE_DERIVATION:
+        if cert.coefficients or cert.degeneration is not None:
+            return False, "a positive derivation carries no coefficients or degeneration"
         if all(x > 0 for x in d) and cert.slack > 0 and cert.slack <= min(d):
             return True, "all diagonal entries positive"
         return False, "entries are not all positive"
 
     if cert.kind == NICE_CONE:
+        if cert.degeneration is not None:
+            return False, "a nice basis cone carries no degeneration"
         lam = mu
         if not is_nice_basis(lam):
             return False, "basis is not nice"

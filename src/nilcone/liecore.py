@@ -20,8 +20,6 @@ from .linalg import (
     ZERO,
     fmt_rational,
     frac,
-    mat_inv,
-    mat_vec,
     nullspace,
 )
 
@@ -260,21 +258,6 @@ def center(mu: LieBracket) -> tuple[Vec, ...]:
         rows.setdefault((b, k), {})[a - 1] = v
         rows.setdefault((a, k), {})[b - 1] = -v
     return tuple(nullspace(rows.values(), mu.dim))
-
-
-def act(g: Sequence[Sequence[Fraction]], mu: LieBracket) -> LieBracket:
-    """Basis change g . mu := g mu(g^{-1} ., g^{-1} .)."""
-    n = mu.dim
-    ginv = mat_inv(g)
-    cols = [tuple(ginv[r][i] for r in range(n)) for i in range(n)]
-    new: dict[Key, Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            w = mat_vec(g, mu.bracket(cols[i - 1], cols[j - 1]))
-            for k in range(1, n + 1):
-                if w[k - 1]:
-                    new[(i, j, k)] = w[k - 1]
-    return LieBracket(n, new)
 
 
 def is_nice_basis(mu: LieBracket) -> bool:

@@ -55,27 +55,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return tuple(sum((r[j] * v[j] for j in range(len(v))), ZERO) for r in a)
-
-
-def mat_inv(a: Sequence[Sequence[Fraction]]) -> Mat:
-    n = len(a)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(a)
     m = [list(row) for row in a]

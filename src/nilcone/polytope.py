@@ -181,7 +181,7 @@ def fourier_motzkin(
 
 def interior_point(rows) -> Vec | None:
     """Some t with row . t > 0 for every row, or None if there is none (t free, exact LP)."""
-    sol = max_margin([[-x for x in row] for row in rows], [ZERO] * len(rows), free=True)
+    sol = max_margin([[-x for x in row] for row in rows], [ZERO] * len(rows), free=len(rows[0]))
     return None if sol is None else sol[1]
 
 
@@ -214,29 +214,8 @@ def project_certificate_cone(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoLimit:
-    triple: Key
-
-
 def pairing(alpha: Vec, i: int, j: int, k: int) -> Fraction:
     return frac(alpha[k - 1]) - frac(alpha[i - 1]) - frac(alpha[j - 1])
-
-
-def limit_along(mu: LieBracket, alpha: Vec) -> LieBracket | NoLimit:
-    """Limit of exp(t alpha) . mu as t -> infinity, when it exists.
-
-    Keeps exactly the structure constants with <alpha, F> = 0; any
-    positive pairing means the flow diverges (NoLimit).
-    """
-    kept = {}
-    for (i, j, k), v in mu.constants.items():
-        pr = pairing(alpha, i, j, k)
-        if pr > 0:
-            return NoLimit((i, j, k))
-        if pr == 0:
-            kept[(i, j, k)] = v
-    return LieBracket(mu.dim, kept)
 
 
 def sub_bracket(mu: LieBracket, j_set) -> LieBracket:
@@ -266,7 +245,7 @@ def is_face(j_set, w: WeightSet) -> tuple[bool, Vec | None]:
         [w.weights[q].vec for q in comp],
         [ZERO] * len(comp),
         [wt.vec for key, wt in zip(idx, w.weights) if key in j_set],
-        free=True,
+        free=n,
     )
     if sol is None:
         return False, None

@@ -185,20 +185,21 @@ def feasible_nonneg(a_eq: Sequence[Sequence], b_eq: Sequence) -> Vec | None:
 
 
 def max_margin(
-    a_ub: Sequence[Sequence], b_ub: Sequence, a_eq: Sequence[Sequence] = (), free: bool = False
+    a_ub: Sequence[Sequence], b_ub: Sequence, a_eq: Sequence[Sequence] = (), free: int = 0
 ) -> tuple[Fraction, Vec] | None:
     """Strict feasibility of a_ub.x < b_ub, a_eq.x = 0 by one exact LP.
 
-    Maximizes eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0,
-    with x >= 0, or x free (split as u - v); a_ub needs at least one row.
-    Returns (eps, x) when the optimal eps is positive, else None.
+    Maximizes eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0;
+    the first ``free`` entries of x are free (split as u - v), the rest
+    are >= 0.  a_ub needs at least one row.  Returns (eps, x) when the
+    optimal eps is positive, else None.
     """
 
     def split(row) -> list:
-        return list(row) + [-v for v in row] if free else list(row)
+        return list(row) + [-v for v in row[:free]]
 
     k = len(a_ub[0])
-    width = 2 * k if free else k
+    width = k + free
     rows = [split(row) + [ONE] for row in a_ub] + [[ZERO] * width + [ONE]]
     sol = solve_lp(
         [ZERO] * width + [ONE],
@@ -209,7 +210,5 @@ def max_margin(
     )
     if sol.status != OPTIMAL or sol.value <= 0:
         return None
-    x = sol.x[:k]
-    if free:
-        x = tuple(u - v for u, v in zip(x, sol.x[k:width]))
-    return sol.value, x
+    x = sol.x
+    return sol.value, tuple(x[q] - x[k + q] if q < free else x[q] for q in range(k))

@@ -183,6 +183,29 @@ def test_verify_checks_a_metric_on_a_positive_derivation(tmp_path, capsys):
     assert out == "valid: True\nreason: all diagonal entries positive\n"
 
 
+HEIS_FOREIGN_DATA = "coeff 9 9 9 5\nalpha 1 1 1\nkeep 7 8 9\n"
+
+
+def test_verify_rejects_data_a_kind_never_uses(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    path.write_text(
+        "certificate\nkind PositiveDerivation\ndim 3\nbracket 1 2 3 1\nderivation 1 1 2\n"
+        "slack 1\n" + HEIS_FOREIGN_DATA + "end\n"
+    )
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ("valid: False\nreason: a positive derivation carries no "
+                   "coefficients or degeneration\n")
+    nice = ("certificate\nkind NiceCone\ndim 3\nbracket 1 2 3 1\nderivation 1 1 2\n"
+            "coeff 1 2 3 1/2\nslack 1/2\n")
+    path.write_text(nice + "end\n")
+    assert run(capsys, "verify", str(path))[0] == 0
+    path.write_text(nice + "alpha 1 1 1\nkeep 7 8 9\nend\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == "valid: False\nreason: a nice basis cone carries no degeneration\n"
+
+
 def test_der_solves_der_mu_once_on_every_catalog_entry(monkeypatch, capsys):
     calls = []
     solve = derivations._derivation_nullspace

@@ -4,8 +4,9 @@
 ``FAMILY_SAMPLES``, the ``--format kv cone`` output (the projected
 certificate cone's inequalities) and the serialized ``certify_nilradical``
 verdict.  A change to a simplex pivot, a Fourier-Motzkin row, the order in
-which candidate derivations are tried or a certificate coefficient shows
-up here as a diff.
+which the algebra-level search tries a positive derivation, the sink LP
+and one torus LP per nice face, or a certificate coefficient shows up
+here as a diff.
 
 Regenerate (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden_cone.py > tests/golden/cone.txt``.

@@ -20,7 +20,9 @@ sum.  They also keep the slow exact kernels of the certificate cone: the
 ``Fraction`` rows, and one ``det`` per leading principal minor.  The
 integer Sylvester test is checked against the signs of those minors.
 Certificates from both certifiers are checked to survive serialize,
-parse and verify.
+parse and verify.  The torus LPs of ``certify_nilradical`` are checked
+against the per-derivation walk of ``certify_derivation``, and the
+Fourier-Motzkin projection against direct cone membership.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from nilcone.certifier import (
     NICE_CONE,
     POSITIVE_DERIVATION,
     SCOPE_ALGEBRA,
+    UNKNOWN,
     certify_derivation,
     certify_nilradical,
     find_witness_metric,
@@ -63,7 +66,6 @@ from nilcone.errors import InvariantViolation
 from nilcone.liecore import (
     LieBracket,
     SubspaceChain,
-    act,
     center,
     check_jacobi,
     is_nice_basis,
@@ -78,7 +80,6 @@ from nilcone.linalg import (
     frac,
     integer_row,
     leading_principal_minors,
-    mat_inv,
     nullspace,
 )
 from nilcone.momentricci import (
@@ -95,23 +96,17 @@ from nilcone.polytope import (
     interior_point,
     project_certificate_cone,
     remove_redundant,
+    strict_cone_membership,
     weight_set,
 )
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
 from test_golden_kernels import CASES
-from test_linalg import mat_mul
+from test_liecore import act, direct_sum
+from test_linalg import mat_inv, mat_mul
+from test_polytope import evaluate_cone
 
 MAX_DIM = 8
 ABELIAN_LINE = LieBracket(1, {})
-
-
-def direct_sum(parts) -> LieBracket:
-    constants, offset = {}, 0
-    for p in parts:
-        for (i, j, k), v in p.constants.items():
-            constants[(i + offset, j + offset, k + offset)] = v
-        offset += p.dim
-    return LieBracket(offset, constants)
 
 
 def _direct_sums() -> list[LieBracket]:
@@ -731,7 +726,8 @@ def test_run_simplex_leaves_the_reference_tableau(tableau):
 
 
 def test_every_catalog_lp_matches_the_reference(monkeypatch):
-    """Each LP that the certifiers pose on the catalog, against the rational tableau."""
+    """Each LP that the certifiers and the cone projection pose on the
+    catalog, against the rational tableau."""
     solved = []
 
     def checked(*args, **kwargs):
@@ -744,6 +740,9 @@ def test_every_catalog_lp_matches_the_reference(monkeypatch):
     for _, id_, params in CASES:
         mu = catalog_get(id_, **params)
         certify_nilradical(mu)
+        dspace = diagonal_derivations(mu)
+        if dspace.dim:
+            project_certificate_cone(weight_set(mu), dspace)
         for d in catalog_entry(id_).derivations:
             if sum(d) > 0:
                 certify_derivation(mu, d)
@@ -781,6 +780,31 @@ def test_certificate_cone_matches_fraction_reference(mu):
     assume(dspace.dim > 0)
     w = weight_set(mu)
     assert project_certificate_cone(w, dspace) == reference_project_certificate_cone(w, dspace)
+
+
+@st.composite
+def nice_torus_points(draw):
+    """(mu, t): a generated algebra with a nice basis and torus parameters t."""
+    mu = draw(nilpotent_algebras(unipotent=False))
+    assume(is_nice_basis(mu))
+    p = diagonal_derivations(mu).dim
+    assume(p > 0)
+    return mu, draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+
+
+@settings(max_examples=40)
+@given(nice_torus_points())
+@example((catalog_get("ex9"), [1]))  # in the cone: the NiceCone certificate's D
+@example((catalog_get("ex9"), [-1]))
+@example((catalog_get("ex1ex2ex5-ii"), [1, 1]))  # empty projected cone
+def test_projected_cone_agrees_with_direct_membership(case):
+    """Fourier-Motzkin serves no verdict, so its inequalities are checked
+    against the membership LP they describe."""
+    mu, t = case
+    dspace = diagonal_derivations(mu)
+    w = weight_set(mu)
+    direct = strict_cone_membership(dspace.point(t), w).feasible
+    assert evaluate_cone(project_certificate_cone(w, dspace), t) == direct
 
 
 @st.composite
@@ -841,6 +865,33 @@ def test_certificates_survive_serialize_parse_verify(mu, case):
     lam, d = case
     if sum(d) > 0:
         _survives_round_trip(lam, certify_derivation(lam, d, budget=64))
+
+
+def _torus_point(id_, t):
+    """A catalog algebra with the point of its diagonal torus at parameters t."""
+    mu = catalog_get(id_)
+    return mu, diagonal_derivations(mu).point(t)
+
+
+@settings(max_examples=40)
+@given(diagonal_derivations_of_algebras())
+@example(_listed("ex9"))
+@example(_listed("dim7-alg1"))  # not nice: a degeneration
+@example(_torus_point("ex1ex2ex5-i", [1]))  # Unknown after the sink LP
+@example(_torus_point("ex1ex2ex5-ii", [1, 2]))
+@example((FILIFORM_8, (F(-1), F(7), F(6), F(5), F(4), F(3), F(2), F(1))))
+def test_torus_search_agrees_with_the_per_derivation_walk(case):
+    """``certify_derivation`` is the slow oracle of the torus LPs: it walks
+    the same brackets for one fixed D.  A budget above the number of
+    index subsets lets both walks finish."""
+    mu, d = case
+    budget = 2 ** len(mu.keys())
+    v = certify_nilradical(mu, budget=budget)
+    if v.status == CERTIFIED_RN:
+        # any earlier bracket certifying v.d would have made its torus LP feasible
+        assert certify_derivation(mu, v.d, budget=budget).certificate == v.certificate
+    elif v.status == UNKNOWN and sum(d) > 0:
+        assert certify_derivation(mu, d, budget=budget).status != CERTIFIED_RN
 
 
 @st.composite

@@ -5,7 +5,6 @@ import pytest
 from nilcone.errors import ParseError
 from nilcone.liecore import (
     LieBracket,
-    act,
     center,
     check_jacobi,
     emit_bracket,
@@ -14,6 +13,34 @@ from nilcone.liecore import (
     lower_central_series,
     parse_bracket,
 )
+
+from test_linalg import mat_inv, mat_vec
+
+
+def act(g, mu: LieBracket) -> LieBracket:
+    """Oracle: the basis change g . mu := g mu(g^{-1} ., g^{-1} .)."""
+    n = mu.dim
+    ginv = mat_inv(g)
+    cols = [tuple(ginv[r][i] for r in range(n)) for i in range(n)]
+    new = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            w = mat_vec(g, mu.bracket(cols[i - 1], cols[j - 1]))
+            for k in range(1, n + 1):
+                if w[k - 1]:
+                    new[(i, j, k)] = w[k - 1]
+    return LieBracket(n, new)
+
+
+def direct_sum(parts) -> LieBracket:
+    """The direct sum of brackets, each summand's basis after the previous ones."""
+    constants, offset = {}, 0
+    for p in parts:
+        for (i, j, k), v in p.constants.items():
+            constants[(i + offset, j + offset, k + offset)] = v
+        offset += p.dim
+    return LieBracket(offset, constants)
+
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 N4NICE = LieBracket(4, {(1, 2, 3): F(1), (1, 3, 4): F(1)})

@@ -4,13 +4,13 @@ import pytest
 
 from nilcone.errors import SingularMatrixError
 from nilcone.linalg import (
+    ONE,
+    ZERO,
     Echelon,
     dense_row,
     det,
     leading_principal_minors,
     mat,
-    mat_inv,
-    mat_vec,
     min_norm_solution,
     nullspace,
     solve_affine,
@@ -21,6 +21,29 @@ from nilcone.linalg import (
 def mat_mul(a, b):
     """Oracle: the dense matrix product."""
     return tuple(tuple(sum((x * y for x, y in zip(ra, cb)), F(0)) for cb in zip(*b)) for ra in a)
+
+
+def mat_vec(a, v):
+    """Oracle: the dense matrix-vector product."""
+    return tuple(sum((r[j] * v[j] for j in range(len(v))), ZERO) for r in a)
+
+
+def mat_inv(a):
+    """Oracle: the inverse by Gauss-Jordan elimination on [a | 1]."""
+    n = len(a)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = ONE / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def span_rank(vectors, ncols: int) -> int:

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +7,12 @@ from nilcone.catalog import catalog_get
 from nilcone.derivations import diagonal_derivations
 from nilcone.liecore import LieBracket
 from nilcone.polytope import (
-    NoLimit,
     Weight,
     ProjectedCone,
     enumerate_face_degenerations,
     interior_point,
     is_face,
-    limit_along,
+    pairing,
     project_certificate_cone,
     strict_cone_membership,
     sub_bracket,
@@ -21,6 +21,27 @@ from nilcone.polytope import (
 )
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
+
+
+@dataclass(frozen=True)
+class NoLimit:
+    triple: tuple[int, int, int]
+
+
+def limit_along(mu: LieBracket, alpha) -> LieBracket | NoLimit:
+    """Oracle: the limit of exp(t alpha) . mu as t -> infinity, when it exists.
+
+    Keeps exactly the structure constants with <alpha, F> = 0; any
+    positive pairing means the flow diverges (NoLimit).
+    """
+    kept = {}
+    for (i, j, k), v in mu.constants.items():
+        pr = pairing(alpha, i, j, k)
+        if pr > 0:
+            return NoLimit((i, j, k))
+        if pr == 0:
+            kept[(i, j, k)] = v
+    return LieBracket(mu.dim, kept)
 
 
 def evaluate_cone(cone: ProjectedCone, t) -> bool:

@@ -86,13 +86,22 @@ def test_max_margin_caps_at_one():
 def test_max_margin_free_with_equalities():
     # x1 <= -eps needs a negative coordinate, so only the free split solves it
     assert max_margin([[1, 0]], [0], [[1, -1]]) is None
-    eps, x = max_margin([[1, 0]], [0], [[1, -1]], free=True)
+    eps, x = max_margin([[1, 0]], [0], [[1, -1]], free=2)
     assert eps == 1 and x[0] == x[1] and x[0] <= -1
+    # x1 free, x2 >= 0: x1 = x2 cannot be negative
+    assert max_margin([[1, 0]], [0], [[1, -1]], free=1) is None
+
+
+def test_max_margin_leading_free_columns():
+    # x1 free, x2 >= 0, x1 + x2 < 0 and x1 - x2 < -1: x1 = -1, x2 = 0 at eps = 1
+    eps, x = max_margin([[1, 1], [1, -1]], [0, -1], free=1)
+    assert eps == 1 and x[0] < 0 and x[1] >= 0
+    assert max_margin([[0, 1]], [0], free=1) is None  # x2 < 0 with x2 >= 0
 
 
 def test_max_margin_infeasible():
-    assert max_margin([[1], [-1]], [0, 0], free=True) is None  # x < 0 < x
-    assert max_margin([[-1, 0], [0, -1]], [0, 0], [[1, 1]], free=True) is None
+    assert max_margin([[1], [-1]], [0, 0], free=1) is None  # x < 0 < x
+    assert max_margin([[-1, 0], [0, -1]], [0, 0], [[1, 1]], free=2) is None
 
 
 def test_unbounded_phase_one_raises(monkeypatch):
