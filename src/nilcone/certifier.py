@@ -10,7 +10,7 @@ the degeneration search under-approximates the true cone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .derivations import (
@@ -22,7 +22,7 @@ from .derivations import (
 )
 from .errors import InputError, InvariantViolation, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
-from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row, leading_principal_minors
+from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
 from .momentricci import MetricExtension, extension_ricci, is_negative_definite
 from .polytope import (
     interior_point,
@@ -73,7 +73,8 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
     """tr D > 0 and D positive definite on the center.
 
     The center need not be spanned by standard basis vectors, so the
-    restriction is tested as a quadratic form by exact leading minors.
+    restriction is tested as a quadratic form: minus its Gram matrix must
+    pass the exact Sylvester test.
     """
     require_diagonal_derivation(d, mu)
     trd = sum(d, ZERO)
@@ -82,9 +83,9 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
     z = center(mu)
     if z:
         # only coordinates where d and both center vectors are nonzero add
-        weighted = [[(r, d[r] * v) for r, v in enumerate(za) if v and d[r]] for za in z]
-        gram = [[sum((w * zb[r] for r, w in dza if zb[r]), ZERO) for zb in z] for dza in weighted]
-        if any(m <= 0 for m in leading_principal_minors(gram)):
+        weighted = [[(r, -d[r] * v) for r, v in enumerate(za) if v and d[r]] for za in z]
+        neg_gram = [[sum((w * zb[r] for r, w in dza if zb[r]), ZERO) for zb in z] for dza in weighted]
+        if not is_negative_definite(neg_gram):
             return False, "restriction to the center is not positive definite"
     return True, None
 
@@ -109,15 +110,13 @@ def certify_derivation(
     mu: LieBracket,
     d: Vec,
     budget: int = 4096,
-    want_witness: bool = False,
 ) -> Verdict:
     """Decide whether the diagonal derivation D is Ricci negative.
 
     Pipeline: entrywise-positive shortcut, necessary condition, nice-basis
     LP, nice face degenerations by decreasing |J|, then Unknown.  Never
     returns a verdict about the algebra itself.  ``budget`` bounds the nice
-    face subsets tested, i.e. the ``is_face`` LPs; a requested witness
-    search runs at its own default.
+    face subsets tested, i.e. the ``is_face`` LPs.
     """
     require_diagonal_derivation(d, mu)
     d = tuple(frac(x) for x in d)
@@ -127,7 +126,7 @@ def certify_derivation(
 
     if all(x > 0 for x in d):
         cert = Certificate(POSITIVE_DERIVATION, d, slack=min(d))
-        return _certified(mu, SCOPE_DERIVATION, cert, False)
+        return _certified(mu, SCOPE_DERIVATION, cert)
 
     ok, reason = necessary_condition(mu, d)
     if not ok:
@@ -147,7 +146,7 @@ def certify_derivation(
         lam, kind, degeneration = face
         cert = membership_certificate(d, lam, kind, degeneration)
         if cert is not None:
-            return _certified(mu, SCOPE_DERIVATION, cert, want_witness)
+            return _certified(mu, SCOPE_DERIVATION, cert)
         if kind == NICE_CONE:
             note = ("cone membership over the full hull is infeasible; "
                     "the certified cone under-approximates the true one")
@@ -185,18 +184,14 @@ def _nice_faces(mu: LieBracket, budget: int):
             yield lam, DEGENERATION_CONE, (alpha, j_set)
 
 
-def _certified(mu: LieBracket, scope: str, cert: Certificate, want_witness: bool) -> Verdict:
-    """CertifiedRN on cert.d, noted by kind; a cone certificate gets a witness metric if asked."""
+def _certified(mu: LieBracket, scope: str, cert: Certificate) -> Verdict:
+    """CertifiedRN on cert.d, noted by kind."""
     if cert.kind == POSITIVE_DERIVATION:
         note = "positive derivation"
     elif cert.degeneration is None:
         note = "nice basis cone"
     else:
         note = f"degeneration keeping {len(cert.degeneration[1])} of {len(mu.keys())} constants"
-    if want_witness:
-        ext = find_witness_metric(mu, cert.d, cert)
-        if ext is not None:
-            cert = replace(cert, witness=ext)
     return Verdict(CERTIFIED_RN, scope, cert.d, cert, notes=note)
 
 
@@ -226,7 +221,7 @@ def _torus_cone_point(dspace: DiagonalDerivationSpace, lam: LieBracket) -> Vec |
     return tuple(map(frac, integer_row(dspace.point(sol[1][:dspace.dim]))))
 
 
-def certify_nilradical(mu: LieBracket, budget: int = 4096, want_witness: bool = False) -> Verdict:
+def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
     """Algebra-level verdict: obstructions first, then a search over the torus.
 
     The diagonal derivations serve both the traceless test and the search,
@@ -235,7 +230,7 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096, want_witness: bool = 
     when no D has tr D > 0 and D_r > 0 at each sink r (an index never
     bracketed from, where every weight has F_w[r] >= 0), then solves one
     torus LP per bracket of ``_nice_faces``.  ``budget`` is as for
-    ``certify_derivation``.
+    ``certify_derivation``, and an ``Unknown`` says when it ran out.
     """
     if not is_nilpotent(mu):
         raise InputError("algebra is not nilpotent")
@@ -261,14 +256,17 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096, want_witness: bool = 
     pos = _positive_diagonal_derivation(a.dspace, mu.dim)
     if pos is not None:
         cert = Certificate(POSITIVE_DERIVATION, pos, slack=min(pos))
-        return _certified(mu, SCOPE_ALGEBRA, cert, False)
+        return _certified(mu, SCOPE_ALGEBRA, cert)
 
     basis = a.dspace.basis
     bracketed = {x - 1 for (i, j, _) in mu.keys() for x in (i, j)}
     sinks = [[v[r] for v in basis] for r in range(mu.dim) if r not in bracketed]
+    note = ("no candidate derivation certified; obstruction tests passed, "
+            "so the algebra may still be a Ricci negative nilradical")
     if interior_point([[sum(v, ZERO) for v in basis], *sinks]) is not None:
         for face in _nice_faces(mu, budget):
             if face is None:
+                note += " (face budget exhausted)"
                 break
             lam, kind, degeneration = face
             d = _torus_cone_point(a.dspace, lam)
@@ -277,13 +275,8 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096, want_witness: bool = 
             cert = membership_certificate(d, lam, kind, degeneration)
             if cert is None:
                 raise InvariantViolation("a torus LP point fails its membership LP")
-            return _certified(mu, SCOPE_ALGEBRA, cert, want_witness)
-    return Verdict(
-        UNKNOWN,
-        SCOPE_ALGEBRA,
-        notes="no candidate derivation certified; obstruction tests passed, "
-        "so the algebra may still be a Ricci negative nilradical",
-    )
+            return _certified(mu, SCOPE_ALGEBRA, cert)
+    return Verdict(UNKNOWN, SCOPE_ALGEBRA, notes=note)
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +290,25 @@ def find_witness_metric(
     cert: Certificate,
     budget: int = 400,
 ) -> MetricExtension | None:
-    """Build (s = 1, h) making the extension Ricci negative definite, from a cone certificate.
+    """Build (s, h) making the extension Ricci negative definite, for any CertifiedRN kind.
 
-    x = log h minimizes 1/2 sum_w c_w^2 e^(2 <F_w, x>) - 2 tr D <P, x> over the
-    weights of the certificate's nice bracket, where P is the certificate's
-    combination with each zero coefficient raised to slack / (4 #zeros); see
-    README "Witness metrics".  ``budget`` caps the Newton steps.  e^x is
+    For a positive derivation, h = 1 and s is halved from 1 until the test
+    passes; as s -> 0 the Ricci matrix tends to diag(-tr D^2, -(tr D) D),
+    which is negative definite since D > 0, so the loop ends and ``budget``
+    does not cap it.  For a cone certificate s = 1, and x = log h minimizes
+    1/2 sum_w c_w^2 e^(2 <F_w, x>) - 2 tr D <P, x> over the weights of the
+    certificate's nice bracket, where P is the certificate's combination
+    with each zero coefficient raised to slack / (4 #zeros); see README
+    "Witness metrics".  ``budget`` caps the Newton steps.  e^x is
     rounded, finer if needed, and for a degeneration multiplied by
     2^(t alpha), t = 0, 1, 2, 4, ...  Only the exact Sylvester test accepts;
     None if no candidate passes it.
     """
-    if cert.kind not in (NICE_CONE, DEGENERATION_CONE):
-        raise InputError("a witness metric needs a cone certificate")
+    if cert.kind == POSITIVE_DERIVATION:
+        ext = MetricExtension(mu, d, ONE, (ONE,) * mu.dim)
+        while not is_negative_definite(extension_ricci(ext)):
+            ext = MetricExtension(mu, d, ext.s / 2, ext.h)
+        return ext
     lam = mu if cert.degeneration is None else sub_bracket(mu, cert.degeneration[1])
     zeros = sum(1 for key in lam.keys() if not cert.coefficients.get(key))
     eps = cert.slack / (4 * zeros) if zeros else ZERO

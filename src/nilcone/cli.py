@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .catalog import (
@@ -22,13 +23,9 @@ from .catalog import (
 )
 from .certifier import (
     CERTIFIED_RN,
-    DEGENERATION_CONE,
-    NICE_CONE,
-    POSITIVE_DERIVATION,
     certify_derivation,
     certify_nilradical,
     find_witness_metric,
-    membership_certificate,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -258,9 +255,13 @@ def cmd_certify(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
     if args.derivation:
         d = _parse_vec(args.derivation, mu.dim, "derivation")
-        verdict = certify_derivation(mu, d, budget=args.budget, want_witness=args.witness)
+        verdict = certify_derivation(mu, d, budget=args.budget)
     else:
-        verdict = certify_nilradical(mu, budget=args.budget, want_witness=args.witness)
+        verdict = certify_nilradical(mu, budget=args.budget)
+    if args.witness and verdict.status == CERTIFIED_RN:
+        cert = verdict.certificate
+        verdict = replace(verdict, certificate=replace(
+            cert, witness=find_witness_metric(mu, cert.d, cert)))
     _print_verdict(mu, verdict, out)
     return EXIT_OK
 
@@ -277,17 +278,11 @@ def cmd_witness(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
     d = _parse_vec(args.derivation, mu.dim, "derivation")
     verdict = certify_derivation(mu, d, budget=args.budget)
-    cert = verdict.certificate
-    if cert is not None and cert.kind == POSITIVE_DERIVATION and is_nice_basis(mu):
-        # the metric is built from cone data, so trade the shortcut for one
-        cert = membership_certificate(d, mu, NICE_CONE, None)
-    if verdict.status != CERTIFIED_RN or cert is None or cert.kind not in (
-        NICE_CONE, DEGENERATION_CONE,
-    ):
+    if verdict.status != CERTIFIED_RN:
         out.emit("status", verdict.status)
-        out.emit("notes", "a witness metric needs a cone certificate for this derivation")
+        out.emit("notes", "a witness metric needs a CertifiedRN verdict for this derivation")
         return EXIT_OK
-    ext = find_witness_metric(mu, d, cert)
+    ext = find_witness_metric(mu, d, verdict.certificate)
     if ext is None:
         out.emit("found", False)
         out.emit("notes", "no rounded metric passed the exact test; the certificate still holds")
@@ -386,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("witness", help="explicit negative-Ricci metric from the cone certificate")
+    p = sub.add_parser("witness", help="explicit negative-Ricci metric from the certificate")
     _add_algebra_arg(p)
     p.add_argument("--derivation", required=True, help="d1,...,dn")
     p.set_defaults(fn=cmd_witness)

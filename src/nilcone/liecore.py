@@ -104,11 +104,10 @@ class LieBracket:
 class SubspaceChain:
     """Nested subspaces, e.g. the lower central series.
 
-    ``terms`` holds one basis matrix (tuple of vectors) per nonzero term;
-    ``terminates`` is True when the series stabilizes at zero.
+    ``dims`` holds the dimension of each nonzero term; ``terminates`` is
+    True when the series stabilizes at zero.
     """
 
-    terms: tuple[tuple[Vec, ...], ...]
     dims: tuple[int, ...]
     terminates: bool
 
@@ -220,7 +219,6 @@ def lower_central_series(mu: LieBracket) -> SubspaceChain:
     """
     n = mu.dim
     current: list[dict[int, Fraction]] = [{s: ONE} for s in range(n)]
-    terms = [tuple(tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n))]
     dims = [n]
     while True:
         ech = Echelon(n)
@@ -237,9 +235,8 @@ def lower_central_series(mu: LieBracket) -> SubspaceChain:
                 ech.add_row(img)
         d = ech.rank
         if d == 0 or d == dims[-1]:
-            return SubspaceChain(tuple(terms), tuple(dims), terminates=(d == 0))
+            return SubspaceChain(tuple(dims), terminates=(d == 0))
         current = [ech.pivots[p] for p in sorted(ech.pivots)]
-        terms.append(tuple(tuple(row.get(t, ZERO) for t in range(n)) for row in current))
         dims.append(d)
 
 

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from nilcone import certifier
-from nilcone.catalog import catalog_get
+from nilcone.catalog import catalog_entry, catalog_get
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
     CERTIFIED_RN,
@@ -28,6 +29,7 @@ from nilcone.momentricci import extension_ricci, is_negative_definite
 from nilcone.polytope import strict_cone_membership, weight_set
 from test_golden import _verdict
 from test_golden_cone import _golden_sections
+from test_golden_kernels import CASES
 from test_liecore import direct_sum
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
@@ -182,22 +184,49 @@ def test_witness_metric_heis():
     assert is_negative_definite(extension_ricci(ext))
 
 
-def test_witness_requires_cone_certificate():
-    cert = Certificate(POSITIVE_DERIVATION, (F(1), F(1), F(2)), slack=F(1))
-    with pytest.raises(ValueError):
-        find_witness_metric(HEIS, cert.d, cert)
+def test_positive_derivation_witness_round_trips_through_verify():
+    # s = 1 fails for so small a D; halving reaches a negative definite Ricci
+    d = (F(1, 100), F(1, 100), F(1, 50))
+    cert = certify_derivation(HEIS, d).certificate
+    assert cert.kind == POSITIVE_DERIVATION
+    ext = find_witness_metric(HEIS, d, cert, budget=0)
+    assert ext.s == F(1, 32) and ext.h == (1, 1, 1)
+    assert not is_negative_definite(extension_ricci(replace(ext, s=F(1, 16))))
+    mu2, cert2 = parse_certificate(serialize_certificate(HEIS, replace(cert, witness=ext)))
+    assert cert2.witness == ext
+    ok, msg = verify_certificate(mu2, cert2)
+    assert ok, msg
 
 
 def test_serialization_roundtrip():
     mu = catalog_get("dim7-alg1")
     d = tuple(map(F, (0, 1, 0, 1, 1, 1, 1)))
-    v = certify_derivation(mu, d, want_witness=True, budget=50)
-    text = serialize_certificate(mu, v.certificate)
+    v = certify_derivation(mu, d, budget=50)
+    cert = replace(v.certificate, witness=find_witness_metric(mu, d, v.certificate))
+    assert cert.witness is not None
+    text = serialize_certificate(mu, cert)
     mu2, cert2 = parse_certificate(text)
     assert mu2 == mu
-    assert cert2 == v.certificate
+    assert cert2 == cert
     ok, msg = verify_certificate(mu2, cert2)
     assert ok, msg
+
+
+@pytest.mark.parametrize("label,id_,params", CASES, ids=[c[0] for c in CASES])
+def test_every_catalog_certified_rn_gets_a_verified_metric(label, id_, params):
+    """Algebra scope and every listed derivation with positive trace."""
+    mu = catalog_get(id_, **params)
+    verdicts = [certify_nilradical(mu)] + [
+        certify_derivation(mu, d) for d in catalog_entry(id_).derivations if sum(d) > 0]
+    for v in verdicts:
+        if v.status != CERTIFIED_RN:
+            continue
+        ext = find_witness_metric(mu, v.d, v.certificate)
+        assert ext is not None
+        mu2, cert2 = parse_certificate(
+            serialize_certificate(mu, replace(v.certificate, witness=ext)))
+        ok, msg = verify_certificate(mu2, cert2)
+        assert ok and cert2.witness == ext, msg
 
 
 @pytest.mark.parametrize("text", [
@@ -239,6 +268,26 @@ def test_nilradical_engel_obstruction():
         v = certify_nilradical(catalog_get(id_))
         assert v.status == CERTIFIED_NOT_RN
         assert "characteristically nilpotent" in v.obstruction
+
+
+NILRADICAL_UNKNOWN_NOTE = ("no candidate derivation certified; obstruction tests passed, "
+                           "so the algebra may still be a Ricci negative nilradical")
+
+
+@pytest.mark.parametrize("budget,status,notes", [
+    (0, UNKNOWN, NILRADICAL_UNKNOWN_NOTE + " (face budget exhausted)"),
+    (4096, CERTIFIED_RN, "degeneration keeping 7 of 8 constants"),
+])
+def test_nilradical_notes_when_the_face_budget_ran_out(budget, status, notes):
+    # dim7-alg1 has no positive derivation and is not nice: only the face walk certifies it
+    v = certify_nilradical(catalog_get("dim7-alg1"), budget=budget)
+    assert (v.status, v.notes) == (status, notes)
+
+
+def test_nilradical_sink_lp_unknown_keeps_its_note():
+    # the walk never starts, so no budget ran out
+    v = certify_nilradical(catalog_get("ex1ex2ex5-ii"), budget=0)
+    assert (v.status, v.notes) == (UNKNOWN, NILRADICAL_UNKNOWN_NOTE)
 
 
 def test_nilradical_rejects_non_nilpotent():

@@ -113,8 +113,30 @@ def test_witness_heis(capsys):
     code, out, _ = run(capsys, "witness", "heis3", "--derivation", "1,1,2")
     assert code == 0
     assert "found: True" in out
-    assert "scale: 1" in out
+    assert "scale: 1\nh: 1,1,1\n" in out
     assert "negative-definite: True" in out
+
+
+def test_witness_on_positive_non_nice_derivation(capsys):
+    code, out, _ = run(capsys, "witness", "n5nonice", "--derivation", "1,1,2,2,3")
+    assert code == 0
+    assert "found: True" in out
+    # only a verdict other than CertifiedRN is refused
+    code, out, _ = run(capsys, "witness", "heis3", "--derivation=-1,2,1")
+    assert code == 0
+    assert out.startswith("status: Unknown\n") and "found" not in out
+
+
+def test_certify_witness_on_positive_derivation_verifies(tmp_path, capsys):
+    code, out, _ = run(capsys, "certify", "heis3", "--derivation", "1,1,2", "--witness")
+    assert code == 0
+    assert "kind PositiveDerivation\n" in out
+    assert "metric-scale 1\nmetric-h 1 1 1\n" in out
+    path = tmp_path / "cert.txt"
+    path.write_text(extract_block(out))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "valid: True" in out
 
 
 def test_catalog_list_and_show(capsys):

@@ -39,15 +39,12 @@ from nilcone import certifier, derivations
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
     CERTIFIED_RN,
-    DEGENERATION_CONE,
-    NICE_CONE,
     POSITIVE_DERIVATION,
     SCOPE_ALGEBRA,
     UNKNOWN,
     certify_derivation,
     certify_nilradical,
     find_witness_metric,
-    membership_certificate,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -240,7 +237,6 @@ def reference_lower_central_series(mu: LieBracket) -> SubspaceChain:
     current = tuple(
         tuple(ONE if t == s else ZERO for t in range(n)) for s in range(n)
     )
-    terms = [current]
     dims = [n]
     while True:
         images = []
@@ -253,10 +249,9 @@ def reference_lower_central_series(mu: LieBracket) -> SubspaceChain:
         nxt = _span_basis(images, n)
         d = len(nxt)
         if d == dims[-1]:
-            return SubspaceChain(tuple(terms), tuple(dims), terminates=(d == 0))
+            return SubspaceChain(tuple(dims), terminates=(d == 0))
         if d == 0:
-            return SubspaceChain(tuple(terms), tuple(dims), terminates=True)
-        terms.append(nxt)
+            return SubspaceChain(tuple(dims), terminates=True)
         dims.append(d)
         current = nxt
 
@@ -830,16 +825,16 @@ FILIFORM_8 = LieBracket(8, {(1, i, i + 1): ONE for i in range(2, 8)})  # m_0(8)
 @example(_listed("ex9"))
 @example((FILIFORM_8, (F(-1), F(7), F(6), F(5), F(4), F(3), F(2), F(1))))
 @example(_listed("dim7-alg2"))  # rounded h passes only after one step along alpha
-def test_every_cone_certificate_gets_a_verified_witness_metric(case):
+@example((catalog_get("heis3"), (F(1, 100), F(1, 100), F(1, 50))))  # passes at s = 1/32
+@example((catalog_get("n5nonice"), (F(1), F(1), F(2), F(2), F(3))))  # positive, not nice
+def test_every_certified_rn_certificate_gets_a_verified_witness_metric(case):
     mu, d = case
     assume(sum(d) > 0)
     cert = certify_derivation(mu, d, budget=64).certificate
-    if cert is not None and cert.kind == POSITIVE_DERIVATION and is_nice_basis(mu):
-        cert = membership_certificate(d, mu, NICE_CONE, None)
-    assume(cert is not None and cert.kind in (NICE_CONE, DEGENERATION_CONE))
+    assume(cert is not None)
     ext = find_witness_metric(mu, d, cert)
-    assert ext is not None
-    assert ext.s == 1 and is_negative_definite(extension_ricci(ext))
+    assert ext is not None and is_negative_definite(extension_ricci(ext))
+    assert ext.s == 1 or cert.kind == POSITIVE_DERIVATION
     mu2, cert2 = parse_certificate(serialize_certificate(mu, replace(cert, witness=ext)))
     assert cert2.witness == ext
     ok, msg = verify_certificate(mu2, cert2)
