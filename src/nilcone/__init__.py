@@ -28,8 +28,8 @@ from .derivations import (
     solve_phi,
 )
 from .polytope import (
-    enumerate_face_degenerations,
     is_face,
+    iter_faces,
     project_certificate_cone,
     strict_cone_membership,
     weight_set,

@@ -26,8 +26,7 @@ from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
 from .momentricci import MetricExtension, extension_ricci, is_negative_definite
 from .polytope import (
     interior_point,
-    iter_face_candidates,
-    is_face,
+    iter_faces,
     pairing,
     strict_cone_membership,
     sub_bracket,
@@ -93,17 +92,11 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
 def membership_certificate(
     d: Vec, lam: LieBracket, kind: str, degeneration
 ) -> Certificate | None:
-    w = weight_set(lam)
-    res = strict_cone_membership(d, w)
-    if not res.feasible:
+    res = strict_cone_membership(d, weight_set(lam))
+    if res is None:
         return None
-    return Certificate(
-        kind=kind,
-        d=tuple(d),
-        degeneration=degeneration,
-        coefficients=dict(res.assignment),
-        slack=res.slack,
-    )
+    slack, coefficients = res
+    return Certificate(kind, tuple(d), degeneration, coefficients, slack)
 
 
 def certify_derivation(
@@ -161,27 +154,23 @@ def _nice_faces(mu: LieBracket, budget: int):
     set, by decreasing |J|.  A diagonal derivation of mu solves a subset
     of its defining equations on lambda_J, so it stays a derivation there.
     ``budget`` bounds the nice subsets tested, i.e. the ``is_face`` LPs;
-    once it is spent with subsets left, yields None and stops.
+    once it is spent with nice subsets left, yields None and stops.
     """
     if is_nice_basis(mu):
         yield mu, NICE_CONE, None
         return
-    w = weight_set(mu)
-    full = frozenset(mu.keys())
-    tested = 0
-    for j_set in iter_face_candidates(mu):
-        if j_set == full:
-            continue  # the full hull needs a nice basis, handled above
-        if tested >= budget:
+    full = len(mu.keys())
+
+    def nice_proper(j_set) -> bool:
+        # the full hull needs a nice basis of mu, handled above
+        return len(j_set) < full and is_nice_basis(sub_bracket(mu, j_set))
+
+    for face in iter_faces(mu, budget, nice_proper):
+        if face is None:
             yield None
-            return
-        lam = sub_bracket(mu, j_set)
-        if not is_nice_basis(lam):
-            continue
-        tested += 1
-        face, alpha = is_face(j_set, w)
-        if face:
-            yield lam, DEGENERATION_CONE, (alpha, j_set)
+        else:
+            j_set, alpha = face
+            yield sub_bracket(mu, j_set), DEGENERATION_CONE, (alpha, j_set)
 
 
 def _certified(mu: LieBracket, scope: str, cert: Certificate) -> Verdict:
@@ -211,8 +200,8 @@ def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Ve
 def _torus_cone_point(dspace: DiagonalDerivationSpace, lam: LieBracket) -> Vec | None:
     """One LP over (t free, a >= 0): D = point(t) with D - sum a_w F_w > 0
     over the weights of lam and tr D > 0, as a primitive integer vector."""
-    weights = weight_set(lam).weights
-    rows = [[-v[r] for v in dspace.basis] + [wt.vec[r] for wt in weights]
+    weights = list(weight_set(lam).values())
+    rows = [[-v[r] for v in dspace.basis] + [wt[r] for wt in weights]
             for r in range(lam.dim)]
     rows.append([-sum(v, ZERO) for v in dspace.basis] + [ZERO] * len(weights))
     sol = max_margin(rows, [ZERO] * len(rows), free=dspace.dim)
@@ -314,10 +303,10 @@ def find_witness_metric(
     eps = cert.slack / (4 * zeros) if zeros else ZERO
     trd = float(sum(d, ZERO))
     terms = [
-        ([(r, float(v)) for r, v in enumerate(wt.vec) if v],
+        ([(r, float(v)) for r, v in enumerate(wt) if v],
          float(lam.constants[key]) ** 2,
          2 * trd * float(cert.coefficients.get(key) or eps))
-        for key, wt in zip(lam.keys(), weight_set(lam).weights)
+        for key, wt in weight_set(lam).items()
     ]
     # a millionth of the margin: the float error is then far below the rounding's
     x = _newton_log_metric(terms, mu.dim, 1e-6 * float(cert.slack) * trd, budget)

@@ -3,7 +3,8 @@
 Algebras are given either as a file in the line-based bracket format or
 as a built-in catalog id (family parameters via --param t=VALUE).  Exit
 codes: 0 verdict produced, 1 input error, 2 internal error (an
-invariant violation or any other ValueError), 3 regression failure.
+invariant violation or any other ValueError), 3 regression failure, 141
+stdout closed before all output was written (as by ``| head``).
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ from .momentricci import (
     moment_map,
 )
 from .linalg import fmt_rational, leading_principal_minors
-from .polytope import enumerate_face_degenerations, project_certificate_cone, weight_set
+from .polytope import iter_faces, project_certificate_cone, sub_bracket, weight_set
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_REGRESSION = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe
 
 
 def _fmt_vec(v) -> str:
@@ -171,8 +173,8 @@ def cmd_weights(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
     w = weight_set(mu)
     out.emit("count", len(w))
-    for wt in w.weights:
-        out.emit(f"weight.{wt.i}.{wt.j}.{wt.k}", _fmt_vec(wt.vec))
+    for (i, j, k), vec in w.items():
+        out.emit(f"weight.{i}.{j}.{k}", _fmt_vec(vec))
     return EXIT_OK
 
 
@@ -199,14 +201,18 @@ def cmd_cone(args, out: Printer) -> int:
 
 def cmd_degenerate(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
-    enum = enumerate_face_degenerations(mu, budget=args.budget)
-    out.emit("tested", enum.tested)
-    out.emit("complete", enum.complete)
-    out.emit("faces", len(enum.faces))
-    for i, f in enumerate(enum.faces):
-        out.emit(f"face.{i}.kept", ";".join(",".join(map(str, k)) for k in sorted(f.j_set)))
-        out.emit(f"face.{i}.alpha", _fmt_vec(f.alpha))
-        out.emit(f"face.{i}.nice", f.is_nice)
+    faces = list(iter_faces(mu, args.budget))
+    complete = None not in faces
+    if not complete:
+        faces.pop()
+    # the walk tests each of the 2^m - 1 candidate subsets until the budget is spent
+    out.emit("tested", 2 ** len(mu.keys()) - 1 if complete else max(args.budget, 0))
+    out.emit("complete", complete)
+    out.emit("faces", len(faces))
+    for i, (j_set, alpha) in enumerate(faces):
+        out.emit(f"face.{i}.kept", ";".join(",".join(map(str, k)) for k in sorted(j_set)))
+        out.emit(f"face.{i}.alpha", _fmt_vec(alpha))
+        out.emit(f"face.{i}.nice", is_nice_basis(sub_bracket(mu, j_set)))
     return EXIT_OK
 
 
@@ -406,7 +412,13 @@ def main(argv=None) -> int:
         args.id_list = ([args.id] if args.id else []) + list(args.id_list)
     out = Printer(args.format)
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, or the flush at interpreter exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

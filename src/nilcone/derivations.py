@@ -154,7 +154,7 @@ def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
 
 
 def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
-    return all(d[k - 1] == d[i - 1] + d[j - 1] for (i, j, k) in mu.keys())
+    return len(d) == mu.dim and all(d[k - 1] == d[i - 1] + d[j - 1] for (i, j, k) in mu.keys())
 
 
 def _trace(e: Mat) -> Fraction:

@@ -120,6 +120,8 @@ class MetricExtension:
         object.__setattr__(self, "d", tuple(frac(x) for x in self.d))
         if self.s <= 0:
             raise InputError("scale must be positive")
+        if len(self.h) != self.mu.dim:
+            raise InputError(f"diagonal basis change needs {self.mu.dim} entries, got {len(self.h)}")
         if any(x <= 0 for x in self.h):
             raise InputError("diagonal basis change must be positive")
         require_diagonal_derivation(self.d, self.mu)

@@ -13,84 +13,48 @@ from fractions import Fraction
 
 from .derivations import DiagonalDerivationSpace
 from .errors import InputError, InvariantViolation
-from .liecore import Key, LieBracket, is_nice_basis
+from .liecore import Key, LieBracket
 from .linalg import ONE, Vec, ZERO, frac, integer_row, primitive
 from .simplex import feasible_nonneg, max_margin
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
 
-
-@dataclass(frozen=True)
-class Weight:
-    i: int
-    j: int
-    k: int
-    vec: Vec
-
-    @staticmethod
-    def of(i: int, j: int, k: int, n: int) -> "Weight":
-        v = [ZERO] * n
+def weight_set(mu: LieBracket) -> dict[Key, Vec]:
+    """The weight F_(i,j,k) = e_k - e_i - e_j of each nonzero constant, in ``mu.keys()`` order."""
+    w = {}
+    for (i, j, k) in mu.keys():
+        v = [ZERO] * mu.dim
         v[k - 1] += ONE
         v[i - 1] -= ONE
         v[j - 1] -= ONE
-        return Weight(i, j, k, tuple(v))
+        w[(i, j, k)] = tuple(v)
+    return w
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    weights: tuple[Weight, ...]
-
-    @property
-    def index_set(self) -> tuple[Key, ...]:
-        return tuple((w.i, w.j, w.k) for w in self.weights)
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def weight_set(mu: LieBracket) -> WeightSet:
-    return WeightSet(
-        tuple(Weight.of(i, j, k, mu.dim) for (i, j, k) in mu.keys())
-    )
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    assignment: dict[Key, Fraction]
-    slack: Fraction
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == FEASIBLE
-
-
-def strict_cone_membership(d: Vec, w: WeightSet) -> LPResult:
+def strict_cone_membership(d: Vec, w: dict[Key, Vec]) -> tuple[Fraction, dict[Key, Fraction]] | None:
     """Decide D - sum(a F) > 0 entrywise for some a >= 0, exactly.
 
-    Maximizes the entrywise slack eps (capped at 1); strictly feasible
-    means optimal eps > 0.  The returned assignment re-verifies by
-    substitution.
+    Maximizes the entrywise slack eps (capped at 1) as ``max_margin``
+    does; returns (eps, nonzero a by key) when the optimal eps > 0, else
+    None.  The coefficients re-verify by substitution.
     """
-    sol = max_margin([[wt.vec[r] for wt in w.weights] for r in range(len(d))], d)
+    vecs = list(w.values())
+    sol = max_margin([[v[r] for v in vecs] for r in range(len(d))], d)
     if sol is None:
-        return LPResult(INFEASIBLE, {}, ZERO)
+        return None
     eps, a = sol
-    assignment = {(wt.i, wt.j, wt.k): a[q] for q, wt in enumerate(w.weights) if a[q]}
-    return LPResult(FEASIBLE, assignment, eps)
+    return eps, {key: a[q] for q, key in enumerate(w) if a[q]}
 
 
-def verify_membership(d: Vec, w: WeightSet, assignment: dict[Key, Fraction]) -> Fraction | None:
+def verify_membership(d: Vec, w: dict[Key, Vec], assignment: dict[Key, Fraction]) -> Fraction | None:
     """Exact re-check of a membership certificate; returns min slack or None."""
     n = len(d)
     residual = list(map(frac, d))
-    for wt in w.weights:
-        a = frac(assignment.get((wt.i, wt.j, wt.k), ZERO))
+    for key, vec in w.items():
+        a = frac(assignment.get(key, ZERO))
         if a < 0:
             return None
         for r in range(n):
-            residual[r] -= a * wt.vec[r]
+            residual[r] -= a * vec[r]
     m = min(residual)
     return m if m > 0 else None
 
@@ -186,7 +150,7 @@ def interior_point(rows) -> Vec | None:
 
 
 def project_certificate_cone(
-    w: WeightSet, dspace: DiagonalDerivationSpace
+    w: dict[Key, Vec], dspace: DiagonalDerivationSpace
 ) -> ProjectedCone:
     """Strict inequality description of {t : exists a >= 0, D(t) - sum aF > 0}.
 
@@ -200,7 +164,7 @@ def project_certificate_cone(
     p = dspace.dim
     rows = []
     for r in range(n):
-        e = tuple(-w.weights[q].vec[r] for q in range(m))
+        e = tuple(-v[r] for v in w.values())
         t = tuple(dspace.basis[mm][r] for mm in range(p))
         rows.append((e, t, True))
     for q in range(m):
@@ -226,7 +190,7 @@ def sub_bracket(mu: LieBracket, j_set) -> LieBracket:
     )
 
 
-def is_face(j_set, w: WeightSet) -> tuple[bool, Vec | None]:
+def is_face(j_set, w: dict[Key, Vec]) -> tuple[bool, Vec | None]:
     """Decide whether CH(F_w : w in J) is a face of the full hull.
 
     Searches alpha with <alpha, F> = 0 on J and < 0 on the complement by
@@ -234,41 +198,22 @@ def is_face(j_set, w: WeightSet) -> tuple[bool, Vec | None]:
     the separating alpha, scaled to integers, on success.
     """
     j_set = set(j_set)
-    idx = w.index_set
-    if not j_set <= set(idx):
+    if not j_set <= w.keys():
         raise InputError("J is not a subset of the index set")
-    comp = [q for q, key in enumerate(idx) if key not in j_set]
-    n = len(w.weights[0].vec) if w.weights else 0
+    comp = [v for key, v in w.items() if key not in j_set]
+    n = len(next(iter(w.values()))) if w else 0
     if not comp:
         return True, (ZERO,) * n
     sol = max_margin(
-        [w.weights[q].vec for q in comp],
+        comp,
         [ZERO] * len(comp),
-        [wt.vec for key, wt in zip(idx, w.weights) if key in j_set],
+        [v for key, v in w.items() if key in j_set],
         free=n,
     )
     if sol is None:
         return False, None
     alpha = sol[1]
     return True, tuple(frac(x) for x in integer_row(alpha)) if any(alpha) else alpha
-
-
-@dataclass(frozen=True)
-class FaceDegeneration:
-    j_set: frozenset[Key]
-    alpha: Vec
-    limit: LieBracket
-
-    @property
-    def is_nice(self) -> bool:
-        return is_nice_basis(self.limit)
-
-
-@dataclass(frozen=True)
-class DegenerationEnumeration:
-    faces: tuple[FaceDegeneration, ...]
-    complete: bool
-    tested: int
 
 
 def iter_face_candidates(mu: LieBracket):
@@ -279,21 +224,23 @@ def iter_face_candidates(mu: LieBracket):
             yield frozenset(idx) - frozenset(comp)
 
 
-def enumerate_face_degenerations(
-    mu: LieBracket, budget: int = 4096
-) -> DegenerationEnumeration:
-    """All nonempty face subsets (including the full index set), each
-    certified by a separating alpha, up to the subset-test budget."""
+def iter_faces(mu: LieBracket, budget: int, keep=None):
+    """The face walk: (J, alpha) for each face J among the candidates ``keep`` accepts.
+
+    Walks ``iter_face_candidates`` and runs ``is_face`` on each candidate
+    J with ``keep(J)`` true (every candidate when ``keep`` is None).
+    ``budget`` bounds the candidates tested, i.e. the ``is_face`` LPs;
+    once it is spent with an accepted candidate left, yields None and stops.
+    """
     w = weight_set(mu)
-    faces = []
     tested = 0
-    complete = True
     for j_set in iter_face_candidates(mu):
+        if keep is not None and not keep(j_set):
+            continue
         if tested >= budget:
-            complete = False
-            break
+            yield None
+            return
         tested += 1
-        ok, alpha = is_face(j_set, w)
-        if ok:
-            faces.append(FaceDegeneration(j_set, alpha, sub_bracket(mu, j_set)))
-    return DegenerationEnumeration(tuple(faces), complete, tested)
+        face, alpha = is_face(j_set, w)
+        if face:
+            yield j_set, alpha

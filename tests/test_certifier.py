@@ -23,9 +23,9 @@ from nilcone.certifier import (
     serialize_certificate,
     verify_certificate,
 )
-from nilcone.errors import ParseError
+from nilcone.errors import InputError, NotADerivationError, ParseError
 from nilcone.liecore import LieBracket
-from nilcone.momentricci import extension_ricci, is_negative_definite
+from nilcone.momentricci import MetricExtension, extension_ricci, is_negative_definite
 from nilcone.polytope import strict_cone_membership, weight_set
 from test_golden import _verdict
 from test_golden_cone import _golden_sections
@@ -36,9 +36,8 @@ HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 
 
 def _nice_cone_cert(mu, d):
-    res = strict_cone_membership(d, weight_set(mu))
-    assert res.feasible
-    return Certificate(NICE_CONE, tuple(d), None, dict(res.assignment), res.slack)
+    slack, coefficients = strict_cone_membership(d, weight_set(mu))
+    return Certificate(NICE_CONE, tuple(d), None, coefficients, slack)
 
 
 def test_necessary_condition_passes():
@@ -174,6 +173,17 @@ def test_verify_rejects_non_derivation():
     cert = Certificate(POSITIVE_DERIVATION, (F(1), F(1), F(1)), slack=F(1))
     ok, msg = verify_certificate(HEIS, cert)
     assert not ok and "derivation" in msg
+
+
+def test_vectors_of_the_wrong_length_are_rejected():
+    # a trailing entry satisfies no bracket equation, so only the length rules it out
+    cert = Certificate(POSITIVE_DERIVATION, tuple(map(F, (1, 1, 2, 5))), slack=F(1))
+    ok, msg = verify_certificate(HEIS, cert)
+    assert not ok and "derivation" in msg
+    with pytest.raises(NotADerivationError):
+        certify_derivation(HEIS, (F(1), F(1)))
+    with pytest.raises(InputError):
+        MetricExtension(HEIS, (F(1), F(1), F(2)), F(1), tuple(map(F, (1, 1, 1, 7))))
 
 
 def test_witness_metric_heis():

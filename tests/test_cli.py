@@ -1,12 +1,15 @@
+import itertools
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nilcone
 from nilcone import cli, derivations, simplex
-from nilcone.catalog import catalog_entry, catalog_list
+from nilcone.catalog import catalog_entry, catalog_get, catalog_list
 from nilcone.cli import main
 
 
@@ -296,3 +299,30 @@ def test_invariant_violation_exits_2_under_optimize():
     )
     assert proc.returncode == 2, proc.stderr
     assert "internal invariant violated" in proc.stderr
+
+
+@pytest.mark.parametrize("id_", ["heis3", "n4nonice", "n5nonice", "dim7-alg2"])
+@pytest.mark.parametrize("budget", [0, 1, 5, 127, 4096])
+def test_degenerate_tests_every_subset_up_to_the_budget(capsys, id_, budget):
+    m = len(catalog_get(id_).keys())
+    code, out, _ = run(capsys, "--format", "kv", "--budget", str(budget), "degenerate", id_)
+    assert code == 0
+    tested = min(budget, 2 ** m - 1)
+    assert f"tested={tested}\ncomplete={tested == 2 ** m - 1}\n" in out
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # free 2-step on 32 generators: about 0.5 MB of weights, more than a pipe
+    # holds, so nilcone is still writing when the reader closes after one line
+    g = 32
+    pairs = list(itertools.combinations(range(1, g + 1), 2))
+    path = tmp_path / "free2step.txt"
+    path.write_text(f"dim {g + len(pairs)}\n" + "".join(
+        f"bracket {i} {j} {g + q} 1\n" for q, (i, j) in enumerate(pairs, 1)))
+    env = dict(os.environ, PYTHONPATH=str(Path(nilcone.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "nilcone.cli", "weights", str(path)],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"count: 496\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE
+        assert proc.stderr.read() == b""

@@ -60,6 +60,8 @@ def test_diagonal_derivations_n4nonice():
 def test_is_diagonal_derivation():
     assert is_diagonal_derivation((F(1), F(1), F(2)), HEIS)
     assert not is_diagonal_derivation((F(1), F(1), F(1)), HEIS)
+    assert not is_diagonal_derivation((F(1), F(1), F(2), F(5)), HEIS)
+    assert not is_diagonal_derivation((F(1), F(1)), HEIS)
     with pytest.raises(NotADerivationError):
         require_diagonal_derivation((F(1), F(1), F(1)), HEIS)
 

@@ -21,7 +21,8 @@ sum.  They also keep the slow exact kernels of the certificate cone: the
 integer Sylvester test is checked against the signs of those minors.
 Certificates from both certifiers are checked to survive serialize,
 parse and verify.  The torus LPs of ``certify_nilradical`` are checked
-against the per-derivation walk of ``certify_derivation``, and the
+against the per-derivation walk of ``certify_derivation``, the nice faces
+both certifiers walk against the unfiltered face walk, and the
 Fourier-Motzkin projection against direct cone membership.
 """
 
@@ -39,6 +40,8 @@ from nilcone import certifier, derivations
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
     CERTIFIED_RN,
+    DEGENERATION_CONE,
+    NICE_CONE,
     POSITIVE_DERIVATION,
     SCOPE_ALGEBRA,
     UNKNOWN,
@@ -91,9 +94,11 @@ from nilcone.polytope import (
     ProjectedCone,
     fourier_motzkin,
     interior_point,
+    iter_faces,
     project_certificate_cone,
     remove_redundant,
     strict_cone_membership,
+    sub_bracket,
     weight_set,
 )
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
@@ -614,7 +619,7 @@ def reference_project_certificate_cone(w, dspace) -> ProjectedCone:
     p = dspace.dim
     rows = []
     for r in range(n):
-        e = tuple(-w.weights[q].vec[r] for q in range(m))
+        e = tuple(-v[r] for v in w.values())
         t = tuple(dspace.basis[mm][r] for mm in range(p))
         rows.append((e, t, True))
     for q in range(m):
@@ -798,7 +803,7 @@ def test_projected_cone_agrees_with_direct_membership(case):
     mu, t = case
     dspace = diagonal_derivations(mu)
     w = weight_set(mu)
-    direct = strict_cone_membership(dspace.point(t), w).feasible
+    direct = strict_cone_membership(dspace.point(t), w) is not None
     assert evaluate_cone(project_certificate_cone(w, dspace), t) == direct
 
 
@@ -887,6 +892,30 @@ def test_torus_search_agrees_with_the_per_derivation_walk(case):
         assert certify_derivation(mu, v.d, budget=budget).certificate == v.certificate
     elif v.status == UNKNOWN and sum(d) > 0:
         assert certify_derivation(mu, d, budget=budget).status != CERTIFIED_RN
+
+
+@settings(max_examples=30)
+@given(nilpotent_algebras(unipotent=False))  # at most 8 constants, so 2^8 LPs
+@example(catalog_get("heis3"))  # nice: the walk never starts
+@example(catalog_get("n5nonice"))
+@example(catalog_get("dim7-alg1"))
+@example(catalog_get("dim7-alg2"))
+def test_nice_faces_are_the_nice_proper_faces_of_the_full_walk(mu):
+    """Both certifiers walk the faces through a filter that keeps the nice,
+    non-full subsets; with a budget that lets both walks finish, they meet
+    the same faces in the same order as the unfiltered walk."""
+    m = len(mu.keys())
+    faces = list(iter_faces(mu, 2 ** m))
+    assert None not in faces
+    nice = list(certifier._nice_faces(mu, 2 ** m))
+    if is_nice_basis(mu):
+        assert nice == [(mu, NICE_CONE, None)]
+        return
+    assert nice == [
+        (lam, DEGENERATION_CONE, (alpha, j_set))
+        for j_set, alpha in faces
+        if len(j_set) < m and is_nice_basis(lam := sub_bracket(mu, j_set))
+    ]
 
 
 @st.composite

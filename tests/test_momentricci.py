@@ -180,6 +180,8 @@ def test_metric_extension_validation():
         MetricExtension(HEIS, (F(1), F(1), F(2)), F(0), (F(1),) * 3)
     with pytest.raises(ValueError):
         MetricExtension(HEIS, (F(1), F(1), F(2)), F(1), (F(1), F(-1), F(1)))
+    with pytest.raises(ValueError):
+        MetricExtension(HEIS, (F(1), F(1), F(2)), F(1), (F(1), F(1), F(1), F(7)))
     from nilcone.errors import NotADerivationError
 
     with pytest.raises(NotADerivationError):

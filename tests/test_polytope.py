@@ -7,11 +7,10 @@ from nilcone.catalog import catalog_get
 from nilcone.derivations import diagonal_derivations
 from nilcone.liecore import LieBracket
 from nilcone.polytope import (
-    Weight,
     ProjectedCone,
-    enumerate_face_degenerations,
     interior_point,
     is_face,
+    iter_faces,
     pairing,
     project_certificate_cone,
     strict_cone_membership,
@@ -52,34 +51,34 @@ def evaluate_cone(cone: ProjectedCone, t) -> bool:
 
 
 def test_weight_vectors():
-    w = weight_set(HEIS)
-    assert w.index_set == ((1, 2, 3),)
-    assert w.weights[0].vec == (F(-1), F(-1), F(1))
+    assert weight_set(HEIS) == {(1, 2, 3): (F(-1), F(-1), F(1))}
 
 
 def test_weight_of():
-    assert Weight.of(1, 3, 4, 4).vec == (F(-1), F(0), F(-1), F(1))
+    # one weight per key, in mu.keys() order
+    mu = catalog_get("n4nonice")
+    w = weight_set(mu)
+    assert list(w) == mu.keys()
+    assert w[(1, 3, 4)] == (F(-1), F(0), F(-1), F(1))
 
 
 def test_membership_feasible_and_verified():
     w = weight_set(HEIS)
-    res = strict_cone_membership((F(1), F(1), F(2)), w)
-    assert res.feasible and res.slack > 0
-    assert verify_membership((F(1), F(1), F(2)), w, res.assignment) >= res.slack
+    slack, coefficients = strict_cone_membership((F(1), F(1), F(2)), w)
+    assert slack > 0
+    assert verify_membership((F(1), F(1), F(2)), w, coefficients) >= slack
 
 
 def test_membership_uses_weights():
     # (-1, 2, 2) needs a > 1 on F_12^3 to fix the first entry
     w = weight_set(HEIS)
-    res = strict_cone_membership((F(-1), F(2), F(2)), w)
-    assert res.feasible
-    assert res.assignment[(1, 2, 3)] > 1
+    _, coefficients = strict_cone_membership((F(-1), F(2), F(2)), w)
+    assert coefficients[(1, 2, 3)] > 1
 
 
 def test_membership_infeasible():
     w = weight_set(HEIS)
-    res = strict_cone_membership((F(1), F(1), F(-3)), w)
-    assert not res.feasible
+    assert strict_cone_membership((F(1), F(1), F(-3)), w) is None
 
 
 def test_verify_rejects_bad_assignment():
@@ -106,7 +105,7 @@ def test_cone_membership_agreement_heis():
     cone = project_certificate_cone(weight_set(mu), dsp)
     for t in [(F(1), F(1)), (F(3), F(-1)), (F(-1), F(3)), (F(-1), F(-1)),
               (F(5, 2), F(-1)), (F(1), F(-2))]:
-        direct = strict_cone_membership(dsp.point(t), weight_set(mu)).feasible
+        direct = strict_cone_membership(dsp.point(t), weight_set(mu)) is not None
         assert evaluate_cone(cone, t) == direct
 
 
@@ -152,21 +151,21 @@ def test_face_requires_subset():
 
 def test_face_counts():
     # triangle: 3 vertices + 3 edges + full set
-    enum = enumerate_face_degenerations(catalog_get("n4nonice"))
-    assert enum.complete
-    assert len(enum.faces) == 7
+    faces = list(iter_faces(catalog_get("n4nonice"), 4096))
+    assert None not in faces
+    assert len(faces) == 7
     full = frozenset(catalog_get("n4nonice").keys())
-    assert sum(1 for f in enum.faces if f.j_set != full) == 6
+    assert sum(1 for j_set, _ in faces if j_set != full) == 6
     # rectangle: 4 vertices + 4 edges + full set
-    enum5 = enumerate_face_degenerations(catalog_get("n5nonice"))
+    faces5 = list(iter_faces(catalog_get("n5nonice"), 4096))
     full5 = frozenset(catalog_get("n5nonice").keys())
-    assert sum(1 for f in enum5.faces if f.j_set != full5) == 8
+    assert sum(1 for j_set, _ in faces5 if j_set != full5) == 8
 
 
 def test_face_budget():
-    enum = enumerate_face_degenerations(catalog_get("n4nonice"), budget=2)
-    assert not enum.complete
-    assert enum.tested == 2
+    # the first two candidates of n4nonice are faces; the third is left untested
+    faces = list(iter_faces(catalog_get("n4nonice"), 2))
+    assert len(faces) == 3 and faces[-1] is None
 
 
 def test_interior_point_is_strictly_inside_or_none():
@@ -184,6 +183,6 @@ def test_empty_cone_detected():
     if dsp.dim:
         cone = project_certificate_cone(weight_set(mu), dsp)
         for t in [(F(1),) * dsp.dim, (F(-1),) * dsp.dim]:
-            assert evaluate_cone(cone, t) == strict_cone_membership(
+            assert evaluate_cone(cone, t) == (strict_cone_membership(
                 dsp.point(t), weight_set(mu)
-            ).feasible
+            ) is not None)
