@@ -28,6 +28,7 @@ from .polytope import (
     interior_point,
     iter_faces,
     pairing,
+    require_budget,
     strict_cone_membership,
     sub_bracket,
     verify_membership,
@@ -111,6 +112,7 @@ def certify_derivation(
     returns a verdict about the algebra itself.  ``budget`` bounds the nice
     face subsets tested, i.e. the ``is_face`` LPs.
     """
+    require_budget(budget)
     require_diagonal_derivation(d, mu)
     d = tuple(frac(x) for x in d)
     trd = sum(d, ZERO)
@@ -221,6 +223,7 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
     torus LP per bracket of ``_nice_faces``.  ``budget`` is as for
     ``certify_derivation``, and an ``Unknown`` says when it ran out.
     """
+    require_budget(budget)
     if not is_nilpotent(mu):
         raise InputError("algebra is not nilpotent")
 

@@ -206,7 +206,7 @@ def cmd_degenerate(args, out: Printer) -> int:
     if not complete:
         faces.pop()
     # the walk tests each of the 2^m - 1 candidate subsets until the budget is spent
-    out.emit("tested", 2 ** len(mu.keys()) - 1 if complete else max(args.budget, 0))
+    out.emit("tested", 2 ** len(mu.keys()) - 1 if complete else args.budget)
     out.emit("complete", complete)
     out.emit("faces", len(faces))
     for i, (j_set, alpha) in enumerate(faces):

@@ -5,7 +5,8 @@ n x n matrices.  Whether every derivation is traceless is decided on the
 diagonal derivations first, and needs Der(mu) only when they are all
 traceless.  The characteristically-nilpotent decision builds an Engel
 flag: it succeeds iff every derivation is strictly triangular in an
-adapted basis, and fails with a stage witness otherwise.  ``Analysis``
+adapted basis, and otherwise names the stage of the flag at which the
+induced operators have no common kernel.  ``Analysis``
 holds one bracket's Der(mu) and diagonal torus for one call, so that the
 traceless test, the Engel flag and the phi solve build each at most once.
 """
@@ -15,16 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import NotADerivationError
 from .liecore import LieBracket
 from .linalg import (
     Echelon,
     Mat,
-    ONE,
     Vec,
     ZERO,
-    dense_row,
+    integer_row,
     min_norm_solution,
     nullspace,
     solve_affine,
@@ -96,17 +97,19 @@ def _derivation_nullspace(mu: LieBracket) -> list[Vec]:
 
     Row (i, j, r), i < j, is the e_r coefficient of (E.mu)(e_i, e_j) =
     E mu(e_i, e_j) - mu(E e_i, e_j) - mu(e_i, E e_j).  Each constant
-    c_ab^k is added straight into the rows it touches.
+    c_ab^k is added straight into the rows it touches.  The system is
+    homogeneous, so the constants are scaled to coprime integers once and
+    every row is an int row.
     """
     n = mu.dim
-    by_key: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    by_key: dict[tuple[int, int, int], dict[int, int]] = {}
 
     def add(i, j, r, p, q, v):
         row = by_key.setdefault((i, j, r), {})
         idx = (p - 1) * n + (q - 1)
-        row[idx] = row.get(idx, ZERO) + v
+        row[idx] = row.get(idx, 0) + v
 
-    for (a, b, k), v in mu.constants.items():
+    for (a, b, k), v in zip(mu.constants, integer_row(mu.constants.values())):
         for r in range(1, n + 1):
             add(a, b, r, r, k, v)  # E mu(e_a, e_b)
         for i in range(1, b):
@@ -128,10 +131,12 @@ def derivation_algebra(mu: LieBracket) -> DerivationBasis:
     n = mu.dim
     vecs = _derivation_nullspace(mu)
     # most rows of a basis derivation are zero; sharing one zero row keeps
-    # thousands of short-lived n-tuples off the interpreter's free lists
+    # thousands of short-lived n-tuples off the interpreter's free lists.
+    # The basis vectors hold the shared ZERO, which a tuple comparison
+    # passes by identity, with no Fraction call per entry.
     zero = (ZERO,) * n
     mats = tuple(
-        tuple(row if any(row) else zero for row in (v[p * n:(p + 1) * n] for p in range(n)))
+        tuple(row if row != zero else zero for row in (v[p * n:(p + 1) * n] for p in range(n)))
         for v in vecs
     )
     return DerivationBasis(n, mats)
@@ -141,15 +146,10 @@ def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
     """Solutions of d_k = d_i + d_j over the nonzero structure constants."""
     rows = []
     for (i, j, k) in mu.keys():
-        row: dict[int, Fraction] = {}
-        for idx, v in ((k - 1, ONE), (i - 1, -ONE), (j - 1, -ONE)):
-            nv = row.get(idx, ZERO) + v
-            if nv:
-                row[idx] = nv
-            else:
-                row.pop(idx, None)
-        if row:
-            rows.append(row)
+        row: dict[int, int] = {}
+        for idx, v in ((k - 1, 1), (i - 1, -1), (j - 1, -1)):
+            row[idx] = row.get(idx, 0) + v
+        rows.append(row)
     return DiagonalDerivationSpace(tuple(nullspace(rows, mu.dim)))
 
 
@@ -158,7 +158,8 @@ def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
 
 
 def _trace(e: Mat) -> Fraction:
-    return sum((e[r][r] for r in range(len(e))), ZERO)
+    # most diagonals are mostly zero: a Fraction addition costs more than a test
+    return sum([row[r] for r, row in enumerate(e) if row[r]], ZERO)
 
 
 class Analysis:
@@ -198,19 +199,8 @@ class Analysis:
 class EngelResult:
     is_nilpotent: bool
     flag_dims: tuple[int, ...]
-    # on failure: stage index and the operators induced on the quotient
+    # on failure: the stage whose induced operators have no common kernel
     witness_stage: int | None = None
-    witness_operators: tuple[Mat, ...] = ()
-
-
-def _common_kernel(mats: list[Mat], n: int) -> list[Vec]:
-    rows = []
-    for m in mats:
-        for r in range(n):
-            row = dense_row(m[r])
-            if row:
-                rows.append(row)
-    return nullspace(rows, n)
 
 
 def engel_flag(der: DerivationBasis) -> EngelResult:
@@ -219,27 +209,43 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
     The flag 0 = V_0 < V_1 < ... grows by the common kernel of the
     operators Der(mu) induces on the quotient by V_s.  V_s is one echelon
     form: its free columns c index a complement, and D e_c reduced modulo
-    V_s is column c of the induced operator, read at those columns.
+    V_s is column c of the induced operator, read at those columns.  A
+    kernel is that of any nonzero multiple, so each derivation is scaled
+    to integers once, and each induced operator is put over the common
+    denominator of its reduced columns.
     """
     n = der.dim_algebra
     if not der.basis:
         return EngelResult(True, (n,))
+    zero = (ZERO,) * n  # see derivation_algebra
+    operators = []
+    for e in der.basis:
+        entries = [(r, c, x) for r, row in enumerate(e) if row != zero
+                   for c, x in enumerate(row) if x]
+        den = lcm(*(x.denominator for _, _, x in entries))
+        cols: dict[int, dict[int, int]] = {}
+        for r, c, x in entries:
+            cols.setdefault(c, {})[r] = x.numerator * (den // x.denominator)
+        operators.append(cols)
     flag = Echelon(n)
     flag_dims: list[int] = []
     while flag.rank < n:
         comp = flag.free_columns()
-        induced = []
-        for e in der.basis:
-            cols = [flag.reduce({r: e[r][c] for r in range(n)}) for c in comp]
-            induced.append(tuple(tuple(col.get(a, ZERO) for col in cols) for a in comp))
-        kernel = _common_kernel(induced, len(comp))
+        position = {c: i for i, c in enumerate(comp)}
+        rows = []
+        for cols in operators:
+            reduced = [(position[c], *flag.reduce_scaled(col, 1))
+                       for c, col in cols.items() if c in position]
+            common = lcm(*(den for _, _, den in reduced))
+            induced: dict[int, dict[int, int]] = {}
+            for i, col, den in reduced:
+                scale = common // den
+                for a, v in col.items():
+                    induced.setdefault(a, {})[i] = v * scale
+            rows.extend(induced.values())
+        kernel = nullspace(rows, len(comp))
         if not kernel:
-            return EngelResult(
-                False,
-                tuple(flag_dims),
-                witness_stage=len(flag_dims),
-                witness_operators=tuple(induced),
-            )
+            return EngelResult(False, tuple(flag_dims), witness_stage=len(flag_dims))
         for kv in kernel:
             flag.add_row({c: x for c, x in zip(comp, kv) if x})
         flag_dims.append(flag.rank)

@@ -15,11 +15,11 @@ from typing import Mapping, Sequence
 from .errors import ParseError
 from .linalg import (
     Echelon,
-    ONE,
     Vec,
     ZERO,
     fmt_rational,
     frac,
+    integer_row,
     nullspace,
 )
 
@@ -215,22 +215,25 @@ def lower_central_series(mu: LieBracket) -> SubspaceChain:
 
     Each spanning vector v of gamma_k takes one pass over the constants:
     c_ab^k adds c v_b to [e_a, v]_k and -c v_a to [e_b, v]_k.  The basis
-    of each term is the pivot rows of its reduced echelon form.
+    of each term is the pivot rows of its reduced echelon form.  Only
+    spans are read, so the constants are scaled to coprime integers once
+    and every vector is an int row.
     """
     n = mu.dim
-    current: list[dict[int, Fraction]] = [{s: ONE} for s in range(n)]
+    constants = list(zip(mu.constants, integer_row(mu.constants.values())))
+    current: list[dict[int, int]] = [{s: 1} for s in range(n)]
     dims = [n]
     while True:
         ech = Echelon(n)
         for v in current:
-            images: dict[int, dict[int, Fraction]] = {}
-            for (a, b, k), cv in mu.constants.items():
+            images: dict[int, dict[int, int]] = {}
+            for (a, b, k), cv in constants:
                 if b - 1 in v:
                     img = images.setdefault(a, {})
-                    img[k - 1] = img.get(k - 1, ZERO) + cv * v[b - 1]
+                    img[k - 1] = img.get(k - 1, 0) + cv * v[b - 1]
                 if a - 1 in v:
                     img = images.setdefault(b, {})
-                    img[k - 1] = img.get(k - 1, ZERO) - cv * v[a - 1]
+                    img[k - 1] = img.get(k - 1, 0) - cv * v[a - 1]
             for img in images.values():
                 ech.add_row(img)
         d = ech.rank

@@ -1,12 +1,13 @@
 """Exact rational linear algebra for small dense and sparse systems.
 
-All routines work over ``fractions.Fraction``; no floating point is used
-anywhere.  ``integer_row`` and ``primitive`` put a rational row in coprime
-integers, the form in which the simplex and Fourier-Motzkin work.
-Nullspaces are computed by sparse Gaussian elimination with a fixed pivot
-rule (always the largest column index present in a row), so free
-variables accumulate at the low-index coordinates and bases are
-reproducible across runs.
+Every result is an exact rational (``fractions.Fraction``); no floating
+point is used anywhere.  ``integer_row`` and ``primitive`` put a rational
+row in coprime integers, the form in which the simplex, Fourier-Motzkin
+and the echelon form work.  Nullspaces are computed by fraction-free
+sparse Gaussian elimination over integer rows with a fixed pivot rule
+(always the largest column index present in a row), so free variables
+accumulate at the low-index coordinates and bases are reproducible across
+runs.  Only the bases and solutions read off at the end are ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,10 +42,14 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 def integer_row(v: Iterable) -> tuple[int, ...]:
     """Scale a rational row (int or Fraction entries) to coprime integers,
-    preserving direction."""
-    ratios = [x.as_integer_ratio() for x in v]
-    den = lcm(*(d for _, d in ratios))
-    return primitive([a * (den // d) for a, d in ratios])
+    preserving direction.  Only the nonzero entries are converted."""
+    v = list(v)
+    nonzero = [(i, x) for i, x in enumerate(v) if x]
+    den = lcm(*[x.denominator for _, x in nonzero])
+    out = [0] * len(v)
+    for i, x in nonzero:
+        out[i] = x.numerator * (den // x.denominator)
+    return primitive(out)
 
 
 def vec(xs: Iterable) -> Vec:
@@ -105,57 +110,118 @@ def leading_principal_minors(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     return minors
 
 
+def _scaled(row: dict) -> tuple[dict[int, int], int]:
+    """A rational row as (int row, den): the row is int row / den.
+
+    int and Fraction entries alike; zeros are dropped and den is the lcm
+    of the denominators.
+    """
+    out = {}
+    den = 1
+    for c, v in row.items():
+        if v:
+            d = v.denominator
+            if d == 1:
+                out[c] = v.numerator
+            else:
+                out[c] = v
+                den = lcm(den, d)
+    if den > 1:
+        out = {c: v.numerator * (den // v.denominator) for c, v in out.items()}
+    return out, den
+
+
 class Echelon:
     """Sparse reduced row-echelon form, pivoting on the largest column index.
 
-    Rows are dicts column -> nonzero Fraction.  The sentinel column ``-1``
-    (used for augmented right-hand sides) is never chosen as a pivot.
+    Each pivot row is a primitive dict column -> nonzero int whose entry at
+    its pivot is positive; the reduced rational row is that dict divided by
+    the pivot entry.  Under the fixed pivot rule the reduced form of a span
+    is unique, so it is the same as Gauss-Jordan elimination over
+    ``Fraction`` gives.  The sentinel column ``-1`` (used for augmented
+    right-hand sides) is never chosen as a pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
         self.inconsistent = False
 
-    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        """The row modulo the span of the pivot rows: no pivot column is left."""
-        row = {c: v for c, v in row.items() if v}
-        while True:
-            hit = max((c for c in row if c in self.pivots), default=None)
-            if hit is None:
-                break
-            f = row.pop(hit)
-            for c, v in self.pivots[hit].items():
-                if c != hit:
-                    nv = row.get(c, ZERO) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-        return row
+    def reduce_scaled(self, row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+        """row / den modulo the span of the pivot rows, as (int row, den).
 
-    def add_row(self, row: dict[int, Fraction]) -> None:
-        row = self.reduce(row)
+        No pivot column is left in the result and den stays positive.  The
+        input row is left untouched; a row no pivot column hits is returned
+        as it is.
+        """
+        pivots = self.pivots
+        hits = [c for c in row if c in pivots]
+        if not hits:
+            return row, den
+        # the rows are fully reduced: subtracting pivot rows never brings
+        # in another pivot column, so one pass over the hits suffices
+        scale = 1
+        for h in hits:
+            p = pivots[h][h]
+            if p != 1:
+                scale = lcm(scale, p)
+        if scale == 1:
+            out = {c: v for c, v in row.items() if c not in pivots}
+        else:
+            out = {c: v * scale for c, v in row.items() if c not in pivots}
+            den *= scale
+        for h in hits:
+            prow = pivots[h]
+            f = row[h] * (scale // prow[h])
+            for c, v in prow.items():
+                if c != h:
+                    out[c] = out.get(c, 0) - f * v
+        out = {c: v for c, v in out.items() if v}
+        if den > 1:
+            g = gcd(den, *out.values())
+            if g > 1:
+                out = {c: v // g for c, v in out.items()}
+                den //= g
+        return out, den
+
+    def reduce(self, row: dict) -> dict[int, Fraction]:
+        """The exact rational remainder of the row modulo the pivot rows."""
+        rem, den = self.reduce_scaled(*_scaled(row))
+        return {c: Fraction(v, den) for c, v in rem.items()}
+
+    def add_row(self, row: dict) -> None:
+        row, _ = self.reduce_scaled(*_scaled(row))
         if not row:
             return
         p = max(row)
         if p == -1:
             self.inconsistent = True
             return
-        inv = ONE / row[p]
-        newrow = {c: v * inv for c, v in row.items()}
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        q = row[p]
         # back-reduce existing rows so the form stays fully reduced
         for other in self.pivots.values():
             if p in other:
                 f = other.pop(p)
-                for c, v in newrow.items():
+                if q != 1:
+                    for c in other:
+                        other[c] *= q
+                for c, v in row.items():
                     if c != p:
-                        nv = other.get(c, ZERO) - f * v
+                        nv = other.get(c, 0) - f * v
                         if nv:
                             other[c] = nv
                         else:
                             other.pop(c, None)
-        self.pivots[p] = newrow
+                g = gcd(*other.values())
+                if g > 1:
+                    for c in other:
+                        other[c] //= g
+        self.pivots[p] = row
 
     @property
     def rank(self) -> int:
@@ -166,16 +232,18 @@ class Echelon:
 
     def nullspace_basis(self) -> list[Vec]:
         """One basis vector per free column, unit in that coordinate."""
-        basis = []
-        for f in self.free_columns():
-            v = [ZERO] * self.ncols
-            v[f] = ONE
-            for p, row in self.pivots.items():
-                coeff = row.get(f, ZERO)
-                if coeff:
-                    v[p] = -coeff
-            basis.append(tuple(v))
-        return basis
+        free = self.free_columns()
+        basis = {f: [ZERO] * self.ncols for f in free}
+        for f in free:
+            basis[f][f] = ONE
+        # the entries of a pivot row off its pivot sit at free columns
+        # (or at the sentinel -1, which no basis vector has)
+        for p, row in self.pivots.items():
+            q = row[p]
+            for c, v in row.items():
+                if c != p and c != -1:
+                    basis[c][p] = Fraction(-v, q)
+        return [tuple(basis[f]) for f in free]
 
     def particular_solution(self) -> Vec | None:
         """Solution with all free variables zero; None if inconsistent."""
@@ -183,7 +251,7 @@ class Echelon:
             return None
         v = [ZERO] * self.ncols
         for p, row in self.pivots.items():
-            v[p] = -row.get(-1, ZERO)
+            v[p] = Fraction(-row.get(-1, 0), row[p])
         return tuple(v)
 
 

@@ -224,6 +224,12 @@ def iter_face_candidates(mu: LieBracket):
             yield frozenset(idx) - frozenset(comp)
 
 
+def require_budget(budget: int) -> None:
+    """A face budget counts ``is_face`` LPs, so a negative one is an input fault."""
+    if budget < 0:
+        raise InputError(f"face budget must be nonnegative, got {budget}")
+
+
 def iter_faces(mu: LieBracket, budget: int, keep=None):
     """The face walk: (J, alpha) for each face J among the candidates ``keep`` accepts.
 
@@ -232,6 +238,7 @@ def iter_faces(mu: LieBracket, budget: int, keep=None):
     ``budget`` bounds the candidates tested, i.e. the ``is_face`` LPs;
     once it is spent with an accepted candidate left, yields None and stops.
     """
+    require_budget(budget)
     w = weight_set(mu)
     tested = 0
     for j_set in iter_face_candidates(mu):

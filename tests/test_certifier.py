@@ -26,7 +26,7 @@ from nilcone.certifier import (
 from nilcone.errors import InputError, NotADerivationError, ParseError
 from nilcone.liecore import LieBracket
 from nilcone.momentricci import MetricExtension, extension_ricci, is_negative_definite
-from nilcone.polytope import strict_cone_membership, weight_set
+from nilcone.polytope import iter_faces, strict_cone_membership, weight_set
 from test_golden import _verdict
 from test_golden_cone import _golden_sections
 from test_golden_kernels import CASES
@@ -184,6 +184,16 @@ def test_vectors_of_the_wrong_length_are_rejected():
         certify_derivation(HEIS, (F(1), F(1)))
     with pytest.raises(InputError):
         MetricExtension(HEIS, (F(1), F(1), F(2)), F(1), tuple(map(F, (1, 1, 1, 7))))
+
+
+def test_negative_face_budget_is_rejected_before_any_work():
+    # heis3's positive derivation would certify without a face LP
+    with pytest.raises(InputError):
+        certify_derivation(HEIS, (F(1), F(1), F(2)), budget=-1)
+    with pytest.raises(InputError):
+        certify_nilradical(HEIS, budget=-1)
+    with pytest.raises(InputError):
+        next(iter_faces(HEIS, -1))
 
 
 def test_witness_metric_heis():

@@ -311,6 +311,18 @@ def test_degenerate_tests_every_subset_up_to_the_budget(capsys, id_, budget):
     assert f"tested={tested}\ncomplete={tested == 2 ** m - 1}\n" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--budget", "-3", "certify", "dim7-alg1"),
+    ("--budget", "-1", "degenerate", "n4nonice"),
+])
+def test_negative_budget_exits_1(capsys, argv):
+    # a negative budget is rejected, not read as a spent one
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: face budget must be nonnegative, got {argv[1]}\n"
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # free 2-step on 32 generators: about 0.5 MB of weights, more than a pipe
     # holds, so nilcone is still writing when the reader closes after one line

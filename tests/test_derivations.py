@@ -88,9 +88,9 @@ def test_characteristically_nilpotent_positive():
 def test_characteristically_nilpotent_negative():
     res = _engel(HEIS)
     assert not res.is_nilpotent
-    # the stage witness exhibits a nonzero acting space with zero common kernel
-    assert res.witness_stage is not None
-    assert res.witness_operators
+    # diag(1, 1, 2) is an invertible derivation: no common kernel at stage 0
+    assert res.witness_stage == 0
+    assert res.flag_dims == ()
 
 
 def test_ex10_complex_rank_one():

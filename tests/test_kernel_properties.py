@@ -74,7 +74,6 @@ from nilcone.liecore import (
 from nilcone.linalg import (
     ONE,
     ZERO,
-    Echelon,
     dense_row,
     det,
     frac,
@@ -104,7 +103,7 @@ from nilcone.polytope import (
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
 from test_golden_kernels import CASES
 from test_liecore import act, direct_sum
-from test_linalg import mat_inv, mat_mul
+from test_linalg import FractionEchelon, mat_inv, mat_mul
 from test_polytope import evaluate_cone
 
 MAX_DIM = 8
@@ -223,7 +222,7 @@ def reference_check_jacobi(mu: LieBracket):
 
 
 def _span_basis(vectors, n: int):
-    ech = Echelon(n)
+    ech = FractionEchelon(n)
     for v in vectors:
         ech.add_row(dense_row(v))
     basis = []
@@ -287,7 +286,7 @@ def reference_engel(mu: LieBracket) -> EngelResult:
     flag_dims: list[int] = []
     stage = 0
     while len(flag_vectors) < n:
-        ech = Echelon(n)
+        ech = FractionEchelon(n)
         for v in flag_vectors:
             ech.add_row(dense_row(v))
         comp = ech.free_columns()
@@ -305,8 +304,7 @@ def reference_engel(mu: LieBracket) -> EngelResult:
         rows = [dense_row(r) for m in induced for r in m]
         kernel = nullspace([r for r in rows if r], len(comp))
         if not kernel:
-            return EngelResult(False, tuple(flag_dims), witness_stage=stage,
-                               witness_operators=tuple(induced))
+            return EngelResult(False, tuple(flag_dims), witness_stage=stage)
         for kv in kernel:
             flag_vectors.append(tuple(
                 sum((kv[a] * (ONE if t == comp[a] else ZERO) for a in range(len(comp))), ZERO)

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcone.errors import SingularMatrixError
 from nilcone.linalg import (
@@ -9,10 +12,12 @@ from nilcone.linalg import (
     Echelon,
     dense_row,
     det,
+    integer_row,
     leading_principal_minors,
     mat,
     min_norm_solution,
     nullspace,
+    primitive,
     solve_affine,
     vec,
 )
@@ -46,9 +51,85 @@ def mat_inv(a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+class FractionEchelon:
+    """Oracle: the reduced row-echelon form by Gauss-Jordan over ``Fraction``.
+
+    Same pivot rule as ``Echelon`` (the largest column index, never the
+    sentinel ``-1``); each pivot row is kept divided by its pivot entry.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots: dict[int, dict[int, F]] = {}
+        self.inconsistent = False
+
+    def reduce(self, row):
+        row = {c: F(v) for c, v in row.items() if v}
+        while True:
+            hit = max((c for c in row if c in self.pivots), default=None)
+            if hit is None:
+                return row
+            f = row.pop(hit)
+            for c, v in self.pivots[hit].items():
+                if c != hit:
+                    nv = row.get(c, ZERO) - f * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+
+    def add_row(self, row) -> None:
+        row = self.reduce(row)
+        if not row:
+            return
+        p = max(row)
+        if p == -1:
+            self.inconsistent = True
+            return
+        inv = ONE / row[p]
+        newrow = {c: v * inv for c, v in row.items()}
+        for other in self.pivots.values():
+            if p in other:
+                f = other.pop(p)
+                for c, v in newrow.items():
+                    if c != p:
+                        nv = other.get(c, ZERO) - f * v
+                        if nv:
+                            other[c] = nv
+                        else:
+                            other.pop(c, None)
+        self.pivots[p] = newrow
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def free_columns(self) -> list[int]:
+        return [c for c in range(self.ncols) if c not in self.pivots]
+
+    def nullspace_basis(self):
+        basis = []
+        for f in self.free_columns():
+            v = [ZERO] * self.ncols
+            v[f] = ONE
+            for p, row in self.pivots.items():
+                if row.get(f):
+                    v[p] = -row[f]
+            basis.append(tuple(v))
+        return basis
+
+    def particular_solution(self):
+        if self.inconsistent:
+            return None
+        v = [ZERO] * self.ncols
+        for p, row in self.pivots.items():
+            v[p] = -row.get(-1, ZERO)
+        return tuple(v)
+
+
 def span_rank(vectors, ncols: int) -> int:
     """Oracle: the rank of the span, by one echelon form."""
-    ech = Echelon(ncols)
+    ech = FractionEchelon(ncols)
     for v in vectors:
         ech.add_row(dense_row(v))
     return ech.rank
@@ -159,3 +240,80 @@ def test_mat_vec():
 
 def test_dense_row_drops_zeros():
     assert dense_row(vec([0, 5, 0, -1])) == {1: F(5), 3: F(-1)}
+
+
+def _integer_row_by_every_entry(v):
+    """Oracle: ``integer_row`` as first defined, converting every entry."""
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*(d for _, d in ratios))
+    return primitive([a * (den // d) for a, d in ratios])
+
+
+@pytest.mark.parametrize("row", [
+    [0, 0, 0],
+    [],
+    [F(0), 3, F(-6, 4), 0],
+    [F(1, 3), 0, F(-5, 6), F(0), 7],
+    [0, -4, 0, 6, 0],
+    [F(-2, 9), F(4, 15), 0],
+])
+def test_integer_row_skips_zeros(row):
+    assert integer_row(row) == _integer_row_by_every_entry(row)
+    assert all(type(x) is int for x in integer_row(row))
+
+
+# large denominators, so that an intermediate blow-up or a lost factor shows
+RATIONALS = st.builds(
+    F, st.integers(-10**12, 10**12).filter(bool), st.integers(1, 10**12)
+)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Sparse rows over columns 0..ncols-1 and the sentinel -1.
+
+    Rows are drawn fresh, as a rational combination of earlier rows
+    (dependent), or as such a combination shifted in column -1 only
+    (inconsistent once earlier rows pin that combination to zero).
+    """
+    ncols = draw(st.integers(1, 7))
+    columns = st.integers(-1, ncols - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "dependent", "inconsistent"]) if rows
+                    else st.just("fresh"))
+        if kind == "fresh":
+            row = draw(st.dictionaries(columns, RATIONALS | st.integers(-3, 3), max_size=4))
+        else:
+            row = {}
+            for src in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                f = draw(RATIONALS)
+                for c, v in src.items():
+                    row[c] = row.get(c, 0) + f * v
+            if kind == "inconsistent":
+                row[-1] = row.get(-1, 0) + draw(RATIONALS)
+        rows.append(row)
+    probes = draw(st.lists(st.dictionaries(columns, RATIONALS, max_size=5), max_size=3))
+    return ncols, rows, probes + rows
+
+
+@settings(max_examples=200)
+@given(echelon_inputs())
+def test_integer_echelon_matches_fraction_oracle(case):
+    ncols, rows, probes = case
+    fast, slow = Echelon(ncols), FractionEchelon(ncols)
+    for row in rows:
+        fast.add_row(row)
+        slow.add_row(row)
+        assert fast.rank == slow.rank
+        assert fast.inconsistent == slow.inconsistent
+    assert fast.free_columns() == slow.free_columns()
+    for p, row in fast.pivots.items():
+        assert all(type(v) is int for v in row.values()) and row[p] > 0
+        assert {c: F(v, row[p]) for c, v in row.items()} == slow.pivots[p]
+    basis = fast.nullspace_basis()
+    assert basis == slow.nullspace_basis()
+    assert all(type(x) is F for v in basis for x in v)
+    assert fast.particular_solution() == slow.particular_solution()
+    for probe in probes:
+        assert fast.reduce(probe) == slow.reduce(probe)
