@@ -19,10 +19,10 @@ from .certifier import (
     CERTIFIED_NOT_RN,
     CERTIFIED_RN,
     certify_derivation,
-    certify_nilradical,
     necessary_condition,
+    nilradical_verdict,
 )
-from .derivations import Analysis, engel_flag, is_diagonal_derivation, solve_phi
+from .derivations import Analysis, is_diagonal_derivation, solve_phi
 from .errors import UnknownCatalogEntry
 from .liecore import LieBracket, center, check_jacobi, emit_bracket, is_nice_basis, is_nilpotent, lower_central_series
 from .linalg import Vec, frac
@@ -497,7 +497,7 @@ def _check(entry: CatalogEntry, a: Analysis, exp: Expected) -> CheckResult:
     elif name == "traceless":
         got = a.traceless
     elif name == "char-nilpotent":
-        got = engel_flag(a.der).is_nilpotent
+        got = a.engel.is_nilpotent
     elif name == "listed-derivations":
         got = all(is_diagonal_derivation(d, mu) for d in entry.derivations)
     elif name == "listed-derivation-trace":
@@ -521,7 +521,7 @@ def _check(entry: CatalogEntry, a: Analysis, exp: Expected) -> CheckResult:
     elif name == "certify-derivation":
         got = certify_derivation(mu, entry.derivations[0]).status
     elif name == "nilradical-verdict":
-        got = certify_nilradical(mu).status
+        got = nilradical_verdict(a).status
     else:
         return CheckResult(entry.id, name, False, f"unknown property {name!r}")
     ok = got == want

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .derivations import (
     Analysis,
     DiagonalDerivationSpace,
-    engel_flag,
     is_diagonal_derivation,
     require_diagonal_derivation,
 )
@@ -223,13 +222,19 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
     torus LP per bracket of ``_nice_faces``.  ``budget`` is as for
     ``certify_derivation``, and an ``Unknown`` says when it ran out.
     """
+    return nilradical_verdict(Analysis(mu), budget)
+
+
+def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
+    """``certify_nilradical`` on a.mu, reading Der(mu), its Engel flag and
+    the torus from ``a``, so that a caller holding them builds none twice."""
+    mu = a.mu
     require_budget(budget)
     if not is_nilpotent(mu):
         raise InputError("algebra is not nilpotent")
 
-    a = Analysis(mu)
     if a.traceless:
-        engel = engel_flag(a.der)
+        engel = a.engel
         if engel.is_nilpotent:
             return Verdict(
                 CERTIFIED_NOT_RN,
@@ -294,8 +299,12 @@ def find_witness_metric(
     "Witness metrics".  ``budget`` caps the Newton steps.  e^x is
     rounded, finer if needed, and for a degeneration multiplied by
     2^(t alpha), t = 0, 1, 2, 4, ...  Only the exact Sylvester test accepts;
-    None if no candidate passes it.
+    None if no candidate passes it.  A d other than cert.d is an
+    ``InputError``: the certificate says nothing about it, and for a
+    positive derivation the halving of s would then never end.
     """
+    if tuple(d) != tuple(cert.d):
+        raise InputError("the derivation is not the one the certificate is for")
     if cert.kind == POSITIVE_DERIVATION:
         ext = MetricExtension(mu, d, ONE, (ONE,) * mu.dim)
         while not is_negative_definite(extension_ricci(ext)):

@@ -31,7 +31,7 @@ from .certifier import (
     serialize_certificate,
     verify_certificate,
 )
-from .derivations import INFEASIBLE, Analysis, diagonal_derivations, engel_flag, solve_phi
+from .derivations import INFEASIBLE, Analysis, diagonal_derivations, solve_phi
 from .errors import InputError, InvariantViolation, NilconeError, ParseError
 from .liecore import (
     LieBracket,
@@ -151,7 +151,7 @@ def cmd_der(args, out: Printer) -> int:
     for i, v in enumerate(a.dspace.basis):
         out.emit(f"diagonal-basis.{i}", _fmt_vec(v))
     out.emit("traceless", a.traceless)
-    engel = engel_flag(a.der)
+    engel = a.engel
     out.emit("characteristically-nilpotent", engel.is_nilpotent)
     if not engel.is_nilpotent and engel.witness_stage is not None:
         out.emit("engel-witness-stage", engel.witness_stage)

@@ -7,8 +7,9 @@ traceless.  The characteristically-nilpotent decision builds an Engel
 flag: it succeeds iff every derivation is strictly triangular in an
 adapted basis, and otherwise names the stage of the flag at which the
 induced operators have no common kernel.  ``Analysis``
-holds one bracket's Der(mu) and diagonal torus for one call, so that the
-traceless test, the Engel flag and the phi solve build each at most once.
+holds one bracket's Der(mu), Engel flag and diagonal torus for one call, so
+that the traceless test, the Engel flag, the phi solve and the algebra
+verdict build each at most once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import (
     Mat,
     Vec,
     ZERO,
+    frac,
     integer_row,
     min_norm_solution,
     nullspace,
@@ -50,12 +52,25 @@ class DiagonalDerivationSpace:
         return len(self.basis)
 
     def point(self, t) -> Vec:
-        """Map parameter coordinates to a diagonal derivation vector."""
-        n = len(self.basis[0])
-        return tuple(
-            sum((Fraction(t[m]) * self.basis[m][r] for m in range(len(self.basis))), ZERO)
-            for r in range(n)
-        )
+        """Map parameter coordinates to a diagonal derivation vector.
+
+        Summed in integers over one common denominator; only the entries
+        read off at the end are ``Fraction``.
+        """
+        terms = []  # (integer vector, numerator, denominator) of each t_m v_m
+        for tm, v in zip(map(frac, t), self.basis):
+            if tm:
+                vden = lcm(*[x.denominator for x in v])
+                ints = [x.numerator * (vden // x.denominator) for x in v]
+                terms.append((ints, tm.numerator, tm.denominator * vden))
+        den = lcm(*[d for *_, d in terms])
+        total = [0] * len(self.basis[0])
+        for ints, num, d in terms:
+            f = num * (den // d)
+            for r, x in enumerate(ints):
+                if x:
+                    total[r] += f * x
+        return tuple(Fraction(x, den) for x in total)
 
 
 def rep_action(e: Mat, mu: LieBracket) -> dict[tuple[int, int], Vec]:
@@ -163,7 +178,7 @@ def _trace(e: Mat) -> Fraction:
 
 
 class Analysis:
-    """Der(mu) and the diagonal torus of one bracket, each built on first use.
+    """Der(mu), its Engel flag and the diagonal torus of one bracket, each built on first use.
 
     An instance serves one call and is dropped with it; nothing is cached
     on the bracket or across calls.
@@ -179,6 +194,10 @@ class Analysis:
     @cached_property
     def der(self) -> DerivationBasis:
         return derivation_algebra(self.mu)
+
+    @cached_property
+    def engel(self) -> EngelResult:
+        return engel_flag(self.der)
 
     @cached_property
     def traceless(self) -> bool:

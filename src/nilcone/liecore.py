@@ -25,6 +25,10 @@ from .linalg import (
 
 Key = tuple[int, int, int]
 
+# The largest dimension the algebra file format accepts.  Der(mu) alone has
+# dim^2 unknowns, so a hostile 'dim' line is refused before any work starts.
+MAX_DIM = 1024
+
 
 def _normalize_constants(dim: int, constants: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
     out: dict[Key, Fraction] = {}
@@ -135,6 +139,8 @@ def parse_bracket(text: str) -> LieBracket:
                 raise ParseError(f"line {lineno}: bad dimension {parts[1]!r}")
             if dim < 1:
                 raise ParseError(f"line {lineno}: dimension must be positive")
+            if dim > MAX_DIM:
+                raise ParseError(f"line {lineno}: dimension {dim} exceeds the limit {MAX_DIM}")
             continue
         if parts[0] == "dim":
             raise ParseError(f"line {lineno}: repeated 'dim' line")

@@ -256,9 +256,37 @@ class Echelon:
 
 
 def nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vec]:
+    """Basis of {x : row . x = 0 for every row}, as ``Echelon`` reads it off.
+
+    Singleton presolve first: a row with one nonzero entry pins that
+    unknown to 0, which is dropped from the other rows, and so on until no
+    row has a single entry; only the rest is eliminated.  e_c lies in the
+    row space for each pinned c, so it is the pivot row of c in the unique
+    reduced form, and the other pivot rows are those of the remaining rows:
+    the basis is the same as eliminating every row.
+    """
+    rows = [{c: v for c, v in r.items() if v} for r in rows]
+    by_col: dict[int, list[dict]] = {}
+    for r in rows:
+        for c in r:
+            by_col.setdefault(c, []).append(r)
+    pinned = set()
+    singles = [c for r in rows if len(r) == 1 for c in r]
+    while singles:
+        c = singles.pop()
+        if c in pinned:
+            continue
+        pinned.add(c)
+        for r in by_col[c]:
+            del r[c]
+            if len(r) == 1:
+                singles.extend(r)
     ech = Echelon(ncols)
     for r in rows:
-        ech.add_row(r)
+        if r:
+            ech.add_row(r)
+    for c in pinned:
+        ech.pivots[c] = {c: 1}
     return ech.nullspace_basis()
 
 

@@ -1,15 +1,27 @@
 """Exact linear programming via two-phase simplex with Bland's rule.
 
-Problems here are tiny (tens of variables), so the tableau stays dense and
-Bland's anti-cycling rule is always active.  The tableau holds Python ints
-only: each row is the rational row times a positive scale, and for a
-constraint row that scale is its entry in its basic column.  A pivot
+Problems here are tiny (tens of variables), so each tableau row is a dense
+list and Bland's anti-cycling rule is always active.  The tableau holds
+Python ints only: each row is the rational row times a positive scale, and
+for a constraint row that scale is its entry in its basic column.  A pivot
 replaces each row with a nonzero in the entering column by
-p*row - f*prow divided by the gcd of its entries, which keeps every sign
-and every ratio of the rational tableau, so Bland's rule takes the same
-pivots and the solution read off at the end is the same.  The reduced
-costs are one more such row, with its own positive scale, built once per
-phase and eliminated at each pivot.
+p*row - f*prow divided by the gcd of its entries; the subtraction runs over
+the pivot row's nonzero columns only, and the scaling by p is skipped when
+p = 1.  That keeps every sign and every ratio of the rational tableau, so
+Bland's rule takes the same pivots and the solution read off at the end is
+the same.  The reduced costs are one more such row, with its own positive
+scale, built once per phase and eliminated at each pivot.
+
+Free variables are folded.  Written as x_j = u_j - v_j over two nonnegative
+columns, the column of v_j is minus that of u_j in every row, the
+reduced-cost row included, at every pivot: row operations act on both
+alike, and their costs are negatives of each other.  So only u_j is
+stored, and v_j is read as (u_j's column, sign -1).  Bland's rule still
+runs over the split columns, in the order u, the other variables but the
+last, v, the last variable, slacks, artificials, which is the split LP that
+``max_margin`` poses with its eps last.  ``basis`` holds split indices, so
+ratio-test ties are broken by the split index of the basic variable, and a
+basic v_j is read back as x_j = u_j - v_j = -v_j.
 """
 
 from __future__ import annotations
@@ -17,10 +29,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .linalg import ONE, ZERO, Vec, frac, integer_row, primitive
+from .linalg import ZERO, Vec, integer_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -34,58 +47,88 @@ class LPSolution:
     value: Fraction | None
 
 
-def _eliminate(row: list[int], prow: list[int], p: int, f: int) -> None:
-    """row := (p*row - f*prow) / gcd in place; p > 0 keeps the scale positive."""
-    row[:] = primitive([p * a - f * b for a, b in zip(row, prow)])
+def _split_order(n: int, free: int, ncols: int) -> list[tuple[int, int]]:
+    """(stored column, sign) of each split column, in Bland's order.
+
+    Stored columns 0..n-1 hold the variables, the first ``free`` of them
+    free, and n..ncols-1 the slacks and artificials.  The mirror v_j of a
+    free x_j is (j, -1) and comes just before the last variable.
+    """
+    if not free:
+        return [(j, 1) for j in range(ncols)]
+    return [*((j, 1) for j in range(n - 1)), *((j, -1) for j in range(free)),
+            *((j, 1) for j in range(n - 1, ncols))]
+
+
+def _nonzero(row: list[int]) -> list[int]:
+    return [c for c, v in enumerate(row) if v]
+
+
+def _eliminate(row: list[int], prow: list[int], nonzero: list[int], p: int, f: int) -> None:
+    """row := (p*row - f*prow) / gcd in place, with nonzero the columns where
+    prow is nonzero; p > 0 keeps the scale positive."""
+    if p != 1:
+        row[:] = [p * a for a in row]
+    for c in nonzero:
+        row[c] -= f * prow[c]
+    g = gcd(*row)
+    if g > 1:
+        row[:] = [a // g for a in row]
 
 
 def _pivot(
     rows: list[list[int]],
     basis: list[int],
     r: int,
-    col: int,
+    s: int,
+    order: list[tuple[int, int]],
     extra: tuple[list[int], ...] = (),
 ) -> None:
-    """Make column col basic in row r; the rows in extra are eliminated too."""
+    """Make split column s basic in row r; the rows in extra are eliminated too."""
+    col, sign = order[s]
     prow = rows[r]
-    p = prow[col]
-    if p < 0:  # only the phase-1 drive-out pivots on a negative entry
+    if sign * prow[col] < 0:  # only the phase-1 drive-out pivots on a negative entry
         prow[:] = [-v for v in prow]
-        p = -p
+    p = sign * prow[col]
+    nonzero = _nonzero(prow)
     for row in itertools.chain(rows, extra):
         f = row[col]
         if f and row is not prow:
-            _eliminate(row, prow, p, f)
-    basis[r] = col
+            _eliminate(row, prow, nonzero, p, sign * f)
+    basis[r] = s
 
 
 def _run_simplex(
     rows: list[list[int]],
     basis: list[int],
     costs: Sequence,
-    allowed: set[int],
+    order: list[tuple[int, int]],
+    limit: int,
 ) -> str:
     """Maximize costs.x over the tableau in place; returns OPTIMAL or UNBOUNDED.
 
-    costs are rationals; the reduced costs are kept as an integer row with
-    a positive scale, of which only the signs are read.
+    costs are rationals over the stored columns; the reduced costs are
+    kept as an integer row with a positive scale, of which only the signs
+    are read.  Only the first ``limit`` split columns may enter.
     """
     # reduced costs relative to the current basis; zero on the basic
-    # columns, which are (scaled) unit columns of the tableau
+    # columns, which are (scaled, signed) unit columns of the tableau
     reduced = [*integer_row(costs), 0]
-    for i, b in enumerate(basis):
-        if reduced[b]:
-            _eliminate(reduced, rows[i], rows[i][b], reduced[b])
-    ncols = len(costs)
+    for row, b in zip(rows, basis):
+        col, sign = order[b]
+        if reduced[col]:
+            _eliminate(reduced, row, _nonzero(row), sign * row[col], sign * reduced[col])
+    candidates = list(enumerate(order[:limit]))
     while True:
-        # Bland: first improving index
-        entering = next((j for j in range(ncols) if reduced[j] > 0 and j in allowed), None)
+        # Bland: first improving split index
+        entering = next((s for s, (col, sign) in candidates if sign * reduced[col] > 0), None)
         if entering is None:
             return OPTIMAL
+        col, sign = order[entering]
         # the ratio rhs_i / a_i is the rational one: the row scale cancels
         leaving = None
         for i, row in enumerate(rows):
-            a = row[entering]
+            a = sign * row[col]
             if a > 0:
                 if leaving is None:
                     leaving, rhs, den = i, row[-1], a
@@ -95,7 +138,7 @@ def _run_simplex(
                     leaving, rhs, den = i, row[-1], a
         if leaving is None:
             return UNBOUNDED
-        _pivot(rows, basis, leaving, entering, (reduced,))
+        _pivot(rows, basis, leaving, entering, order, (reduced,))
 
 
 def solve_lp(
@@ -104,9 +147,14 @@ def solve_lp(
     b_ub: Sequence = (),
     a_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
+    free: int = 0,
 ) -> LPSolution:
-    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0."""
-    c = [frac(v) for v in c]
+    """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq.
+
+    x_j >= 0 except for the first ``free`` variables, which are free and
+    folded as the module docstring says; a nonzero ``free`` is below
+    len(c).
+    """
     n = len(c)
     ub = list(zip(a_ub, b_ub))
     m_ub = len(ub)
@@ -132,7 +180,7 @@ def solve_lp(
     n_art = sum(1 for *_, slack in pending if slack is None)
     ncols = total + n_art
     rows: list[list[int]] = []
-    basis: list[int] = []
+    basis: list[int] = []  # split indices; stored column j >= n is split j + free
     art = total
     for coeffs, rhs, s, slack in pending:
         row = coeffs + [0] * n_art + [rhs]
@@ -140,47 +188,51 @@ def solve_lp(
             slack = art
             row[slack] = s
             art += 1
-        basis.append(slack)
         rows.append(row)
+        basis.append(slack + free)
+    order = _split_order(n, free, ncols)
+    nsplit = total + free  # split columns other than the artificials
 
     if n_art:
         costs1 = [0] * total + [-1] * n_art
-        if _run_simplex(rows, basis, costs1, set(range(ncols))) != OPTIMAL:
+        if _run_simplex(rows, basis, costs1, order, len(order)) != OPTIMAL:
             raise InvariantViolation("phase 1 of the simplex is unbounded")
         # every rhs stays >= 0, so phase 1 reaches 0 exactly when no basic
         # artificial has a positive rhs
-        if any(bcol >= total and row[-1] for row, bcol in zip(rows, basis)):
+        if any(b >= nsplit and row[-1] for row, b in zip(rows, basis)):
             return LPSolution(INFEASIBLE, None, None)
-        # drive remaining basic artificials out (they sit at level zero)
+        # drive remaining basic artificials out (they sit at level zero);
+        # v_j is nonzero only where u_j is, and u_j comes first
         drop = []
-        for i in range(len(rows)):
-            if basis[i] >= total:
-                col = next((j for j in range(total) if rows[i][j]), None)
-                if col is None:
+        for i, row in enumerate(rows):
+            if basis[i] >= nsplit:
+                s = next((s for s in range(nsplit) if row[order[s][0]]), None)
+                if s is None:
                     drop.append(i)  # redundant constraint
                 else:
-                    _pivot(rows, basis, i, col)
+                    _pivot(rows, basis, i, s, order)
         for i in reversed(drop):
             del rows[i]
             del basis[i]
 
-    costs2 = c + [ZERO] * (ncols - n)
-    status = _run_simplex(rows, basis, costs2, set(range(total)))
+    status = _run_simplex(rows, basis, [*c, *[0] * (ncols - n)], order, nsplit)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None)
     x = [ZERO] * n
     value = ZERO
-    for row, bcol in zip(rows, basis):
-        if bcol < n:
-            x[bcol] = Fraction(row[-1], row[bcol])
-            value += c[bcol] * x[bcol]
+    for row, b in zip(rows, basis):
+        if b < n + free:
+            # the scale of a basic v_j is -row[j], so this is u_j or -v_j
+            col = order[b][0]
+            x[col] = Fraction(row[-1], row[col])
+            value += c[col] * x[col]
     return LPSolution(OPTIMAL, tuple(x), value)
 
 
 def feasible_nonneg(a_eq: Sequence[Sequence], b_eq: Sequence) -> Vec | None:
     """Find x >= 0 with a_eq.x = b_eq, or None."""
     ncols = len(a_eq[0]) if a_eq else 0
-    sol = solve_lp([ZERO] * ncols, a_eq=a_eq, b_eq=b_eq)
+    sol = solve_lp([0] * ncols, a_eq=a_eq, b_eq=b_eq)
     return sol.x if sol.status == OPTIMAL else None
 
 
@@ -190,25 +242,19 @@ def max_margin(
     """Strict feasibility of a_ub.x < b_ub, a_eq.x = 0 by one exact LP.
 
     Maximizes eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0;
-    the first ``free`` entries of x are free (split as u - v), the rest
-    are >= 0.  a_ub needs at least one row.  Returns (eps, x) when the
-    optimal eps is positive, else None.
+    the first ``free`` entries of x are free, the rest are >= 0.  a_ub
+    needs at least one row.  Returns (eps, x) when the optimal eps is
+    positive, else None.
     """
-
-    def split(row) -> list:
-        return list(row) + [-v for v in row[:free]]
-
     k = len(a_ub[0])
-    width = k + free
-    rows = [split(row) + [ONE] for row in a_ub] + [[ZERO] * width + [ONE]]
     sol = solve_lp(
-        [ZERO] * width + [ONE],
-        rows,
-        list(b_ub) + [ONE],
-        [split(row) + [ZERO] for row in a_eq],
-        [ZERO] * len(a_eq),
+        [0] * k + [1],
+        [[*row, 1] for row in a_ub] + [[0] * k + [1]],
+        [*b_ub, 1],
+        [[*row, 0] for row in a_eq],
+        [0] * len(a_eq),
+        free,
     )
     if sol.status != OPTIMAL or sol.value <= 0:
         return None
-    x = sol.x
-    return sol.value, tuple(x[q] - x[k + q] if q < free else x[q] for q in range(k))
+    return sol.value, sol.x[:k]

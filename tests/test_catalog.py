@@ -78,16 +78,21 @@ def test_regression_flags_do_not_fail():
 
 
 def test_regression_solves_der_mu_once_per_bracket(monkeypatch):
-    # the traceless, char-nilpotent and phi-diagonal checks share one
-    # Der(mu) per bracket (heis3, ex10, ex3, ex4-1, ex4-2); the
-    # nilradical-verdict checks of ex10, ex3, ex4-1 and ex4-2 solve their own
+    # the traceless, char-nilpotent, phi-diagonal and nilradical-verdict
+    # checks share one Der(mu) per bracket (heis3, ex10, ex3, ex4-1, ex4-2)
+    # and one Engel flag (all but heis3, which has no char-nilpotent check)
     calls = []
-    solve = derivations._derivation_nullspace
+    solve, flag = derivations._derivation_nullspace, derivations.engel_flag
 
     def counted(mu):
-        calls.append(mu)
+        calls.append("der")
         return solve(mu)
 
+    def counted_flag(der):
+        calls.append("engel")
+        return flag(der)
+
     monkeypatch.setattr(derivations, "_derivation_nullspace", counted)
+    monkeypatch.setattr(derivations, "engel_flag", counted_flag)
     assert run_regression().ok
-    assert len(calls) == 9
+    assert (calls.count("der"), calls.count("engel")) == (5, 4)

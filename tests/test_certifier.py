@@ -204,6 +204,15 @@ def test_witness_metric_heis():
     assert is_negative_definite(extension_ricci(ext))
 
 
+def test_witness_metric_rejects_a_derivation_other_than_the_certificates():
+    cert = Certificate(POSITIVE_DERIVATION, (F(1), F(1), F(2)), slack=F(1))
+    with pytest.raises(InputError):
+        find_witness_metric(HEIS, (2, 2, 4), cert)
+    with pytest.raises(InputError):  # D is not > 0: the halving of s never ended
+        find_witness_metric(HEIS, (-1, 5, 4), cert)
+    assert find_witness_metric(HEIS, [1, 1, 2], cert).s == 1
+
+
 def test_positive_derivation_witness_round_trips_through_verify():
     # s = 1 fails for so small a D; halving reaches a negative definite Ricci
     d = (F(1, 100), F(1, 100), F(1, 50))

@@ -11,6 +11,7 @@ import nilcone
 from nilcone import cli, derivations, simplex
 from nilcone.catalog import catalog_entry, catalog_get, catalog_list
 from nilcone.cli import main
+from nilcone.liecore import MAX_DIM, parse_bracket
 
 
 def extract_block(out):
@@ -267,6 +268,17 @@ def test_input_errors_exit_1(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error: "), (argv, err)
+
+
+def test_hostile_dim_exits_1_at_parse_time(tmp_path, capsys):
+    # refused before anything of size dim is built
+    path = tmp_path / "alg.txt"
+    path.write_text("dim 20000\nbracket 1 2 3 1\n")
+    for argv in (("check", str(path)), ("certify", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: line 1: dimension 20000 exceeds the limit {MAX_DIM}\n"
+    assert parse_bracket(f"dim {MAX_DIM}\nbracket 1 2 3 1\n").dim == MAX_DIM
 
 
 def test_other_value_error_exits_2(monkeypatch, capsys):

@@ -55,6 +55,7 @@ from nilcone.certifier import (
 from nilcone.derivations import (
     Analysis,
     DerivationBasis,
+    DiagonalDerivationSpace,
     EngelResult,
     derivation_algebra,
     diagonal_derivations,
@@ -639,14 +640,36 @@ LP_RHS = st.sampled_from([F(-2), F(-1), F(0), F(0), F(0), F(1), F(1), F(5, 2)])
 MARGIN_RHS = st.sampled_from([F(-5, 6), F(-1, 3), F(0), F(0), F(1, 4), F(2, 3), F(7, 2)])
 
 
+def split_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0):
+    """The LP of ``solve_lp(..., free)`` with each free x_j written as
+    u_j - v_j over two nonnegative columns, in the column order u, the
+    other variables but the last, v, the last variable."""
+    def split(row):
+        row = list(row)
+        return row[:-1] + [-v for v in row[:free]] + row[-1:] if free else row
+
+    return split(c), [split(r) for r in a_ub], list(b_ub), [split(r) for r in a_eq], list(b_eq)
+
+
+def reference_solve_folded(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0) -> LPSolution:
+    """``reference_solve_lp`` on the split LP, read back as x_j = u_j - v_j."""
+    sol = reference_solve_lp(*split_lp(c, a_ub, b_ub, a_eq, b_eq, free))
+    if sol.x is None or not free:
+        return sol
+    n, x = len(c), sol.x
+    folded = [x[j] - x[n - 1 + j] for j in range(free)] + list(x[free:n - 1]) + [x[-1]]
+    return LPSolution(sol.status, tuple(folded), sol.value)
+
+
 @st.composite
 def small_lps(draw):
-    """(c, a_ub, b_ub, a_eq, b_eq) with at least one ub row, some with a
-    negative right-hand side, and sometimes a redundant copy of an equality.
+    """(c, a_ub, b_ub, a_eq, b_eq, free) with at least one ub row, some with
+    a negative right-hand side, and sometimes a redundant copy of an equality.
 
-    Half the draws are shaped like the LP of ``max_margin``: x free as
-    u - v, eps in every ub row and capped by eps <= 1, equality rows with a
-    zero right-hand side, and ub right-hand sides with denominators.
+    Half the draws are the LP of ``max_margin`` on k columns, any 0..k of
+    them free: eps in every ub row and capped by eps <= 1, equality rows
+    with a zero right-hand side, and ub right-hand sides with denominators,
+    some negative and some zero.  The other half have no free variable.
     """
     n = draw(st.integers(1, 4))
     row = st.lists(LP_COEFFS, min_size=n, max_size=n)
@@ -654,17 +677,13 @@ def small_lps(draw):
         a = draw(st.lists(row, min_size=1, max_size=4))
         b = draw(st.lists(MARGIN_RHS, min_size=len(a), max_size=len(a)))
         eq = draw(st.lists(row, max_size=2))
-
-        def split(r):
-            return r + [-v for v in r]
-
-        zeros = [ZERO] * (2 * n)
         return (
-            zeros + [ONE],
-            [split(r) + [ONE] for r in a] + [zeros + [ONE]],
-            b + [ONE],
-            [split(r) + [ZERO] for r in eq],
-            [ZERO] * len(eq),
+            [0] * n + [1],
+            [r + [1] for r in a] + [[0] * n + [1]],
+            b + [1],
+            [r + [0] for r in eq],
+            [0] * len(eq),
+            draw(st.integers(0, n)),
         )
     c = draw(row)
     a_ub = draw(st.lists(row, min_size=1, max_size=4))
@@ -675,7 +694,7 @@ def small_lps(draw):
         k = draw(st.sampled_from([F(2), F(-1, 2)]))
         a_eq.append([k * x for x in a_eq[0]])
         b_eq.append(k * b_eq[0])
-    return c, a_ub, b_ub, a_eq, b_eq
+    return c, a_ub, b_ub, a_eq, b_eq, 0
 
 
 # Beale's example: Dantzig's rule cycles on it, Bland's rule does not.
@@ -685,53 +704,77 @@ BEALE = (
     [0, 0, 1],
     [],
     [],
+    0,
 )
 
 
 @settings(max_examples=200)
 @given(small_lps())
 @example(BEALE)
-@example(([1, 1], [[1, 0]], [1], [[1, 1], [2, 2]], [2, 4]))  # redundant equality dropped
-@example(([1, 1], [[1, 1]], [3], [[-1, -1]], [0]))  # artificial driven out at level zero
+@example(([1, 1], [[1, 0]], [1], [[1, 1], [2, 2]], [2, 4], 0))  # redundant equality dropped
+@example(([1, 1], [[1, 1]], [3], [[-1, -1]], [0], 0))  # artificial driven out at level zero
+@example(([0, 0, 1], [[1, 0, 1], [0, 0, 1]], [F(-1, 3), 1], [[1, -1, 0]], [0], 2))  # basic v_j
 def test_simplex_matches_reference(lp):
-    assert solve_lp(*lp) == reference_solve_lp(*lp)
+    assert solve_lp(*lp) == reference_solve_folded(*lp)
 
 
 @st.composite
 def canonical_tableaux(draw):
-    """[A | I | b] with b >= 0 and the slacks basic, plus costs over all columns."""
+    """[A | I | b] with b >= 0 and the slacks basic, costs over the columns
+    of A and I, and how many leading columns of A are free (0..n-1)."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 4))
     a = draw(st.lists(st.lists(LP_COEFFS, min_size=n, max_size=n), min_size=m, max_size=m))
     b = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(2), F(5, 2)]), min_size=m, max_size=m))
     rows = [a[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
     costs = draw(st.lists(LP_COEFFS, min_size=n, max_size=n)) + [ZERO] * m
-    return rows, list(range(n, n + m)), costs
+    return rows, costs, n, draw(st.integers(0, n - 1))
+
+
+# A ratio-test tie between a basic v_0 and a basic x_1: the split index
+# (x_1 before v_0), not the stored column, breaks it.
+TIE_WITH_A_MIRROR = (
+    [[F(v) for v in row] for row in ([-2, -2, -2, -2, 1, 0, 0, 0],
+                                     [-2, -2, -2, -2, 0, 1, 0, 0],
+                                     [-2, -1, -2, 0, 0, 0, 1, 0])],
+    [F(-2), F(-1), F(-2), F(1, 2), ZERO, ZERO, ZERO],
+    4,
+    1,
+)
 
 
 @settings(max_examples=200)
 @given(canonical_tableaux())
+@example(TIE_WITH_A_MIRROR)
 def test_run_simplex_leaves_the_reference_tableau(tableau):
     # same entering and leaving choice at every pivot, so the same final
-    # tableau: each integer row read as row[j] / row[basis[i]]
-    rows, basis, costs = tableau
-    allowed = set(range(len(costs)))
+    # tableau: split column s of integer row i is sign * row[col] over the
+    # row's scale, where (col, sign) = order[s]
+    rows, costs, n, free = tableau
+    order = simplex._split_order(n, free, len(costs))
+    split_rows = [[sign * row[col] for col, sign in order] + [row[-1]] for row in rows]
+    split_costs = [sign * costs[col] for col, sign in order]
+    basis = [len(order) - len(rows) + i for i in range(len(rows))]
     rows_int, basis_int = [list(integer_row(r)) for r in rows], list(basis)
-    status = simplex._run_simplex(rows_int, basis_int, costs, allowed)
-    assert status == _reference_run_simplex(rows, basis, costs, allowed)
+    status = simplex._run_simplex(rows_int, basis_int, costs, order, len(order))
+    assert status == _reference_run_simplex(split_rows, basis, split_costs, set(range(len(order))))
     assert basis_int == basis
-    assert [[F(v, row[b]) for v in row] for row, b in zip(rows_int, basis_int)] == rows
+    folded = []
+    for row, b in zip(rows_int, basis_int):
+        scale = order[b][1] * row[order[b][0]]
+        folded.append([F(sign * row[col], scale) for col, sign in order] + [F(row[-1], scale)])
+    assert folded == split_rows
 
 
 def test_every_catalog_lp_matches_the_reference(monkeypatch):
     """Each LP that the certifiers and the cone projection pose on the
-    catalog, against the rational tableau."""
+    catalog, against the rational tableau of the split LP."""
     solved = []
 
     def checked(*args, **kwargs):
         sol = solve_lp(*args, **kwargs)
-        assert sol == reference_solve_lp(*args, **kwargs)
-        solved.append(sol.status)
+        assert sol == reference_solve_folded(*args, **kwargs)
+        solved.append((sol.status, kwargs.get("free", args[5] if len(args) > 5 else 0)))
         return sol
 
     monkeypatch.setattr(simplex, "solve_lp", checked)
@@ -744,7 +787,8 @@ def test_every_catalog_lp_matches_the_reference(monkeypatch):
         for d in catalog_entry(id_).derivations:
             if sum(d) > 0:
                 certify_derivation(mu, d)
-    assert {OPTIMAL, INFEASIBLE} <= set(solved)
+    assert {OPTIMAL, INFEASIBLE} <= {status for status, _ in solved}
+    assert any(free for _, free in solved)
 
 
 @st.composite
@@ -803,6 +847,25 @@ def test_projected_cone_agrees_with_direct_membership(case):
     w = weight_set(mu)
     direct = strict_cone_membership(dspace.point(t), w) is not None
     assert evaluate_cone(project_certificate_cone(w, dspace), t) == direct
+
+
+@st.composite
+def torus_points(draw):
+    """A DiagonalDerivationSpace on any rational vectors, and parameters t."""
+    n = draw(st.integers(1, 6))
+    basis = draw(st.lists(st.tuples(*[LP_COEFFS | MARGIN_RHS] * n), min_size=1, max_size=4))
+    t = draw(st.lists(MARGIN_RHS | st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    return DiagonalDerivationSpace(tuple(basis)), t
+
+
+@settings(max_examples=100)
+@given(torus_points())
+def test_torus_point_matches_the_fraction_sum(case):
+    dspace, t = case
+    got = dspace.point(t)
+    assert got == tuple(sum((F(tm) * v[r] for tm, v in zip(t, dspace.basis)), ZERO)
+                        for r in range(len(dspace.basis[0])))
+    assert all(type(x) is F for x in got)
 
 
 @st.composite

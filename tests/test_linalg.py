@@ -317,3 +317,33 @@ def test_integer_echelon_matches_fraction_oracle(case):
     assert fast.particular_solution() == slow.particular_solution()
     for probe in probes:
         assert fast.reduce(probe) == slow.reduce(probe)
+
+
+@st.composite
+def presolve_inputs(draw):
+    """Rows with singletons, chains of rows that become singletons once
+    the previous unknown is pinned, explicit zero entries and free rows."""
+    ncols = draw(st.integers(1, 8))
+    columns = st.integers(0, ncols - 1)
+    entries = RATIONALS | st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        chain = draw(st.lists(columns, min_size=1, max_size=ncols, unique=True))
+        zeros = draw(st.dictionaries(columns, st.just(0), max_size=2))
+        rows.append({**zeros, chain[0]: draw(entries.filter(bool))})
+        for prev, c in zip(chain, chain[1:]):
+            rows.append({prev: draw(entries), c: draw(entries.filter(bool))})
+    rows += draw(st.lists(st.dictionaries(columns, entries, max_size=4), max_size=4))
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=200)
+@given(presolve_inputs())
+def test_nullspace_presolve_matches_fraction_oracle(case):
+    ncols, rows = case
+    slow = FractionEchelon(ncols)
+    for row in rows:
+        slow.add_row(row)
+    copies = [dict(r) for r in rows]
+    assert nullspace(rows, ncols) == slow.nullspace_basis()
+    assert rows == copies  # the presolve works on its own copies

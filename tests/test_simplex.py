@@ -104,6 +104,14 @@ def test_max_margin_infeasible():
     assert max_margin([[-1, 0], [0, -1]], [0, 0], [[1, 1]], free=2) is None
 
 
+def test_split_order_puts_the_mirrors_before_the_last_variable():
+    # max_margin's split LP: x0 = u0 - v0, x1 = u1 - v1 free, x2 >= 0, eps,
+    # then two slacks; v_j is stored as column j with sign -1
+    assert simplex._split_order(4, 2, 6) == [
+        (0, 1), (1, 1), (2, 1), (0, -1), (1, -1), (3, 1), (4, 1), (5, 1)]
+    assert simplex._split_order(2, 0, 3) == [(0, 1), (1, 1), (2, 1)]
+
+
 def test_unbounded_phase_one_raises(monkeypatch):
     monkeypatch.setattr(simplex, "_run_simplex", lambda *args: UNBOUNDED)
     with pytest.raises(InvariantViolation):
