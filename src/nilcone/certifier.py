@@ -296,12 +296,14 @@ def find_witness_metric(
     1/2 sum_w c_w^2 e^(2 <F_w, x>) - 2 tr D <P, x> over the weights of the
     certificate's nice bracket, where P is the certificate's combination
     with each zero coefficient raised to slack / (4 #zeros); see README
-    "Witness metrics".  ``budget`` caps the Newton steps.  e^x is
-    rounded, finer if needed, and for a degeneration multiplied by
-    2^(t alpha), t = 0, 1, 2, 4, ...  Only the exact Sylvester test accepts;
-    None if no candidate passes it.  A d other than cert.d is an
-    ``InputError``: the certificate says nothing about it, and for a
-    positive derivation the halving of s would then never end.
+    "Witness metrics".  Newton starts at the least-squares point, which is
+    the minimizer when the weights are independent; ``budget`` caps the
+    Newton steps after it.  e^x is rounded, finer if needed, and for a
+    degeneration multiplied by 2^(t alpha), t = 0, 1, 2, 4, ...  Only the
+    exact Sylvester test accepts; None if no candidate passes it.  A d
+    other than cert.d is an ``InputError``: the certificate says nothing
+    about it, and for a positive derivation the halving of s would then
+    never end.
     """
     if tuple(d) != tuple(cert.d):
         raise InputError("the derivation is not the one the certificate is for")
@@ -313,15 +315,20 @@ def find_witness_metric(
     lam = mu if cert.degeneration is None else sub_bracket(mu, cert.degeneration[1])
     zeros = sum(1 for key in lam.keys() if not cert.coefficients.get(key))
     eps = cert.slack / (4 * zeros) if zeros else ZERO
-    trd = float(sum(d, ZERO))
+    b = {key: cert.coefficients.get(key) or eps for key in lam.keys()}
+    top = max(b.values())
+    # the objective over 2 tr D max b: the same minimizer, and no float
+    # overflows or underflows whatever the scale of D or of the constants
+    shift = _log_abs(2 * sum(d, ZERO) * top)
     terms = [
         ([(r, float(v)) for r, v in enumerate(wt) if v],
-         float(lam.constants[key]) ** 2,
-         2 * trd * float(cert.coefficients.get(key) or eps))
+         2 * _log_abs(lam.constants[key]) - shift,
+         _log_abs(b[key] / top))
         for key, wt in weight_set(lam).items()
     ]
-    # a millionth of the margin: the float error is then far below the rounding's
-    x = _newton_log_metric(terms, mu.dim, 1e-6 * float(cert.slack) * trd, budget)
+    # a millionth of tr D slack, over the same 2 tr D max b: the float error
+    # is then far below the rounding's
+    x = _newton_log_metric(terms, mu.dim, 5e-7 * float(cert.slack / top), budget)
     alpha = integer_row(cert.degeneration[0]) if cert.degeneration else (0,) * mu.dim
     for q in (64, 4096, 2 ** 20):
         h = [_round_exp(v, q) for v in x]
@@ -334,33 +341,48 @@ def find_witness_metric(
 
 
 def _newton_log_metric(terms, n: int, tol: float, budget: int) -> list[float]:
-    """Damped Newton on the sum over terms (F, c2, b) of 1/2 c2 e^(2 <F, x>) - b <F, x>.
+    """Damped Newton on the sum over terms (F, log c^2, log b) of
+    1/2 e^(log c^2 + 2 <F, x>) - e^(log b) <F, x>.
 
-    Stops once every gradient entry is at most ``tol``.  A tiny ridge keeps
-    the Hessian invertible along the directions every F annihilates.
+    Starts at the least-squares solution of <F, x> = (log b - log c^2) / 2,
+    where each term's gradient vanishes; with independent F that point is
+    the minimizer.  Then at most ``budget`` steps, stopping once every
+    gradient entry is at most ``tol``.  A tiny ridge keeps both systems
+    invertible along the directions every F annihilates.
     """
     def value(x):
         try:
-            return sum(0.5 * c2 * math.exp(2 * y) - b * y
-                       for f, c2, b in terms for y in [sum(v * x[r] for r, v in f)])
+            return sum(0.5 * math.exp(lc2 + 2 * y) - math.exp(lb) * y
+                       for f, lc2, lb in terms for y in [sum(v * x[r] for r, v in f)])
         except OverflowError:
             return math.inf
 
-    x = [0.0] * n
+    def ridged(a):
+        for r in range(n):
+            a[r][r] += 1e-9 * (1 + a[r][r])
+        return a
+
+    gram = [[0.0] * n for _ in range(n)]
+    rhs = [0.0] * n
+    for f, lc2, lb in terms:
+        for r, v in f:
+            rhs[r] += (lb - lc2) / 2 * v
+            for s, u in f:
+                gram[r][s] += v * u
+    x = _solve_positive_definite(ridged(gram), rhs)
     for _ in range(budget):
         grad = [0.0] * n
         hess = [[0.0] * n for _ in range(n)]
-        for f, c2, b in terms:
-            z = c2 * math.exp(2 * sum(v * x[r] for r, v in f))
+        for f, lc2, lb in terms:
+            z = math.exp(lc2 + 2 * sum(v * x[r] for r, v in f))
+            g = z - math.exp(lb)
             for r, v in f:
-                grad[r] += (z - b) * v
+                grad[r] += g * v
                 for s, u in f:
                     hess[r][s] += 2 * z * v * u
         if max(map(abs, grad)) <= tol:
             break
-        for r in range(n):
-            hess[r][r] += 1e-9 * (1 + hess[r][r])
-        step = _solve_positive_definite(hess, [-g for g in grad])
+        step = _solve_positive_definite(ridged(hess), [-g for g in grad])
         slope, f0, t = sum(g * s for g, s in zip(grad, step)), value(x), 1.0
         # backtracking (Armijo) line search
         while value(trial := [xr + t * sr for xr, sr in zip(x, step)]) > f0 + t * slope / 4:
@@ -380,6 +402,11 @@ def _solve_positive_definite(a: list[list[float]], b: list[float]) -> list[float
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
                 b[r] -= f * b[c]
     return [b[r] / a[r][r] for r in range(len(b))]
+
+
+def _log_abs(q: Fraction) -> float:
+    """log |q| from its integers, so no float overflows or underflows on the way."""
+    return math.log(abs(q.numerator)) - math.log(q.denominator)
 
 
 def _round_exp(v: float, q: int) -> Fraction:

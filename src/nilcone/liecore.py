@@ -84,15 +84,6 @@ class LieBracket:
             return self.constants.get((i, j, k), ZERO)
         return -self.constants.get((j, i, k), ZERO)
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-        """mu(x, y) for arbitrary rational vectors (0-based coordinates)."""
-        out = [ZERO] * self.dim
-        for (i, j, k), cv in self.constants.items():
-            coeff = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if coeff:
-                out[k - 1] += cv * coeff
-        return tuple(out)
-
     def is_zero(self) -> bool:
         return not self.constants
 

@@ -52,14 +52,6 @@ def integer_row(v: Iterable) -> tuple[int, ...]:
     return primitive(out)
 
 
-def vec(xs: Iterable) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(a)
     m = [list(row) for row in a]

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -25,8 +26,9 @@ from nilcone.certifier import (
 )
 from nilcone.errors import InputError, NotADerivationError, ParseError
 from nilcone.liecore import LieBracket
+from nilcone.linalg import nullspace
 from nilcone.momentricci import MetricExtension, extension_ricci, is_negative_definite
-from nilcone.polytope import iter_faces, strict_cone_membership, weight_set
+from nilcone.polytope import iter_faces, strict_cone_membership, sub_bracket, weight_set
 from test_golden import _verdict
 from test_golden_cone import _golden_sections
 from test_golden_kernels import CASES
@@ -213,6 +215,16 @@ def test_witness_metric_rejects_a_derivation_other_than_the_certificates():
     assert find_witness_metric(HEIS, [1, 1, 2], cert).s == 1
 
 
+@pytest.mark.parametrize("scale", [F(1, 10**400), F(10**400)], ids=["10^-400", "10^400"])
+def test_witness_metric_for_a_derivation_beyond_float_range(scale):
+    d = tuple(scale * x for x in (F(-1), F(5), F(4)))
+    cert = certify_derivation(HEIS, d).certificate
+    ext = find_witness_metric(HEIS, d, cert)
+    # the slack is capped at 1, so at 10^400 the rounding of h may lose it
+    assert ext is not None or scale > 1
+    assert ext is None or is_negative_definite(extension_ricci(ext))
+
+
 def test_positive_derivation_witness_round_trips_through_verify():
     # s = 1 fails for so small a D; halving reaches a negative definite Ricci
     d = (F(1, 100), F(1, 100), F(1, 50))
@@ -256,6 +268,107 @@ def test_every_catalog_certified_rn_gets_a_verified_metric(label, id_, params):
             serialize_certificate(mu, replace(v.certificate, witness=ext)))
         ok, msg = verify_certificate(mu2, cert2)
         assert ok and cert2.witness == ext, msg
+
+
+def _catalog_cone_certificates(kinds=(NICE_CONE, DEGENERATION_CONE)):
+    """(mu, certificate) for every catalog CertifiedRN verdict of a cone kind,
+    at algebra scope and for every listed derivation with positive trace."""
+    for _, id_, params in CASES:
+        mu = catalog_get(id_, **params)
+        for v in [certify_nilradical(mu)] + [
+                certify_derivation(mu, d) for d in catalog_entry(id_).derivations if sum(d) > 0]:
+            if v.status == CERTIFIED_RN and v.certificate.kind in kinds:
+                yield mu, v.certificate
+
+
+def _independent_weights(mu) -> bool:
+    weights = list(weight_set(mu).values())
+    rows = [{r: x for r, x in enumerate(wt) if x} for wt in weights]
+    return mu.dim - len(nullspace(rows, mu.dim)) == len(weights)
+
+
+def _m0(n):
+    """Vergne's filiform m_0(n) with its diagonal derivation (-1, a, a - 1, ..., a + 2 - n)."""
+    mu = LieBracket(n, {(1, i, i + 1): F(1) for i in range(2, n)})
+    return [(mu, (F(-1),) + tuple(F(a + 2 - i) for i in range(2, n + 1)))
+            for a in range(n + 1, n + 5)]
+
+
+def test_least_squares_start_is_the_metric_for_independent_weights():
+    # with independent weights every term's gradient vanishes at the start,
+    # so no Newton step is needed
+    listed = [(HEIS, (F(-1), F(5), F(4))), (catalog_get("ex9"), catalog_entry("ex9").derivations[0])]
+    listed += [case for n in range(5, 11) for case in _m0(n)]
+    certs = [(mu, certify_derivation(mu, d).certificate) for mu, d in listed]
+    assert all(cert.kind == NICE_CONE and _independent_weights(mu) for mu, cert in certs)
+    certs += [(mu, cert) for mu, cert in _catalog_cone_certificates((NICE_CONE,))
+              if _independent_weights(mu)]
+    assert len(certs) == 28  # heis3, ex9, 24 of m_0(n), ex9 at both scopes in the catalog
+    for mu, cert in certs:
+        ext = find_witness_metric(mu, cert.d, cert, budget=0)
+        assert ext is not None and is_negative_definite(extension_ricci(ext)), cert.d
+
+
+def _newton_from_zero(mu, cert, budget=400):
+    """Oracle: log h as first computed, by damped Newton from x = 0 on the
+    terms (F, c^2, b) in floats; returns x, the weights and the tolerance."""
+    lam = mu if cert.degeneration is None else sub_bracket(mu, cert.degeneration[1])
+    zeros = sum(1 for key in lam.keys() if not cert.coefficients.get(key))
+    eps = cert.slack / (4 * zeros) if zeros else F(0)
+    trd = float(sum(cert.d))
+    terms = [([(r, float(v)) for r, v in enumerate(wt) if v],
+              float(lam.constants[key]) ** 2,
+              2 * trd * float(cert.coefficients.get(key) or eps))
+             for key, wt in weight_set(lam).items()]
+    tol, n = 1e-6 * float(cert.slack) * trd, mu.dim
+    weights = [f for f, _, _ in terms]
+
+    def value(x):
+        try:
+            return sum(0.5 * c2 * math.exp(2 * y) - b * y
+                       for f, c2, b in terms for y in [sum(v * x[r] for r, v in f)])
+        except OverflowError:
+            return math.inf
+
+    x = [0.0] * n
+    for _ in range(budget):
+        grad = [0.0] * n
+        hess = [[0.0] * n for _ in range(n)]
+        for f, c2, b in terms:
+            z = c2 * math.exp(2 * sum(v * x[r] for r, v in f))
+            for r, v in f:
+                grad[r] += (z - b) * v
+                for s, u in f:
+                    hess[r][s] += 2 * z * v * u
+        if max(map(abs, grad)) <= tol:
+            break
+        for r in range(n):
+            hess[r][r] += 1e-9 * (1 + hess[r][r])
+        step = certifier._solve_positive_definite(hess, [-g for g in grad])
+        slope, f0, t = sum(g * s for g, s in zip(grad, step)), value(x), 1.0
+        while value(trial := [xr + t * sr for xr, sr in zip(x, step)]) > f0 + t * slope / 4:
+            t /= 2
+            if t < 1e-12:
+                return x, weights, tol
+        x = trial
+    return x, weights, tol
+
+
+def test_least_squares_start_reaches_the_oracle_minimizer(monkeypatch):
+    # the minimizer is unique in the coordinates <F_w, x>, though not in x
+    points = []
+    solve = certifier._newton_log_metric
+    monkeypatch.setattr(certifier, "_newton_log_metric",
+                        lambda *args: points.append(solve(*args)) or points[-1])
+    certs = list(_catalog_cone_certificates())
+    assert len(certs) == 12
+    for mu, cert in certs:
+        points.clear()
+        assert find_witness_metric(mu, cert.d, cert) is not None
+        want, weights, tol = _newton_from_zero(mu, cert)
+        for f in weights:
+            got = sum(v * points[0][r] for r, v in f)
+            assert abs(got - sum(v * want[r] for r, v in f)) <= tol, (cert.d, f)
 
 
 @pytest.mark.parametrize("text", [

@@ -191,6 +191,27 @@ def test_face_budget_does_not_cap_the_witness_search(tmp_path, capsys):
     assert "valid: True" in out
 
 
+# a float holds the square of neither constant
+@pytest.mark.parametrize("constant", [
+    "1"
+    "00000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000",
+    "1/1"
+    "00000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000000",
+], ids=["10^200", "10^-200"])
+def test_witness_with_a_constant_beyond_float_range(tmp_path, capsys, constant):
+    path = tmp_path / "alg.txt"
+    path.write_text(f"dim 3\nbracket 1 2 3 {constant}\n")
+    code, out, err = run(capsys, "witness", str(path), "--derivation=-1,5,4")
+    assert (code, err) == (0, "")
+    assert "found: True\n" in out and out.endswith("negative-definite: True\n")
+
+
 POSITIVE_WITH_METRIC = (
     "certificate\nkind PositiveDerivation\ndim 3\nbracket 1 2 3 1\nderivation 1 1 2\n"
     "slack 1\nmetric-scale 1\nmetric-h {}\nend\n"

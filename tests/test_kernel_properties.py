@@ -104,7 +104,7 @@ from nilcone.polytope import (
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
 from test_golden_kernels import CASES
 from test_liecore import act, direct_sum
-from test_linalg import FractionEchelon, mat_inv, mat_mul
+from test_linalg import FractionEchelon, bracket, mat_inv, mat_mul
 from test_polytope import evaluate_cone
 
 MAX_DIM = 8
@@ -212,9 +212,9 @@ def reference_check_jacobi(mu: LieBracket):
                 total = [
                     x + y + z
                     for x, y, z in zip(
-                        mu.bracket(ab, basis[c - 1]),
-                        mu.bracket(bc, basis[a - 1]),
-                        mu.bracket(ca, basis[b - 1]),
+                        bracket(mu, ab, basis[c - 1]),
+                        bracket(mu, bc, basis[a - 1]),
+                        bracket(mu, ca, basis[b - 1]),
                     )
                 ]
                 if any(total):
@@ -248,7 +248,7 @@ def reference_lower_central_series(mu: LieBracket) -> SubspaceChain:
         for i in range(1, n + 1):
             ei = tuple(ONE if t == i - 1 else ZERO for t in range(n))
             for v in current:
-                w = mu.bracket(ei, v)
+                w = bracket(mu, ei, v)
                 if any(w):
                     images.append(w)
         nxt = _span_basis(images, n)

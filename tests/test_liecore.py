@@ -14,7 +14,7 @@ from nilcone.liecore import (
     parse_bracket,
 )
 
-from test_linalg import mat_inv, mat_vec
+from test_linalg import bracket, mat_inv, mat_vec
 
 
 def act(g, mu: LieBracket) -> LieBracket:
@@ -25,7 +25,7 @@ def act(g, mu: LieBracket) -> LieBracket:
     new = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            w = mat_vec(g, mu.bracket(cols[i - 1], cols[j - 1]))
+            w = mat_vec(g, bracket(mu, cols[i - 1], cols[j - 1]))
             for k in range(1, n + 1):
                 if w[k - 1]:
                     new[(i, j, k)] = w[k - 1]
@@ -89,8 +89,8 @@ def test_signed_lookup():
 
 def test_bracket_bilinear():
     x, y = (F(2), F(0), F(0)), (F(0), F(3), F(0))
-    assert HEIS.bracket(x, y) == (F(0), F(0), F(6))
-    assert HEIS.bracket(y, x) == (F(0), F(0), F(-6))
+    assert bracket(HEIS, x, y) == (F(0), F(0), F(6))
+    assert bracket(HEIS, y, x) == (F(0), F(0), F(-6))
 
 
 def test_jacobi_holds():

@@ -12,15 +12,34 @@ from nilcone.linalg import (
     Echelon,
     dense_row,
     det,
+    frac,
     integer_row,
     leading_principal_minors,
-    mat,
     min_norm_solution,
     nullspace,
     primitive,
     solve_affine,
-    vec,
 )
+
+
+def vec(xs):
+    """A rational vector from int or Fraction entries."""
+    return tuple(frac(x) for x in xs)
+
+
+def mat(rows):
+    """A rational matrix from rows of int or Fraction entries."""
+    return tuple(vec(r) for r in rows)
+
+
+def bracket(mu, x, y):
+    """Oracle: mu(x, y) for arbitrary rational vectors (0-based coordinates)."""
+    out = [ZERO] * mu.dim
+    for (i, j, k), cv in mu.constants.items():
+        coeff = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        if coeff:
+            out[k - 1] += cv * coeff
+    return tuple(out)
 
 
 def mat_mul(a, b):

@@ -15,6 +15,7 @@ from nilcone.momentricci import (
     nil_ricci,
     norm_squared,
 )
+from test_linalg import bracket
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 
@@ -134,12 +135,12 @@ def test_nil_ricci_against_orthonormal_frame_formula():
             row = []
             for b in range(n):
                 t1 = -F(1, 2) * sum(
-                    ip(mu.bracket(basis[a], basis[i]), mu.bracket(basis[b], basis[i]))
+                    ip(bracket(mu, basis[a], basis[i]), bracket(mu, basis[b], basis[i]))
                     for i in range(n)
                 )
                 t2 = F(1, 4) * sum(
-                    ip(mu.bracket(basis[i], basis[j]), basis[a])
-                    * ip(mu.bracket(basis[i], basis[j]), basis[b])
+                    ip(bracket(mu, basis[i], basis[j]), basis[a])
+                    * ip(bracket(mu, basis[i], basis[j]), basis[b])
                     for i in range(n) for j in range(n)
                 )
                 row.append(t1 + t2)
