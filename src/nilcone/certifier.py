@@ -24,6 +24,7 @@ from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent,
 from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
 from .momentricci import MetricExtension, extension_ricci, is_negative_definite
 from .polytope import (
+    Weights,
     interior_point,
     iter_faces,
     pairing,
@@ -90,9 +91,9 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
 
 
 def membership_certificate(
-    d: Vec, lam: LieBracket, kind: str, degeneration
+    d: Vec, weights: Weights, kind: str, degeneration
 ) -> Certificate | None:
-    res = strict_cone_membership(d, weight_set(lam))
+    res = strict_cone_membership(d, weights)
     if res is None:
         return None
     slack, coefficients = res
@@ -137,8 +138,8 @@ def certify_derivation(
         if face is None:
             note += " (face budget exhausted)"
             break
-        lam, kind, degeneration = face
-        cert = membership_certificate(d, lam, kind, degeneration)
+        weights, kind, degeneration = face
+        cert = membership_certificate(d, weights, kind, degeneration)
         if cert is not None:
             return _certified(mu, SCOPE_DERIVATION, cert)
         if kind == NICE_CONE:
@@ -150,15 +151,16 @@ def certify_derivation(
 def _nice_faces(mu: LieBracket, budget: int):
     """The brackets a cone certificate may rest on, in search order.
 
-    Yields (lam, kind, degeneration): mu itself when its basis is nice;
-    otherwise lambda_J for every nice face J other than the full index
-    set, by decreasing |J|.  A diagonal derivation of mu solves a subset
-    of its defining equations on lambda_J, so it stays a derivation there.
+    Yields (weights, kind, degeneration) of a bracket lam: mu itself when
+    its basis is nice; otherwise lambda_J for every nice face J other than
+    the full index set, by decreasing |J|, with the weights the face walk
+    passes on.  A diagonal derivation of mu solves a subset of its
+    defining equations on lambda_J, so it stays a derivation there.
     ``budget`` bounds the nice subsets tested, i.e. the ``is_face`` LPs;
     once it is spent with nice subsets left, yields None and stops.
     """
     if is_nice_basis(mu):
-        yield mu, NICE_CONE, None
+        yield weight_set(mu), NICE_CONE, None
         return
     full = len(mu.keys())
 
@@ -170,8 +172,8 @@ def _nice_faces(mu: LieBracket, budget: int):
         if face is None:
             yield None
         else:
-            j_set, alpha = face
-            yield sub_bracket(mu, j_set), DEGENERATION_CONE, (alpha, j_set)
+            j_set, alpha, weights = face
+            yield weights, DEGENERATION_CONE, (alpha, j_set)
 
 
 def _certified(mu: LieBracket, scope: str, cert: Certificate) -> Verdict:
@@ -190,25 +192,36 @@ def _certified(mu: LieBracket, scope: str, cert: Certificate) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _torus_point(dspace: DiagonalDerivationSpace, t_scaled) -> Vec:
+    """point(t) at t_m = L_m t'_m, for the t' a torus LP finds.
+
+    The torus LPs run on the integer columns L_m v_m of
+    ``dspace.integer_basis``; t is then the point the LP over the rational
+    columns v_m finds, since the simplex takes the same pivots.
+    """
+    return dspace.point([tm * vden for tm, (_, vden) in zip(t_scaled, dspace.integer_basis)])
+
+
 def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Vec | None:
     """LP for a derivation with all diagonal entries positive."""
     if dspace.dim == 0:
         return None
-    t = interior_point([[v[r] for v in dspace.basis] for r in range(n)])
-    return None if t is None else dspace.point(t)
+    cols = [v for v, _ in dspace.integer_basis]
+    t = interior_point([[v[r] for v in cols] for r in range(n)])
+    return None if t is None else _torus_point(dspace, t)
 
 
-def _torus_cone_point(dspace: DiagonalDerivationSpace, lam: LieBracket) -> Vec | None:
+def _torus_cone_point(dspace: DiagonalDerivationSpace, weights: Weights, n: int) -> Vec | None:
     """One LP over (t free, a >= 0): D = point(t) with D - sum a_w F_w > 0
-    over the weights of lam and tr D > 0, as a primitive integer vector."""
-    weights = list(weight_set(lam).values())
-    rows = [[-v[r] for v in dspace.basis] + [wt[r] for wt in weights]
-            for r in range(lam.dim)]
-    rows.append([-sum(v, ZERO) for v in dspace.basis] + [ZERO] * len(weights))
-    sol = max_margin(rows, [ZERO] * len(rows), free=dspace.dim)
+    over the given weights and tr D > 0, as a primitive integer vector."""
+    cols = [v for v, _ in dspace.integer_basis]
+    wts = list(weights.values())
+    rows = [[-v[r] for v in cols] + [wt[r] for wt in wts] for r in range(n)]
+    rows.append([-sum(v) for v in cols] + [0] * len(wts))
+    sol = max_margin(rows, [0] * len(rows), free=dspace.dim)
     if sol is None:
         return None
-    return tuple(map(frac, integer_row(dspace.point(sol[1][:dspace.dim]))))
+    return tuple(map(frac, integer_row(_torus_point(dspace, sol[1][:dspace.dim]))))
 
 
 def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
@@ -255,21 +268,21 @@ def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
         cert = Certificate(POSITIVE_DERIVATION, pos, slack=min(pos))
         return _certified(mu, SCOPE_ALGEBRA, cert)
 
-    basis = a.dspace.basis
+    cols = [v for v, _ in a.dspace.integer_basis]
     bracketed = {x - 1 for (i, j, _) in mu.keys() for x in (i, j)}
-    sinks = [[v[r] for v in basis] for r in range(mu.dim) if r not in bracketed]
+    sinks = [[v[r] for v in cols] for r in range(mu.dim) if r not in bracketed]
     note = ("no candidate derivation certified; obstruction tests passed, "
             "so the algebra may still be a Ricci negative nilradical")
-    if interior_point([[sum(v, ZERO) for v in basis], *sinks]) is not None:
+    if interior_point([[sum(v) for v in cols], *sinks]) is not None:
         for face in _nice_faces(mu, budget):
             if face is None:
                 note += " (face budget exhausted)"
                 break
-            lam, kind, degeneration = face
-            d = _torus_cone_point(a.dspace, lam)
+            weights, kind, degeneration = face
+            d = _torus_cone_point(a.dspace, weights, mu.dim)
             if d is None:
                 continue
-            cert = membership_certificate(d, lam, kind, degeneration)
+            cert = membership_certificate(d, weights, kind, degeneration)
             if cert is None:
                 raise InvariantViolation("a torus LP point fails its membership LP")
             return _certified(mu, SCOPE_ALGEBRA, cert)

@@ -209,7 +209,7 @@ def cmd_degenerate(args, out: Printer) -> int:
     out.emit("tested", 2 ** len(mu.keys()) - 1 if complete else args.budget)
     out.emit("complete", complete)
     out.emit("faces", len(faces))
-    for i, (j_set, alpha) in enumerate(faces):
+    for i, (j_set, alpha, _) in enumerate(faces):
         out.emit(f"face.{i}.kept", ";".join(",".join(map(str, k)) for k in sorted(j_set)))
         out.emit(f"face.{i}.alpha", _fmt_vec(alpha))
         out.emit(f"face.{i}.nice", is_nice_basis(sub_bracket(mu, j_set)))

@@ -51,6 +51,20 @@ class DiagonalDerivationSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def integer_basis(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(L_m v_m, L_m) for each basis vector v_m, L_m the lcm of its denominators.
+
+        An LP over t' with the integer columns L_m v_m is the LP over t with
+        the rational columns v_m, at t_m = L_m t'_m: a column scaled by a
+        positive factor keeps every pivot (see ``nilcone.simplex``).
+        """
+        out = []
+        for v in self.basis:
+            vden = lcm(*[x.denominator for x in v])
+            out.append((tuple(x.numerator * (vden // x.denominator) for x in v), vden))
+        return tuple(out)
+
     def point(self, t) -> Vec:
         """Map parameter coordinates to a diagonal derivation vector.
 
@@ -58,10 +72,8 @@ class DiagonalDerivationSpace:
         read off at the end are ``Fraction``.
         """
         terms = []  # (integer vector, numerator, denominator) of each t_m v_m
-        for tm, v in zip(map(frac, t), self.basis):
+        for tm, (ints, vden) in zip(map(frac, t), self.integer_basis):
             if tm:
-                vden = lcm(*[x.denominator for x in v])
-                ints = [x.numerator * (vden // x.denominator) for x in v]
                 terms.append((ints, tm.numerator, tm.denominator * vden))
         den = lcm(*[d for *_, d in terms])
         total = [0] * len(self.basis[0])
@@ -169,7 +181,11 @@ def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
 
 
 def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
-    return len(d) == mu.dim and all(d[k - 1] == d[i - 1] + d[j - 1] for (i, j, k) in mu.keys())
+    """d_k = d_i + d_j on every nonzero constant, tested on d scaled once to integers."""
+    if len(d) != mu.dim:
+        return False
+    d = integer_row(d)
+    return all(d[k - 1] == d[i - 1] + d[j - 1] for (i, j, k) in mu.keys())
 
 
 def _trace(e: Mat) -> Fraction:

