@@ -74,7 +74,9 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
 
     The center need not be spanned by standard basis vectors, so the
     restriction is tested as a quadratic form: minus its Gram matrix must
-    pass the exact Sylvester test.
+    pass the exact Sylvester test.  The integer center basis is a positive
+    multiple of each rational basis vector, which scales every leading
+    principal minor by a positive square and keeps the verdict.
     """
     require_diagonal_derivation(d, mu)
     trd = sum(d, ZERO)
@@ -83,8 +85,8 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
     z = center(mu)
     if z:
         # only coordinates where d and both center vectors are nonzero add
-        weighted = [[(r, -d[r] * v) for r, v in enumerate(za) if v and d[r]] for za in z]
-        neg_gram = [[sum((w * zb[r] for r, w in dza if zb[r]), ZERO) for zb in z] for dza in weighted]
+        weighted = [[(r, -d[r] * v) for r, v in za.items() if d[r]] for za in z]
+        neg_gram = [[sum((w * zb[r] for r, w in dza if r in zb), ZERO) for zb in z] for dza in weighted]
         if not is_negative_definite(neg_gram):
             return False, "restriction to the center is not positive definite"
     return True, None

@@ -38,7 +38,6 @@ from .liecore import (
     center,
     check_jacobi,
     is_nice_basis,
-    is_nilpotent,
     lower_central_series,
     parse_bracket,
 )
@@ -136,8 +135,8 @@ def cmd_check(args, out: Printer) -> int:
     if not ok:
         out.emit("jacobi-violation", ",".join(map(str, bad)))
         return EXIT_OK
-    out.emit("nilpotent", is_nilpotent(mu))
     lcs = lower_central_series(mu)
+    out.emit("nilpotent", lcs.terminates)
     out.emit("lower-central-series", ",".join(map(str, lcs.dims)))
     out.emit("nilpotency-class", lcs.nilpotency_class)
     out.emit("center-dim", len(center(mu)))

@@ -1,7 +1,8 @@
 """Derivation algebras, diagonal derivations, and the obstruction tests.
 
 The derivation algebra Der(mu) is the exact nullspace of E -> E.mu on
-n x n matrices.  Whether every derivation is traceless is decided on the
+n x n matrices, each basis derivation kept as the integer columns of the
+nullspace vector.  Whether every derivation is traceless is decided on the
 diagonal derivations first, and needs Der(mu) only when they are all
 traceless.  The characteristically-nilpotent decision builds an Engel
 flag: it succeeds iff every derivation is strictly triangular in an
@@ -26,18 +27,25 @@ from .linalg import (
     Mat,
     Vec,
     ZERO,
+    dense,
     frac,
     integer_row,
-    min_norm_solution,
     nullspace,
     solve_affine,
 )
 
+# a derivation E as its integer columns: c -> {r: E_rc}, nonzero entries only
+Columns = dict[int, dict[int, int]]
+
 
 @dataclass(frozen=True)
 class DerivationBasis:
+    """Der(mu) as the primitive integer nullspace vectors, each a positive
+    multiple of a rational basis derivation: kernels, traceless-ness and
+    the equations of phi are the same for either."""
+
     dim_algebra: int
-    basis: tuple[Mat, ...]
+    basis: tuple[Columns, ...]
 
     def __len__(self):
         return len(self.basis)
@@ -119,7 +127,7 @@ def is_derivation(e: Mat, mu: LieBracket) -> bool:
     return all(not any(v) for v in rep_action(e, mu).values())
 
 
-def _derivation_nullspace(mu: LieBracket) -> list[Vec]:
+def _derivation_nullspace(mu: LieBracket) -> list[dict[int, int]]:
     """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
 
     Row (i, j, r), i < j, is the e_r coefficient of (E.mu)(e_i, e_j) =
@@ -154,19 +162,16 @@ def _derivation_nullspace(mu: LieBracket) -> list[Vec]:
 
 
 def derivation_algebra(mu: LieBracket) -> DerivationBasis:
-    """Basis of Der(mu) as n x n matrices."""
+    """Basis of Der(mu), each derivation as its integer columns."""
     n = mu.dim
-    vecs = _derivation_nullspace(mu)
-    # most rows of a basis derivation are zero; sharing one zero row keeps
-    # thousands of short-lived n-tuples off the interpreter's free lists.
-    # The basis vectors hold the shared ZERO, which a tuple comparison
-    # passes by identity, with no Fraction call per entry.
-    zero = (ZERO,) * n
-    mats = tuple(
-        tuple(row if row != zero else zero for row in (v[p * n:(p + 1) * n] for p in range(n)))
-        for v in vecs
-    )
-    return DerivationBasis(n, mats)
+    basis = []
+    for v in _derivation_nullspace(mu):
+        cols: Columns = {}
+        for idx, x in v.items():
+            r, c = divmod(idx, n)
+            cols.setdefault(c, {})[r] = x
+        basis.append(cols)
+    return DerivationBasis(n, tuple(basis))
 
 
 def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
@@ -177,7 +182,7 @@ def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
         for idx, v in ((k - 1, 1), (i - 1, -1), (j - 1, -1)):
             row[idx] = row.get(idx, 0) + v
         rows.append(row)
-    return DiagonalDerivationSpace(tuple(nullspace(rows, mu.dim)))
+    return DiagonalDerivationSpace(tuple(dense(v, mu.dim) for v in nullspace(rows, mu.dim)))
 
 
 def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
@@ -188,9 +193,12 @@ def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
     return all(d[k - 1] == d[i - 1] + d[j - 1] for (i, j, k) in mu.keys())
 
 
-def _trace(e: Mat) -> Fraction:
-    # most diagonals are mostly zero: a Fraction addition costs more than a test
-    return sum([row[r] for r, row in enumerate(e) if row[r]], ZERO)
+def _diagonal(e: Columns) -> dict[int, int]:
+    return {c: col[c] for c, col in e.items() if c in col}
+
+
+def _trace(e: Columns) -> int:
+    return sum(_diagonal(e).values())
 
 
 class Analysis:
@@ -245,30 +253,19 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
     operators Der(mu) induces on the quotient by V_s.  V_s is one echelon
     form: its free columns c index a complement, and D e_c reduced modulo
     V_s is column c of the induced operator, read at those columns.  A
-    kernel is that of any nonzero multiple, so each derivation is scaled
-    to integers once, and each induced operator is put over the common
-    denominator of its reduced columns.
+    kernel is that of any nonzero multiple, so each induced operator is
+    put over the common denominator of its reduced columns.
     """
     n = der.dim_algebra
     if not der.basis:
         return EngelResult(True, (n,))
-    zero = (ZERO,) * n  # see derivation_algebra
-    operators = []
-    for e in der.basis:
-        entries = [(r, c, x) for r, row in enumerate(e) if row != zero
-                   for c, x in enumerate(row) if x]
-        den = lcm(*(x.denominator for _, _, x in entries))
-        cols: dict[int, dict[int, int]] = {}
-        for r, c, x in entries:
-            cols.setdefault(c, {})[r] = x.numerator * (den // x.denominator)
-        operators.append(cols)
     flag = Echelon(n)
     flag_dims: list[int] = []
     while flag.rank < n:
         comp = flag.free_columns()
         position = {c: i for i, c in enumerate(comp)}
         rows = []
-        for cols in operators:
+        for cols in der.basis:
             reduced = [(position[c], *flag.reduce_scaled(col, 1))
                        for c, col in cols.items() if c in position]
             common = lcm(*(den for _, _, den in reduced))
@@ -282,7 +279,7 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
         if not kernel:
             return EngelResult(False, tuple(flag_dims), witness_stage=len(flag_dims))
         for kv in kernel:
-            flag.add_row({c: x for c, x in zip(comp, kv) if x})
+            flag.add_row({comp[i]: x for i, x in kv.items()})
         flag_dims.append(flag.rank)
     return EngelResult(True, tuple(flag_dims))
 
@@ -296,32 +293,46 @@ def solve_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace) -> Vec | st
     Returns the minimum-norm diagonal solution, or INFEASIBLE when no
     diagonal derivation satisfies the trace pairing (which does not prove
     a pre-Einstein derivation fails to exist off the diagonal).
+
+    With phi = sum s_m w_m over the integer torus columns w_m (see
+    ``DiagonalDerivationSpace.integer_basis``), the pairing with E reads
+    a_E . s = tr E, a_E,m = tr(diag(w_m) E).  |phi|^2 = s . G s for the
+    Gram matrix G of the w_m, which is positive definite, so the least
+    norm on that affine space is the s-part of any solution of the
+    Lagrange system G s = sum_E y_E a_E, a_E . s = tr E: two solutions
+    differ by ds with ds . G ds = (A ds) . dy = 0.  The unknowns are s_m
+    at m and y_E after them.
     """
     n = der.dim_algebra
-    if dspace.dim == 0:
+    k = dspace.dim
+    if k == 0:
         # phi = 0 is the only candidate; works iff every trace vanishes
-        if not any(_trace(e) for e in der.basis):
-            return (ZERO,) * n
-        return INFEASIBLE
-    # unknowns: coordinates t over the diagonal-derivation basis
-    rows = []
-    rhs = []
+        return INFEASIBLE if any(_trace(e) for e in der.basis) else (ZERO,) * n
+    at_row: dict[int, list[tuple[int, int]]] = {}  # r -> (m, w_m[r]) for w_m[r] != 0
+    for m, (w, _) in enumerate(dspace.integer_basis):
+        for r, x in enumerate(w):
+            if x:
+                at_row.setdefault(r, []).append((m, x))
+    rows = [{} for _ in range(k)]  # G s - sum_E y_E a_E = 0, then a_E . s = tr E
+    for pairs in at_row.values():
+        for m, x in pairs:
+            for m2, x2 in pairs:
+                rows[m][m2] = rows[m].get(m2, 0) + x * x2
+    rhs = [0] * k
     for e in der.basis:
-        row = {}
-        for m, v in enumerate(dspace.basis):
-            coeff = sum((v[r] * e[r][r] for r in range(n)), ZERO)
-            if coeff:
-                row[m] = coeff
-        rows.append(row)
-        rhs.append(_trace(e))
-    sol = solve_affine(rows, rhs, dspace.dim)
+        diag = _diagonal(e)
+        pairing = {}
+        for r, d in diag.items():
+            for m, x in at_row.get(r, ()):
+                pairing[m] = pairing.get(m, 0) + x * d
+        for m, x in pairing.items():
+            rows[m][len(rows)] = -x
+        rows.append(pairing)
+        rhs.append(sum(diag.values()))
+    sol = solve_affine(rows, rhs, len(rows))
     if sol is None:
         return INFEASIBLE
-    part, null = sol
-    # minimize the norm of phi itself, not of the coordinates
-    phi0 = dspace.point(part)
-    null_phi = [dspace.point(v) for v in null]
-    return min_norm_solution(phi0, null_phi)
+    return dspace.point([sm * vden for sm, (_, vden) in zip(sol, dspace.integer_basis)])
 
 
 def require_diagonal_derivation(d: Vec, mu: LieBracket) -> None:

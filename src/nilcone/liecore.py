@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 from .errors import ParseError
 from .linalg import (
     Echelon,
-    Vec,
     ZERO,
     fmt_rational,
     frac,
@@ -244,8 +243,8 @@ def is_nilpotent(mu: LieBracket) -> bool:
     return lower_central_series(mu).terminates
 
 
-def center(mu: LieBracket) -> tuple[Vec, ...]:
-    """Exact basis of {X : mu(X, e_i) = 0 for all i}.
+def center(mu: LieBracket) -> tuple[dict[int, int], ...]:
+    """Exact basis of {X : mu(X, e_i) = 0 for all i}, as ``nullspace`` gives it.
 
     Row (i, k) holds c_ai^k in column a: the constant c_ab^k is entry a of
     row (b, k), and -c_ab^k is entry b of row (a, k).  The system is

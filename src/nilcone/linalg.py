@@ -1,13 +1,15 @@
 """Exact rational linear algebra for small dense and sparse systems.
 
-Every result is an exact rational (``fractions.Fraction``); no floating
-point is used anywhere.  ``integer_row`` and ``primitive`` put a rational
-row in coprime integers, the form in which the simplex, Fourier-Motzkin
-and the echelon form work.  Nullspaces are computed by fraction-free
-sparse Gaussian elimination over integer rows with a fixed pivot rule
-(always the largest column index present in a row), so free variables
-accumulate at the low-index coordinates and bases are reproducible across
-runs.  Only the bases and solutions read off at the end are ``Fraction``.
+Every result is exact, an integer or a ``fractions.Fraction``; no
+floating point is used anywhere.  ``integer_row`` and ``primitive`` put a
+rational row in coprime integers, the form in which the simplex,
+Fourier-Motzkin and the echelon form work.  Nullspaces are computed by
+fraction-free sparse Gaussian elimination over integer rows with a fixed
+pivot rule (always the largest column index present in a row), so free
+variables accumulate at the low-index coordinates and bases are
+reproducible across runs.  A nullspace basis stays in integers: one sparse
+primitive vector per free column, which ``dense`` turns into the rational
+vector that is 1 at that column.  Only solutions are ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-from .errors import SingularMatrixError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -176,11 +176,6 @@ class Echelon:
                 den //= g
         return out, den
 
-    def reduce(self, row: dict) -> dict[int, Fraction]:
-        """The exact rational remainder of the row modulo the pivot rows."""
-        rem, den = self.reduce_scaled(*_scaled(row))
-        return {c: Fraction(v, den) for c, v in rem.items()}
-
     def add_row(self, row: dict) -> None:
         row, _ = self.reduce_scaled(*_scaled(row))
         if not row:
@@ -222,20 +217,31 @@ class Echelon:
     def free_columns(self) -> list[int]:
         return [c for c in range(self.ncols) if c not in self.pivots]
 
-    def nullspace_basis(self) -> list[Vec]:
-        """One basis vector per free column, unit in that coordinate."""
-        free = self.free_columns()
-        basis = {f: [ZERO] * self.ncols for f in free}
-        for f in free:
-            basis[f][f] = ONE
+    def nullspace_basis(self) -> list[dict[int, int]]:
+        """One primitive integer vector per free column f, nonzero entries only.
+
+        The vector is positive at f, f is its least index (the pivot rule
+        puts every off-pivot entry of a pivot row at a lower column), and
+        it is zero at the other free columns.  Divided by its entry at f
+        it is the rational basis vector that is 1 at f (see ``dense``).
+        """
+        hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in self.free_columns()}
         # the entries of a pivot row off its pivot sit at free columns
         # (or at the sentinel -1, which no basis vector has)
         for p, row in self.pivots.items():
             q = row[p]
             for c, v in row.items():
                 if c != p and c != -1:
-                    basis[c][p] = Fraction(-v, q)
-        return [tuple(basis[f]) for f in free]
+                    hits[c].append((p, v, q))
+        basis = []
+        for f, terms in hits.items():
+            den = lcm(*[q for _, _, q in terms])
+            v = {f: den}
+            for p, x, q in terms:
+                v[p] = -x * (den // q)
+            g = gcd(*v.values())
+            basis.append({c: x // g for c, x in v.items()} if g > 1 else v)
+        return basis
 
     def particular_solution(self) -> Vec | None:
         """Solution with all free variables zero; None if inconsistent."""
@@ -247,8 +253,8 @@ class Echelon:
         return tuple(v)
 
 
-def nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vec]:
-    """Basis of {x : row . x = 0 for every row}, as ``Echelon`` reads it off.
+def nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[dict[int, int]]:
+    """Basis of {x : row . x = 0 for every row}, as ``Echelon.nullspace_basis`` reads it off.
 
     Singleton presolve first: a row with one nonzero entry pins that
     unknown to 0, which is dropped from the other rows, and so on until no
@@ -282,12 +288,21 @@ def nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[Vec]:
     return ech.nullspace_basis()
 
 
+def dense(v: dict[int, int], ncols: int) -> Vec:
+    """A kernel vector of ``nullspace`` as the rational tuple that is 1 at its least index."""
+    out = [ZERO] * ncols
+    lead = v[min(v)]
+    for c, x in v.items():
+        out[c] = Fraction(x, lead)
+    return tuple(out)
+
+
 def solve_affine(
     rows: Iterable[dict[int, Fraction]], rhs: Iterable[Fraction], ncols: int
-) -> tuple[Vec, list[Vec]] | None:
-    """Solve the sparse system rows . x = rhs.
+) -> Vec | None:
+    """A solution of the sparse system rows . x = rhs, or None if inconsistent.
 
-    Returns (particular solution, nullspace basis) or None if inconsistent.
+    The solution is the one with every free variable zero.
     """
     ech = Echelon(ncols)
     for r, b in zip(rows, rhs):
@@ -297,36 +312,4 @@ def solve_affine(
         ech.add_row(row)
         if ech.inconsistent:
             return None
-    part = ech.particular_solution()
-    if part is None:
-        return None
-    return part, ech.nullspace_basis()
-
-
-def dense_row(v: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {i: x for i, x in enumerate(v) if x}
-
-
-def min_norm_solution(particular: Vec, null_basis: list[Vec]) -> Vec:
-    """Minimum Euclidean-norm point of the affine space particular + span(basis).
-
-    Exact: solves the normal equations over the rationals.
-    """
-    if not null_basis:
-        return particular
-    k = len(null_basis)
-    gram = [
-        [sum((u[i] * w[i] for i in range(len(u))), ZERO) for w in null_basis]
-        for u in null_basis
-    ]
-    rhs = [
-        -sum((u[i] * particular[i] for i in range(len(u))), ZERO) for u in null_basis
-    ]
-    sol = solve_affine([dense_row(r) for r in gram], rhs, k)
-    if sol is None:  # Gram matrix of independent vectors is invertible
-        raise SingularMatrixError("degenerate Gram system")
-    t = sol[0]
-    return tuple(
-        particular[i] + sum((t[m] * null_basis[m][i] for m in range(k)), ZERO)
-        for i in range(len(particular))
-    )
+    return ech.particular_solution()

@@ -38,6 +38,7 @@ from nilcone.polytope import (
     sub_bracket,
     weight_set,
 )
+from test_derivations import matrices
 from test_polytope import evaluate_cone
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
@@ -181,7 +182,7 @@ def test_criterion_08():
     for id_, mu in _all_entries():
         m = moment_map(mu)
         n = mu.dim
-        for e in derivation_algebra(mu).basis:
+        for e in matrices(derivation_algebra(mu)):
             assert sum(m[a][b] * e[b][a] for a in range(n) for b in range(n)) == 0, id_
 
 

@@ -16,8 +16,20 @@ from nilcone.derivations import (
 )
 from nilcone.errors import NotADerivationError
 from nilcone.liecore import LieBracket
+from nilcone.linalg import dense
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
+
+
+def matrices(der):
+    """Der(mu) as the rational n x n matrices of the nullspace basis:
+    each integer derivation divided by its entry at its first free unknown."""
+    n = der.dim_algebra
+    out = []
+    for e in der.basis:
+        flat = dense({r * n + c: x for c, col in e.items() for r, x in col.items()}, n * n)
+        out.append(tuple(flat[p * n:(p + 1) * n] for p in range(n)))
+    return tuple(out)
 
 
 def _engel(mu):
@@ -38,6 +50,8 @@ def test_derivation_algebra_heis():
     der = derivation_algebra(HEIS)
     assert len(der) == 6
     for e in der.basis:
+        assert all(type(x) is int and x for col in e.values() for x in col.values())
+    for e in matrices(der):
         assert is_derivation(e, HEIS)
 
 
@@ -111,7 +125,7 @@ def test_phi_heis():
 def test_phi_trace_pairing():
     mu = catalog_get("n4nice")
     phi = _phi(mu)
-    for e in derivation_algebra(mu).basis:
+    for e in matrices(derivation_algebra(mu)):
         tr_e = sum(e[r][r] for r in range(mu.dim))
         tr_phi_e = sum(phi[r] * e[r][r] for r in range(mu.dim))
         assert tr_phi_e == tr_e

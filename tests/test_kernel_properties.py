@@ -49,6 +49,7 @@ from nilcone.certifier import (
     certify_derivation,
     certify_nilradical,
     find_witness_metric,
+    necessary_condition,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -62,6 +63,7 @@ from nilcone.derivations import (
     diagonal_derivations,
     engel_flag,
     rep_action,
+    solve_phi,
 )
 from nilcone import simplex
 from nilcone.errors import InvariantViolation
@@ -76,12 +78,13 @@ from nilcone.liecore import (
 from nilcone.linalg import (
     ONE,
     ZERO,
-    dense_row,
+    dense,
     det,
     frac,
     integer_row,
     leading_principal_minors,
     nullspace,
+    solve_affine,
 )
 from nilcone.momentricci import (
     MetricExtension,
@@ -105,7 +108,8 @@ from nilcone.polytope import (
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, max_margin, solve_lp
 from test_golden_kernels import CASES
 from test_liecore import act, direct_sum
-from test_linalg import FractionEchelon, bracket, mat_inv, mat_mul
+from test_derivations import matrices
+from test_linalg import FractionEchelon, bracket, dense_row, mat_inv, mat_mul, min_norm_solution
 from test_polytope import evaluate_cone
 
 MAX_DIM = 8
@@ -159,8 +163,11 @@ def skew_brackets(draw) -> LieBracket:
     return LieBracket(n, constants)
 
 
-def reference_derivation_algebra(mu: LieBracket) -> DerivationBasis:
-    """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based)."""
+def reference_derivation_algebra(mu: LieBracket):
+    """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
+
+    Returns the rational n x n matrices of the nullspace basis.
+    """
     n = mu.dim
     rows = []
     for i in range(1, n + 1):
@@ -185,11 +192,8 @@ def reference_derivation_algebra(mu: LieBracket) -> DerivationBasis:
                 if row:
                     rows.append(row)
     rows.sort(key=len)
-    vecs = nullspace(rows, n * n)
-    mats = tuple(
-        tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n)) for v in vecs
-    )
-    return DerivationBasis(n, mats)
+    vecs = [dense(v, n * n) for v in nullspace(rows, n * n)]
+    return tuple(tuple(v[p * n:(p + 1) * n] for p in range(n)) for v in vecs)
 
 
 def _basis_bracket(mu: LieBracket, i: int, j: int):
@@ -262,8 +266,8 @@ def reference_lower_central_series(mu: LieBracket) -> SubspaceChain:
         current = nxt
 
 
-def reference_center(mu: LieBracket):
-    """Exact basis of {X : mu(X, e_i) = 0 for all i}."""
+def _center_rows(mu: LieBracket) -> list[dict]:
+    """Row (i, k) of mu(X, e_i) = 0: c_ai^k at each a."""
     n = mu.dim
     rows = []
     for i in range(1, n + 1):
@@ -275,14 +279,19 @@ def reference_center(mu: LieBracket):
                     row[a - 1] = cv
             if row:
                 rows.append(row)
-    return tuple(nullspace(rows, n))
+    return rows
+
+
+def reference_center(mu: LieBracket):
+    """Exact basis of {X : mu(X, e_i) = 0 for all i}."""
+    return tuple(nullspace(_center_rows(mu), mu.dim))
 
 
 def reference_engel(mu: LieBracket) -> EngelResult:
     """The Engel flag through an adapted basis M and M^-1 D M at each stage."""
     n = mu.dim
-    der = derivation_algebra(mu)
-    if not der.basis:
+    der = matrices(derivation_algebra(mu))
+    if not der:
         return EngelResult(True, (n,))
     flag_vectors: list[tuple] = []
     flag_dims: list[int] = []
@@ -299,7 +308,7 @@ def reference_engel(mu: LieBracket) -> EngelResult:
         m_inv = mat_inv(m_cols)
         d = len(flag_vectors)
         induced = []
-        for e in der.basis:
+        for e in der:
             t = mat_mul(m_inv, mat_mul(e, m_cols))
             induced.append(tuple(tuple(t[d + a][d + b] for b in range(len(comp)))
                                  for a in range(len(comp))))
@@ -307,7 +316,7 @@ def reference_engel(mu: LieBracket) -> EngelResult:
         kernel = nullspace([r for r in rows if r], len(comp))
         if not kernel:
             return EngelResult(False, tuple(flag_dims), witness_stage=stage)
-        for kv in kernel:
+        for kv in (dense(v, len(comp)) for v in kernel):
             flag_vectors.append(tuple(
                 sum((kv[a] * (ONE if t == comp[a] else ZERO) for a in range(len(comp))), ZERO)
                 for t in range(n)
@@ -333,11 +342,11 @@ N4NICE_MOVED = act(
 @example(N4NICE_MOVED)  # traceless torus, traced Der(mu): the fallback says no
 def test_traceless_test_matches_every_reference_derivation(mu):
     reference = reference_derivation_algebra(mu)
-    want = all(sum((e[r][r] for r in range(mu.dim)), ZERO) == 0 for e in reference.basis)
+    want = all(sum((e[r][r] for r in range(mu.dim)), ZERO) == 0 for e in reference)
     a = Analysis(mu)
     assert a.traceless == want
     if want:
-        assert a.der == reference
+        assert matrices(a.der) == reference
     # budget 0: no face search, so a non-traceless algebra ends quickly too
     verdict = certify_nilradical(mu, budget=0)
     assert (verdict.status == CERTIFIED_NOT_RN and verdict.scope == SCOPE_ALGEBRA) == want
@@ -388,6 +397,52 @@ def test_engel_flag_matches_adapted_basis_reference(mu):
     assert engel_flag(derivation_algebra(mu)) == reference_engel(mu)
 
 
+def reference_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace):
+    """The minimum-norm phi by the route of a particular solution, the
+    nullspace of the trace pairing and the normal equations, on the
+    rational matrices of the derivations."""
+    n = der.dim_algebra
+    der = matrices(der)
+    traces = [sum((e[r][r] for r in range(n)), ZERO) for e in der]
+    if dspace.dim == 0:
+        return derivations.INFEASIBLE if any(traces) else (ZERO,) * n
+    rows = [{m: x for m, v in enumerate(dspace.basis)
+             if (x := sum((v[r] * e[r][r] for r in range(n)), ZERO))} for e in der]
+    part = solve_affine(rows, traces, dspace.dim)
+    if part is None:
+        return derivations.INFEASIBLE
+    slow = FractionEchelon(dspace.dim)
+    for row in rows:
+        slow.add_row(row)
+    return min_norm_solution(dspace.point(part),
+                             [dspace.point(v) for v in slow.nullspace_basis()])
+
+
+@settings(max_examples=40)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)),
+       st.frozensets(st.integers(0, MAX_DIM ** 2 - 1)))
+@example(N4NICE_MOVED, frozenset())  # empty torus, traced Der(mu): INFEASIBLE
+@example(catalog_get("ex10"), frozenset())  # empty torus, every trace 0: phi = 0
+@example(catalog_get("heis3"), frozenset({1, 2, 3, 4, 5}))  # t free along a line
+def test_phi_matches_the_normal_equations(mu, dropped):
+    """On all of Der(mu) the pairing pins t, since the torus lies in
+    Der(mu); with the derivations in ``dropped`` left out, t may be free
+    along the nullspace of the pairing, where the least norm decides."""
+    a = Analysis(mu)
+    part = DerivationBasis(mu.dim, tuple(e for i, e in enumerate(a.der.basis) if i not in dropped))
+    for der in (a.der, part):
+        assert solve_phi(der, a.dspace) == reference_phi(der, a.dspace)
+
+
+def test_phi_matches_the_normal_equations_on_every_catalog_bracket():
+    for mu, want in ((N4NICE_MOVED, derivations.INFEASIBLE), (catalog_get("ex10"), (ZERO,) * 11)):
+        a = Analysis(mu)
+        assert solve_phi(a.der, a.dspace) == reference_phi(a.der, a.dspace) == want
+    for _, id_, params in CASES:
+        a = Analysis(catalog_get(id_, **params))
+        assert solve_phi(a.der, a.dspace) == reference_phi(a.der, a.dspace), id_
+
+
 @settings(max_examples=15)
 @given(nilpotent_algebras())
 def test_moment_map_pairing_identity_entrywise(mu):
@@ -410,7 +465,7 @@ def test_nil_ricci_is_half_norm_times_moment_map(mu):
 @settings(max_examples=40)
 @given(nilpotent_algebras())
 def test_sparse_kernels_match_dense_references(mu):
-    assert derivation_algebra(mu) == reference_derivation_algebra(mu)
+    assert matrices(derivation_algebra(mu)) == reference_derivation_algebra(mu)
     assert lower_central_series(mu) == reference_lower_central_series(mu)
     assert check_jacobi(mu) == reference_check_jacobi(mu) == (True, None)
     assert center(mu) == reference_center(mu)
@@ -424,7 +479,7 @@ def test_kernels_match_references_without_jacobi(mu):
     assert check_jacobi(mu) == reference_check_jacobi(mu)
     assert lower_central_series(mu) == reference_lower_central_series(mu)
     assert center(mu) == reference_center(mu)
-    assert derivation_algebra(mu) == reference_derivation_algebra(mu)
+    assert matrices(derivation_algebra(mu)) == reference_derivation_algebra(mu)
 
 
 def _reference_pivot(rows: list[list[F]], basis: list[int], r: int, col: int) -> None:
@@ -990,6 +1045,37 @@ def test_every_certified_rn_certificate_gets_a_verified_witness_metric(case):
     assert cert2.witness == ext
     ok, msg = verify_certificate(mu2, cert2)
     assert ok, msg
+
+
+def reference_necessary_condition(mu: LieBracket, d):
+    """``necessary_condition`` on the rational center basis of the oracle echelon form."""
+    trd = sum(d, ZERO)
+    if trd <= 0:
+        return False, f"trace {trd} is not positive"
+    slow = FractionEchelon(mu.dim)
+    for row in _center_rows(mu):
+        slow.add_row(row)
+    z = slow.nullspace_basis()
+    neg_gram = [[sum((-d[r] * za[r] * zb[r] for r in range(mu.dim)), ZERO) for zb in z]
+                for za in z]
+    if z and not is_negative_definite(neg_gram):
+        return False, "restriction to the center is not positive definite"
+    return True, None
+
+
+# center spanned by e_4 and 2 e_2 - e_3, whose integer vector is twice the rational one
+SKEW_CENTER = LieBracket(4, {(1, 2, 4): F(1), (1, 3, 4): F(2)})
+
+
+@settings(max_examples=60)
+@given(diagonal_derivations_of_algebras())
+@example((SKEW_CENTER, (F(-1), F(2), F(2), F(1))))  # positive on the center
+@example((SKEW_CENTER, (F(2), F(-1), F(-1), F(1))))  # negative on 2 e_2 - e_3
+def test_necessary_condition_keeps_its_verdict_on_the_integer_center(case):
+    """The integer center basis differs from the rational one by a positive
+    diagonal congruence of the Gram matrix, which keeps the Sylvester verdict."""
+    mu, d = case
+    assert necessary_condition(mu, d) == reference_necessary_condition(mu, d)
 
 
 def _survives_round_trip(mu: LieBracket, verdict) -> None:

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +10,11 @@ from nilcone.linalg import (
     ONE,
     ZERO,
     Echelon,
-    dense_row,
+    dense,
     det,
     frac,
     integer_row,
     leading_principal_minors,
-    min_norm_solution,
     nullspace,
     primitive,
     solve_affine,
@@ -146,6 +145,53 @@ class FractionEchelon:
         return tuple(v)
 
 
+def dense_row(v):
+    """A dense rational vector as a sparse row."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def min_norm_solution(particular, null_basis):
+    """Oracle: the minimum Euclidean-norm point of particular + span(null_basis).
+
+    Exact: solves the normal equations over the rationals.
+    """
+    if not null_basis:
+        return particular
+    k = len(null_basis)
+    gram = [
+        [sum((u[i] * w[i] for i in range(len(u))), ZERO) for w in null_basis]
+        for u in null_basis
+    ]
+    rhs = [
+        -sum((u[i] * particular[i] for i in range(len(u))), ZERO) for u in null_basis
+    ]
+    t = solve_affine([dense_row(r) for r in gram], rhs, k)
+    if t is None:  # Gram matrix of independent vectors is invertible
+        raise SingularMatrixError("degenerate Gram system")
+    return tuple(
+        particular[i] + sum((t[m] * null_basis[m][i] for m in range(k)), ZERO)
+        for i in range(len(particular))
+    )
+
+
+def remainder(ech: Echelon, row) -> dict:
+    """row modulo the pivot rows of ``ech`` as exact rationals, through ``reduce_scaled``."""
+    row = {c: F(v) for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    rem, rden = ech.reduce_scaled({c: int(v * den) for c, v in row.items()}, den)
+    return {c: F(v, rden) for c, v in rem.items()}
+
+
+def assert_kernel_contract(basis, free: list[int]) -> None:
+    """One primitive int vector per free column f: positive at f, f its
+    least index, zero at the other free columns, no zero entry kept."""
+    assert [min(v) for v in basis] == free
+    for v, f in zip(basis, free):
+        assert all(type(x) is int and x for x in v.values())
+        assert v[f] > 0 and gcd(*v.values()) == 1
+        assert not set(v) & (set(free) - {f})
+
+
 def span_rank(vectors, ncols: int) -> int:
     """Oracle: the rank of the span, by one echelon form."""
     ech = FractionEchelon(ncols)
@@ -181,7 +227,18 @@ def test_nullspace_free_variables_at_low_indices():
     # single relation x2 = x0 + x1: free variables are x0, x1
     rows = [{0: F(1), 1: F(1), 2: F(-1)}]
     basis = nullspace(rows, 3)
-    assert basis == [vec([1, 0, 1]), vec([0, 1, 1])]
+    assert basis == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert [dense(v, 3) for v in basis] == [vec([1, 0, 1]), vec([0, 1, 1])]
+
+
+def test_nullspace_is_integer_and_primitive():
+    # 2 x2 = 3 x0 + x1 and 4 x3 = x0: the rational basis has denominators
+    rows = [{0: F(3), 1: F(1), 2: F(-2)}, {0: F(1, 2), 3: F(-2)}]
+    basis = nullspace(rows, 4)
+    assert basis == [{0: 4, 2: 6, 3: 1}, {1: 2, 2: 1}]
+    assert_kernel_contract(basis, [0, 1])
+    assert [dense(v, 4) for v in basis] == [vec([1, 0, F(3, 2), F(1, 4)]),
+                                            vec([0, 1, F(1, 2), 0])]
 
 
 def test_nullspace_full_rank():
@@ -199,38 +256,45 @@ def test_echelon_rank_and_consistency():
 
 
 def _echelon(*rows):
-    ech = Echelon(4)
+    """The integer echelon form of the rows and its ``FractionEchelon`` oracle."""
+    ech, slow = Echelon(4), FractionEchelon(4)
     for r in rows:
         ech.add_row(dense_row(vec(r)))
-    return ech
+        slow.add_row(dense_row(vec(r)))
+    return ech, slow
 
 
 def test_echelon_reduce_row_in_span_is_empty():
-    ech = _echelon([1, 2, 0, 1], [0, 1, 1, 0])
-    assert ech.reduce(dense_row(vec([2, 1, -3, 2]))) == {}
+    ech, slow = _echelon([1, 2, 0, 1], [0, 1, 1, 0])
+    row = dense_row(vec([2, 1, -3, 2]))
+    assert remainder(ech, row) == slow.reduce(row) == {}
 
 
 def test_echelon_reduce_is_idempotent():
-    ech = _echelon([1, 2, 0, 1], [0, 1, 1, 0])
-    once = ech.reduce({0: F(3), 1: F(1), 2: F(5), 3: F(-2)})
+    ech, slow = _echelon([1, 2, 0, 1], [0, 1, 1, 0])
+    once = remainder(ech, {0: F(3), 1: F(1), 2: F(5), 3: F(-2)})
+    assert once == slow.reduce({0: F(3), 1: F(1), 2: F(5), 3: F(-2)})
     assert once
-    assert ech.reduce(once) == once
+    assert remainder(ech, once) == once
 
 
 def test_echelon_reduce_leaves_no_pivot_column():
-    ech = _echelon([1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0])
-    row = {0: F(1), 1: F(-1), 2: F(2), 3: F(7)}
-    assert not set(ech.reduce(row)) & set(ech.pivots)
-    assert row == {0: F(1), 1: F(-1), 2: F(2), 3: F(7)}  # input left untouched
+    ech, slow = _echelon([1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0])
+    row = {0: 1, 1: -1, 2: 2, 3: 7}
+    rem, den = ech.reduce_scaled(row, 1)
+    assert {c: F(v, den) for c, v in rem.items()} == slow.reduce(row)
+    assert not set(rem) & set(ech.pivots)
+    assert row == {0: 1, 1: -1, 2: 2, 3: 7}  # input left untouched
 
 
 def test_solve_affine_particular_plus_nullspace():
     # x0 + x1 = 3, x1 = 1
-    sol = solve_affine([{0: F(1), 1: F(1)}, {1: F(1)}], [F(3), F(1)], 2)
-    assert sol is not None
-    part, null = sol
-    assert part == vec([2, 1])
-    assert null == []
+    rows = [{0: F(1), 1: F(1)}, {1: F(1)}]
+    assert solve_affine(rows, [F(3), F(1)], 2) == vec([2, 1])
+    assert nullspace(rows, 2) == []
+    # x0 + x1 = 3 alone: the free variable x0 is 0, and x0 = -x1 spans the rest
+    assert solve_affine(rows[:1], [F(3)], 2) == vec([0, 3])
+    assert nullspace(rows[:1], 2) == [{0: 1, 1: -1}]
 
 
 def test_solve_affine_inconsistent():
@@ -331,11 +395,11 @@ def test_integer_echelon_matches_fraction_oracle(case):
         assert all(type(v) is int for v in row.values()) and row[p] > 0
         assert {c: F(v, row[p]) for c, v in row.items()} == slow.pivots[p]
     basis = fast.nullspace_basis()
-    assert basis == slow.nullspace_basis()
-    assert all(type(x) is F for v in basis for x in v)
+    assert_kernel_contract(basis, fast.free_columns())
+    assert [dense(v, ncols) for v in basis] == slow.nullspace_basis()
     assert fast.particular_solution() == slow.particular_solution()
     for probe in probes:
-        assert fast.reduce(probe) == slow.reduce(probe)
+        assert remainder(fast, probe) == slow.reduce(probe)
 
 
 @st.composite
@@ -364,5 +428,7 @@ def test_nullspace_presolve_matches_fraction_oracle(case):
     for row in rows:
         slow.add_row(row)
     copies = [dict(r) for r in rows]
-    assert nullspace(rows, ncols) == slow.nullspace_basis()
+    basis = nullspace(rows, ncols)
+    assert_kernel_contract(basis, slow.free_columns())
+    assert [dense(v, ncols) for v in basis] == slow.nullspace_basis()
     assert rows == copies  # the presolve works on its own copies

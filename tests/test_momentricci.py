@@ -15,6 +15,7 @@ from nilcone.momentricci import (
     nil_ricci,
     norm_squared,
 )
+from test_derivations import matrices
 from test_linalg import bracket
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
@@ -67,7 +68,7 @@ def test_moment_map_defining_identity():
 def test_moment_map_orthogonal_to_derivations():
     for mu in _entries(max_dim=8):
         m = moment_map(mu)
-        for e in derivation_algebra(mu).basis:
+        for e in matrices(derivation_algebra(mu)):
             tr = sum(m[a][b] * e[b][a] for a in range(mu.dim) for b in range(mu.dim))
             assert tr == 0
 
