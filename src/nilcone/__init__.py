@@ -5,7 +5,6 @@ from .errors import (
     NilconeError,
     NotADerivationError,
     ParseError,
-    SingularMatrixError,
     UnknownCatalogEntry,
 )
 from .liecore import (

@@ -490,7 +490,7 @@ def _check(entry: CatalogEntry, a: Analysis, exp: Expected) -> CheckResult:
             weight_set(sub_bracket(mu, [(1, 2, 4)])), a.dspace
         ).inequalities
     elif name == "phi-diagonal":
-        got = solve_phi(a.der, a.dspace)
+        got = solve_phi(a)
     elif name == "proper-faces":
         full = len(mu.keys())
         got = sum(1 for f in iter_faces(mu, 4096) if f and len(f[0]) < full)

@@ -38,6 +38,7 @@ from .liecore import (
     center,
     check_jacobi,
     is_nice_basis,
+    is_nilpotent,
     lower_central_series,
     parse_bracket,
 )
@@ -154,7 +155,7 @@ def cmd_der(args, out: Printer) -> int:
     out.emit("characteristically-nilpotent", engel.is_nilpotent)
     if not engel.is_nilpotent and engel.witness_stage is not None:
         out.emit("engel-witness-stage", engel.witness_stage)
-    phi = solve_phi(a.der, a.dspace)
+    phi = solve_phi(a)
     if phi == INFEASIBLE:
         out.emit("phi-diagonal", "infeasible")
     else:
@@ -242,6 +243,29 @@ def cmd_ricci(args, out: Printer) -> int:
     return EXIT_OK
 
 
+def _unsupported(mu: LieBracket) -> str | None:
+    """Why the theory behind a verdict does not cover mu, or None.
+
+    Verdicts, witnesses and certificates speak of nilpotent Lie algebras,
+    so ``certify``, ``witness`` and ``verify`` refuse a bracket that fails
+    Jacobi or is not nilpotent; the other commands describe any bracket.
+    """
+    ok, bad = check_jacobi(mu)
+    if not ok:
+        return "bracket fails the Jacobi identity at " + ",".join(map(str, bad))
+    if not is_nilpotent(mu):
+        return "algebra is not nilpotent"
+    return None
+
+
+def _load_nilpotent(args) -> LieBracket:
+    mu = load_algebra(args.algebra, args.param)
+    why = _unsupported(mu)
+    if why:
+        raise InputError(why)
+    return mu
+
+
 def _print_verdict(mu, verdict, out: Printer):
     out.emit("status", verdict.status)
     out.emit("scope", verdict.scope)
@@ -257,7 +281,7 @@ def _print_verdict(mu, verdict, out: Printer):
 
 
 def cmd_certify(args, out: Printer) -> int:
-    mu = load_algebra(args.algebra, args.param)
+    mu = _load_nilpotent(args)
     if args.derivation:
         d = _parse_vec(args.derivation, mu.dim, "derivation")
         verdict = certify_derivation(mu, d, budget=args.budget)
@@ -273,14 +297,17 @@ def cmd_certify(args, out: Printer) -> int:
 
 def cmd_verify(args, out: Printer) -> int:
     mu, cert = parse_certificate(_read_input(args.certificate))
-    ok, reason = verify_certificate(mu, cert)
+    reason = _unsupported(mu)
+    ok = reason is None
+    if ok:
+        ok, reason = verify_certificate(mu, cert)
     out.emit("valid", ok)
     out.emit("reason", reason)
     return EXIT_OK if ok else EXIT_INPUT
 
 
 def cmd_witness(args, out: Printer) -> int:
-    mu = load_algebra(args.algebra, args.param)
+    mu = _load_nilpotent(args)
     d = _parse_vec(args.derivation, mu.dim, "derivation")
     verdict = certify_derivation(mu, d, budget=args.budget)
     if verdict.status != CERTIFIED_RN:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import NotADerivationError
+from .errors import InvariantViolation, NotADerivationError
 from .liecore import LieBracket
 from .linalg import (
     Echelon,
@@ -31,7 +31,6 @@ from .linalg import (
     frac,
     integer_row,
     nullspace,
-    solve_affine,
 )
 
 # a derivation E as its integer columns: c -> {r: E_rc}, nonzero entries only
@@ -266,7 +265,7 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
         position = {c: i for i, c in enumerate(comp)}
         rows = []
         for cols in der.basis:
-            reduced = [(position[c], *flag.reduce_scaled(col, 1))
+            reduced = [(position[c], *flag.reduce_scaled(col))
                        for c, col in cols.items() if c in position]
             common = lcm(*(den for _, _, den in reduced))
             induced: dict[int, dict[int, int]] = {}
@@ -287,52 +286,47 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
 INFEASIBLE = "infeasible"
 
 
-def solve_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace) -> Vec | str:
-    """Solve tr(phi . E) = tr(E) over the Der basis, phi in the diagonal torus.
+def solve_phi(a: Analysis) -> Vec | str:
+    """The pre-Einstein derivation phi of a.mu, read in the diagonal torus:
+    tr(phi . E) = tr(E) for every derivation E.
 
-    Returns the minimum-norm diagonal solution, or INFEASIBLE when no
-    diagonal derivation satisfies the trace pairing (which does not prove
-    a pre-Einstein derivation fails to exist off the diagonal).
+    Returns INFEASIBLE when no diagonal derivation satisfies the trace
+    pairing (which does not prove a pre-Einstein derivation fails to
+    exist off the diagonal).
 
     With phi = sum s_m w_m over the integer torus columns w_m (see
-    ``DiagonalDerivationSpace.integer_basis``), the pairing with E reads
-    a_E . s = tr E, a_E,m = tr(diag(w_m) E).  |phi|^2 = s . G s for the
-    Gram matrix G of the w_m, which is positive definite, so the least
-    norm on that affine space is the s-part of any solution of the
-    Lagrange system G s = sum_E y_E a_E, a_E . s = tr E: two solutions
-    differ by ds with ds . G ds = (A ds) . dy = 0.  The unknowns are s_m
-    at m and y_E after them.
+    ``DiagonalDerivationSpace.integer_basis``): each diag(w_m) is itself a
+    derivation, so the pairing with it reads G s = b, for the Gram matrix
+    G of the w_m and b_m = sum_r w_m[r].  G is positive definite, so s is
+    unique: it is the kernel vector of the rows (-b_m | G_m) that is 1 at
+    column 0, with s_m at m + 1.  phi exists exactly when that s also
+    pairs correctly with every basis derivation, which is checked in
+    integers.
     """
-    n = der.dim_algebra
-    k = dspace.dim
+    n = a.mu.dim
+    k = a.dspace.dim
     if k == 0:
         # phi = 0 is the only candidate; works iff every trace vanishes
-        return INFEASIBLE if any(_trace(e) for e in der.basis) else (ZERO,) * n
-    at_row: dict[int, list[tuple[int, int]]] = {}  # r -> (m, w_m[r]) for w_m[r] != 0
-    for m, (w, _) in enumerate(dspace.integer_basis):
-        for r, x in enumerate(w):
-            if x:
-                at_row.setdefault(r, []).append((m, x))
-    rows = [{} for _ in range(k)]  # G s - sum_E y_E a_E = 0, then a_E . s = tr E
-    for pairs in at_row.values():
+        return INFEASIBLE if any(_trace(e) for e in a.der.basis) else (ZERO,) * n
+    cols = [w for w, _ in a.dspace.integer_basis]
+    rows = [{0: -sum(w)} for w in cols]  # -b_m at column 0, then G_m
+    for r in range(n):
+        pairs = [(m, w[r]) for m, w in enumerate(cols) if w[r]]
         for m, x in pairs:
+            row = rows[m]
             for m2, x2 in pairs:
-                rows[m][m2] = rows[m].get(m2, 0) + x * x2
-    rhs = [0] * k
-    for e in der.basis:
+                row[m2 + 1] = row.get(m2 + 1, 0) + x * x2
+    kernel = nullspace(rows, k + 1)
+    if len(kernel) != 1 or kernel[0].get(0, 0) <= 0:
+        raise InvariantViolation("the torus Gram system does not pin phi")
+    s = kernel[0]
+    den = s[0]  # phi = num / den
+    num = [sum(s.get(m + 1, 0) * w[r] for m, w in enumerate(cols)) for r in range(n)]
+    for e in a.der.basis:
         diag = _diagonal(e)
-        pairing = {}
-        for r, d in diag.items():
-            for m, x in at_row.get(r, ()):
-                pairing[m] = pairing.get(m, 0) + x * d
-        for m, x in pairing.items():
-            rows[m][len(rows)] = -x
-        rows.append(pairing)
-        rhs.append(sum(diag.values()))
-    sol = solve_affine(rows, rhs, len(rows))
-    if sol is None:
-        return INFEASIBLE
-    return dspace.point([sm * vden for sm, (_, vden) in zip(sol, dspace.integer_basis)])
+        if sum(num[r] * x for r, x in diag.items()) != den * sum(diag.values()):
+            return INFEASIBLE
+    return tuple(Fraction(x, den) for x in num)
 
 
 def require_diagonal_derivation(d: Vec, mu: LieBracket) -> None:

@@ -9,10 +9,6 @@ class ParseError(NilconeError):
     """Malformed algebra file or certificate file."""
 
 
-class SingularMatrixError(NilconeError):
-    """Attempted to invert a singular matrix."""
-
-
 class NotADerivationError(NilconeError):
     """A vector or matrix claimed to be a derivation is not one."""
 

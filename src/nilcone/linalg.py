@@ -3,13 +3,15 @@
 Every result is exact, an integer or a ``fractions.Fraction``; no
 floating point is used anywhere.  ``integer_row`` and ``primitive`` put a
 rational row in coprime integers, the form in which the simplex,
-Fourier-Motzkin and the echelon form work.  Nullspaces are computed by
-fraction-free sparse Gaussian elimination over integer rows with a fixed
-pivot rule (always the largest column index present in a row), so free
-variables accumulate at the low-index coordinates and bases are
-reproducible across runs.  A nullspace basis stays in integers: one sparse
-primitive vector per free column, which ``dense`` turns into the rational
-vector that is 1 at that column.  Only solutions are ``Fraction``.
+Fourier-Motzkin and the echelon form work.  ``nullspace`` is the one
+sparse linear solver: fraction-free Gaussian elimination over ``int`` rows
+(``Echelon``) with a fixed pivot rule (always the largest column index
+present in a row), so free variables accumulate at the low-index
+coordinates and bases are reproducible across runs.  A system with a
+right-hand side is posed as the kernel of the rows with that side as one
+more column.  A nullspace basis stays in integers: one sparse primitive
+vector per free column, which ``dense`` turns into the rational vector
+that is 1 at that column.  Only solutions are ``Fraction``.
 """
 
 from __future__ import annotations
@@ -102,27 +104,6 @@ def leading_principal_minors(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     return minors
 
 
-def _scaled(row: dict) -> tuple[dict[int, int], int]:
-    """A rational row as (int row, den): the row is int row / den.
-
-    int and Fraction entries alike; zeros are dropped and den is the lcm
-    of the denominators.
-    """
-    out = {}
-    den = 1
-    for c, v in row.items():
-        if v:
-            d = v.denominator
-            if d == 1:
-                out[c] = v.numerator
-            else:
-                out[c] = v
-                den = lcm(den, d)
-    if den > 1:
-        out = {c: v.numerator * (den // v.denominator) for c, v in out.items()}
-    return out, den
-
-
 class Echelon:
     """Sparse reduced row-echelon form, pivoting on the largest column index.
 
@@ -130,26 +111,25 @@ class Echelon:
     its pivot is positive; the reduced rational row is that dict divided by
     the pivot entry.  Under the fixed pivot rule the reduced form of a span
     is unique, so it is the same as Gauss-Jordan elimination over
-    ``Fraction`` gives.  The sentinel column ``-1`` (used for augmented
-    right-hand sides) is never chosen as a pivot.
+    ``Fraction`` gives.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, dict[int, int]] = {}
-        self.inconsistent = False
 
-    def reduce_scaled(self, row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-        """row / den modulo the span of the pivot rows, as (int row, den).
+    def reduce_scaled(self, row: dict[int, int]) -> tuple[dict[int, int], int]:
+        """row modulo the span of the pivot rows, as (int row, den): the
+        remainder is int row / den.
 
-        No pivot column is left in the result and den stays positive.  The
+        No pivot column is left in the result and den is positive.  The
         input row is left untouched; a row no pivot column hits is returned
-        as it is.
+        as it is, over den 1.
         """
         pivots = self.pivots
         hits = [c for c in row if c in pivots]
         if not hits:
-            return row, den
+            return row, 1
         # the rows are fully reduced: subtracting pivot rows never brings
         # in another pivot column, so one pass over the hits suffices
         scale = 1
@@ -161,7 +141,6 @@ class Echelon:
             out = {c: v for c, v in row.items() if c not in pivots}
         else:
             out = {c: v * scale for c, v in row.items() if c not in pivots}
-            den *= scale
         for h in hits:
             prow = pivots[h]
             f = row[h] * (scale // prow[h])
@@ -169,21 +148,18 @@ class Echelon:
                 if c != h:
                     out[c] = out.get(c, 0) - f * v
         out = {c: v for c, v in out.items() if v}
-        if den > 1:
-            g = gcd(den, *out.values())
+        if scale > 1:
+            g = gcd(scale, *out.values())
             if g > 1:
                 out = {c: v // g for c, v in out.items()}
-                den //= g
-        return out, den
+                scale //= g
+        return out, scale
 
-    def add_row(self, row: dict) -> None:
-        row, _ = self.reduce_scaled(*_scaled(row))
+    def add_row(self, row: dict[int, int]) -> None:
+        row, _ = self.reduce_scaled({c: v for c, v in row.items() if v})
         if not row:
             return
         p = max(row)
-        if p == -1:
-            self.inconsistent = True
-            return
         g = gcd(*row.values())
         if row[p] < 0:
             g = -g
@@ -227,11 +203,10 @@ class Echelon:
         """
         hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in self.free_columns()}
         # the entries of a pivot row off its pivot sit at free columns
-        # (or at the sentinel -1, which no basis vector has)
         for p, row in self.pivots.items():
             q = row[p]
             for c, v in row.items():
-                if c != p and c != -1:
+                if c != p:
                     hits[c].append((p, v, q))
         basis = []
         for f, terms in hits.items():
@@ -243,17 +218,8 @@ class Echelon:
             basis.append({c: x // g for c, x in v.items()} if g > 1 else v)
         return basis
 
-    def particular_solution(self) -> Vec | None:
-        """Solution with all free variables zero; None if inconsistent."""
-        if self.inconsistent:
-            return None
-        v = [ZERO] * self.ncols
-        for p, row in self.pivots.items():
-            v[p] = Fraction(-row.get(-1, 0), row[p])
-        return tuple(v)
 
-
-def nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[dict[int, int]]:
+def nullspace(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """Basis of {x : row . x = 0 for every row}, as ``Echelon.nullspace_basis`` reads it off.
 
     Singleton presolve first: a row with one nonzero entry pins that
@@ -295,21 +261,3 @@ def dense(v: dict[int, int], ncols: int) -> Vec:
     for c, x in v.items():
         out[c] = Fraction(x, lead)
     return tuple(out)
-
-
-def solve_affine(
-    rows: Iterable[dict[int, Fraction]], rhs: Iterable[Fraction], ncols: int
-) -> Vec | None:
-    """A solution of the sparse system rows . x = rhs, or None if inconsistent.
-
-    The solution is the one with every free variable zero.
-    """
-    ech = Echelon(ncols)
-    for r, b in zip(rows, rhs):
-        row = dict(r)
-        if b:
-            row[-1] = -b
-        ech.add_row(row)
-        if ech.inconsistent:
-            return None
-    return ech.particular_solution()

@@ -291,6 +291,43 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert err.startswith("error: "), (argv, err)
 
 
+# [e1, e2] = e4, [e3, e4] = -e5: nilpotent, but Jacobi fails at (1, 2, 3)
+NOT_JACOBI = "dim 5\nbracket 1 2 4 1\nbracket 4 3 5 1\n"
+
+
+def test_certify_and_witness_refuse_a_bracket_that_fails_jacobi(tmp_path, capsys):
+    path = tmp_path / "alg.txt"
+    path.write_text(NOT_JACOBI)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert "jacobi: False\njacobi-violation: 1,2,3\n" in out
+    for argv in (("certify",), ("certify", "--derivation", "1,1,1,2,3"),
+                 ("witness", "--derivation", "1,1,1,2,3")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, ""), argv
+        assert err == "error: bracket fails the Jacobi identity at 1,2,3\n", argv
+
+
+def test_verify_refuses_a_certificate_on_a_bracket_that_fails_jacobi(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    path.write_text("certificate\nkind PositiveDerivation\n" + NOT_JACOBI
+                    + "derivation 1 1 1 2 3\nslack 1\nend\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == "valid: False\nreason: bracket fails the Jacobi identity at 1,2,3\n"
+
+
+def test_certify_refuses_a_non_nilpotent_bracket_at_derivation_scope(tmp_path, capsys):
+    # [e1, e2] = e2 is solvable, not nilpotent; diag(0, 1) is a derivation of it
+    path = tmp_path / "alg.txt"
+    path.write_text("dim 2\nbracket 1 2 2 1\n")
+    for argv in (("certify",), ("certify", "--derivation", "0,1"),
+                 ("witness", "--derivation", "0,1")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, ""), argv
+        assert err == "error: algebra is not nilpotent\n", argv
+
+
 def test_hostile_dim_exits_1_at_parse_time(tmp_path, capsys):
     # refused before anything of size dim is built
     path = tmp_path / "alg.txt"

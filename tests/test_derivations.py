@@ -37,8 +37,7 @@ def _engel(mu):
 
 
 def _phi(mu):
-    a = Analysis(mu)
-    return solve_phi(a.der, a.dspace)
+    return solve_phi(Analysis(mu))
 
 
 def _diag(*xs):

@@ -62,6 +62,7 @@ from nilcone.derivations import (
     derivation_algebra,
     diagonal_derivations,
     engel_flag,
+    is_derivation,
     rep_action,
     solve_phi,
 )
@@ -84,7 +85,6 @@ from nilcone.linalg import (
     integer_row,
     leading_principal_minors,
     nullspace,
-    solve_affine,
 )
 from nilcone.momentricci import (
     MetricExtension,
@@ -109,7 +109,16 @@ from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, max_marg
 from test_golden_kernels import CASES
 from test_liecore import act, direct_sum
 from test_derivations import matrices
-from test_linalg import FractionEchelon, bracket, dense_row, mat_inv, mat_mul, min_norm_solution
+from test_linalg import (
+    FractionEchelon,
+    bracket,
+    dense_row,
+    int_row,
+    mat_inv,
+    mat_mul,
+    min_norm_solution,
+    solve_affine,
+)
 from test_polytope import evaluate_cone
 
 MAX_DIM = 8
@@ -192,7 +201,7 @@ def reference_derivation_algebra(mu: LieBracket):
                 if row:
                     rows.append(row)
     rows.sort(key=len)
-    vecs = [dense(v, n * n) for v in nullspace(rows, n * n)]
+    vecs = [dense(v, n * n) for v in nullspace([int_row(r) for r in rows], n * n)]
     return tuple(tuple(v[p * n:(p + 1) * n] for p in range(n)) for v in vecs)
 
 
@@ -284,7 +293,7 @@ def _center_rows(mu: LieBracket) -> list[dict]:
 
 def reference_center(mu: LieBracket):
     """Exact basis of {X : mu(X, e_i) = 0 for all i}."""
-    return tuple(nullspace(_center_rows(mu), mu.dim))
+    return tuple(nullspace([int_row(r) for r in _center_rows(mu)], mu.dim))
 
 
 def reference_engel(mu: LieBracket) -> EngelResult:
@@ -313,7 +322,7 @@ def reference_engel(mu: LieBracket) -> EngelResult:
             induced.append(tuple(tuple(t[d + a][d + b] for b in range(len(comp)))
                                  for a in range(len(comp))))
         rows = [dense_row(r) for m in induced for r in m]
-        kernel = nullspace([r for r in rows if r], len(comp))
+        kernel = nullspace([int_row(r) for r in rows if r], len(comp))
         if not kernel:
             return EngelResult(False, tuple(flag_dims), witness_stage=stage)
         for kv in (dense(v, len(comp)) for v in kernel):
@@ -419,28 +428,43 @@ def reference_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace):
 
 
 @settings(max_examples=40)
-@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)),
-       st.frozensets(st.integers(0, MAX_DIM ** 2 - 1)))
-@example(N4NICE_MOVED, frozenset())  # empty torus, traced Der(mu): INFEASIBLE
-@example(catalog_get("ex10"), frozenset())  # empty torus, every trace 0: phi = 0
-@example(catalog_get("heis3"), frozenset({1, 2, 3, 4, 5}))  # t free along a line
-def test_phi_matches_the_normal_equations(mu, dropped):
-    """On all of Der(mu) the pairing pins t, since the torus lies in
-    Der(mu); with the derivations in ``dropped`` left out, t may be free
-    along the nullspace of the pairing, where the least norm decides."""
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
+@example(N4NICE_MOVED)  # empty torus, traced Der(mu): INFEASIBLE
+@example(catalog_get("ex10"))  # empty torus, every trace 0: phi = 0
+def test_phi_matches_the_normal_equations(mu):
+    """On all of Der(mu) the pairing pins t, since the torus lies in Der(mu)."""
     a = Analysis(mu)
-    part = DerivationBasis(mu.dim, tuple(e for i, e in enumerate(a.der.basis) if i not in dropped))
-    for der in (a.der, part):
-        assert solve_phi(der, a.dspace) == reference_phi(der, a.dspace)
+    assert solve_phi(a) == reference_phi(a.der, a.dspace)
 
 
 def test_phi_matches_the_normal_equations_on_every_catalog_bracket():
     for mu, want in ((N4NICE_MOVED, derivations.INFEASIBLE), (catalog_get("ex10"), (ZERO,) * 11)):
         a = Analysis(mu)
-        assert solve_phi(a.der, a.dspace) == reference_phi(a.der, a.dspace) == want
+        assert solve_phi(a) == reference_phi(a.der, a.dspace) == want
     for _, id_, params in CASES:
         a = Analysis(catalog_get(id_, **params))
-        assert solve_phi(a.der, a.dspace) == reference_phi(a.der, a.dspace), id_
+        assert solve_phi(a) == reference_phi(a.der, a.dspace), id_
+
+
+def assert_torus_in_der(mu: LieBracket) -> None:
+    """diag(w) is a derivation for every w of the torus basis, by the dense
+    ``rep_action`` oracle: the premise on which ``solve_phi`` pins phi by
+    the torus's own Gram system."""
+    n = mu.dim
+    for w in diagonal_derivations(mu).basis:
+        e = tuple(tuple(w[r] if r == c else ZERO for c in range(n)) for r in range(n))
+        assert is_derivation(e, mu), w
+
+
+@settings(max_examples=40)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
+def test_every_torus_vector_is_a_derivation(mu):
+    assert_torus_in_der(mu)
+
+
+def test_every_torus_vector_is_a_derivation_on_every_catalog_bracket():
+    for _, id_, params in CASES:
+        assert_torus_in_der(catalog_get(id_, **params))
 
 
 @settings(max_examples=15)

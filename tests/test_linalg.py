@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcone.errors import SingularMatrixError
 from nilcone.linalg import (
     ONE,
     ZERO,
@@ -17,8 +16,11 @@ from nilcone.linalg import (
     leading_principal_minors,
     nullspace,
     primitive,
-    solve_affine,
 )
+
+
+class SingularMatrix(ArithmeticError):
+    """An oracle met a singular matrix."""
 
 
 def vec(xs):
@@ -58,7 +60,7 @@ def mat_inv(a):
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            raise SingularMatrixError("matrix is singular")
+            raise SingularMatrix("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = ONE / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
@@ -72,8 +74,9 @@ def mat_inv(a):
 class FractionEchelon:
     """Oracle: the reduced row-echelon form by Gauss-Jordan over ``Fraction``.
 
-    Same pivot rule as ``Echelon`` (the largest column index, never the
-    sentinel ``-1``); each pivot row is kept divided by its pivot entry.
+    Same pivot rule as ``Echelon`` (the largest column index); each pivot
+    row is kept divided by its pivot entry.  The sentinel column ``-1``
+    holds the right-hand side of ``solve_affine`` and is never a pivot.
     """
 
     def __init__(self, ncols: int):
@@ -150,6 +153,29 @@ def dense_row(v):
     return {i: x for i, x in enumerate(v) if x}
 
 
+def int_row(row: dict) -> dict[int, int]:
+    """A sparse rational row as the primitive int row of the same direction.
+
+    The span, and so the reduced form, is the same; this is how a rational
+    row is fed to ``Echelon`` or ``nullspace``.  Zero entries stay (as 0),
+    so the callee still meets them.
+    """
+    return dict(zip(row, integer_row(row.values())))
+
+
+def solve_affine(rows, rhs, ncols: int):
+    """Oracle: the solution of rows . x = rhs with every free variable zero,
+    or None if inconsistent, through ``FractionEchelon``: the right-hand
+    side rides in the sentinel column -1."""
+    ech = FractionEchelon(ncols)
+    for r, b in zip(rows, rhs):
+        row = dict(r)
+        if b:
+            row[-1] = -b
+        ech.add_row(row)
+    return ech.particular_solution()
+
+
 def min_norm_solution(particular, null_basis):
     """Oracle: the minimum Euclidean-norm point of particular + span(null_basis).
 
@@ -167,7 +193,7 @@ def min_norm_solution(particular, null_basis):
     ]
     t = solve_affine([dense_row(r) for r in gram], rhs, k)
     if t is None:  # Gram matrix of independent vectors is invertible
-        raise SingularMatrixError("degenerate Gram system")
+        raise SingularMatrix("degenerate Gram system")
     return tuple(
         particular[i] + sum((t[m] * null_basis[m][i] for m in range(k)), ZERO)
         for i in range(len(particular))
@@ -178,8 +204,8 @@ def remainder(ech: Echelon, row) -> dict:
     """row modulo the pivot rows of ``ech`` as exact rationals, through ``reduce_scaled``."""
     row = {c: F(v) for c, v in row.items() if v}
     den = lcm(*(v.denominator for v in row.values()))
-    rem, rden = ech.reduce_scaled({c: int(v * den) for c, v in row.items()}, den)
-    return {c: F(v, rden) for c, v in rem.items()}
+    rem, rden = ech.reduce_scaled({c: int(v * den) for c, v in row.items()})
+    return {c: F(v, rden * den) for c, v in rem.items()}
 
 
 def assert_kernel_contract(basis, free: list[int]) -> None:
@@ -207,7 +233,7 @@ def test_mat_inv_roundtrip():
 
 
 def test_mat_inv_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrix):
         mat_inv(mat([[1, 2], [2, 4]]))
 
 
@@ -225,7 +251,7 @@ def test_leading_principal_minors():
 
 def test_nullspace_free_variables_at_low_indices():
     # single relation x2 = x0 + x1: free variables are x0, x1
-    rows = [{0: F(1), 1: F(1), 2: F(-1)}]
+    rows = [{0: 1, 1: 1, 2: -1}]
     basis = nullspace(rows, 3)
     assert basis == [{0: 1, 2: 1}, {1: 1, 2: 1}]
     assert [dense(v, 3) for v in basis] == [vec([1, 0, 1]), vec([0, 1, 1])]
@@ -234,7 +260,7 @@ def test_nullspace_free_variables_at_low_indices():
 def test_nullspace_is_integer_and_primitive():
     # 2 x2 = 3 x0 + x1 and 4 x3 = x0: the rational basis has denominators
     rows = [{0: F(3), 1: F(1), 2: F(-2)}, {0: F(1, 2), 3: F(-2)}]
-    basis = nullspace(rows, 4)
+    basis = nullspace([int_row(r) for r in rows], 4)
     assert basis == [{0: 4, 2: 6, 3: 1}, {1: 2, 2: 1}]
     assert_kernel_contract(basis, [0, 1])
     assert [dense(v, 4) for v in basis] == [vec([1, 0, F(3, 2), F(1, 4)]),
@@ -242,16 +268,16 @@ def test_nullspace_is_integer_and_primitive():
 
 
 def test_nullspace_full_rank():
-    rows = [{0: F(1)}, {1: F(1)}]
+    rows = [{0: 1}, {1: 1}]
     assert nullspace(rows, 2) == []
 
 
 def test_echelon_rank_and_consistency():
     ech = Echelon(3)
-    ech.add_row({0: F(1), 1: F(1)})
-    ech.add_row({0: F(2), 1: F(2)})  # dependent
+    ech.add_row({0: 1, 1: 1})
+    ech.add_row({0: 2, 1: 2})  # dependent
     assert ech.rank == 1
-    ech.add_row({2: F(1)})
+    ech.add_row({2: 1})
     assert ech.rank == 2
 
 
@@ -259,7 +285,7 @@ def _echelon(*rows):
     """The integer echelon form of the rows and its ``FractionEchelon`` oracle."""
     ech, slow = Echelon(4), FractionEchelon(4)
     for r in rows:
-        ech.add_row(dense_row(vec(r)))
+        ech.add_row(int_row(dense_row(vec(r))))
         slow.add_row(dense_row(vec(r)))
     return ech, slow
 
@@ -281,7 +307,7 @@ def test_echelon_reduce_is_idempotent():
 def test_echelon_reduce_leaves_no_pivot_column():
     ech, slow = _echelon([1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0])
     row = {0: 1, 1: -1, 2: 2, 3: 7}
-    rem, den = ech.reduce_scaled(row, 1)
+    rem, den = ech.reduce_scaled(row)
     assert {c: F(v, den) for c, v in rem.items()} == slow.reduce(row)
     assert not set(rem) & set(ech.pivots)
     assert row == {0: 1, 1: -1, 2: 2, 3: 7}  # input left untouched
@@ -291,10 +317,10 @@ def test_solve_affine_particular_plus_nullspace():
     # x0 + x1 = 3, x1 = 1
     rows = [{0: F(1), 1: F(1)}, {1: F(1)}]
     assert solve_affine(rows, [F(3), F(1)], 2) == vec([2, 1])
-    assert nullspace(rows, 2) == []
+    assert nullspace([int_row(r) for r in rows], 2) == []
     # x0 + x1 = 3 alone: the free variable x0 is 0, and x0 = -x1 spans the rest
     assert solve_affine(rows[:1], [F(3)], 2) == vec([0, 3])
-    assert nullspace(rows[:1], 2) == [{0: 1, 1: -1}]
+    assert nullspace([int_row(rows[0])], 2) == [{0: 1, 1: -1}]
 
 
 def test_solve_affine_inconsistent():
@@ -353,18 +379,16 @@ RATIONALS = st.builds(
 
 @st.composite
 def echelon_inputs(draw):
-    """Sparse rows over columns 0..ncols-1 and the sentinel -1.
+    """Sparse rational rows over columns 0..ncols-1, and probes to reduce.
 
-    Rows are drawn fresh, as a rational combination of earlier rows
-    (dependent), or as such a combination shifted in column -1 only
-    (inconsistent once earlier rows pin that combination to zero).
+    Rows are drawn fresh or as a rational combination of earlier rows
+    (dependent).
     """
     ncols = draw(st.integers(1, 7))
-    columns = st.integers(-1, ncols - 1)
+    columns = st.integers(0, ncols - 1)
     rows = []
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["fresh", "dependent", "inconsistent"]) if rows
-                    else st.just("fresh"))
+        kind = draw(st.sampled_from(["fresh", "dependent"]) if rows else st.just("fresh"))
         if kind == "fresh":
             row = draw(st.dictionaries(columns, RATIONALS | st.integers(-3, 3), max_size=4))
         else:
@@ -373,8 +397,6 @@ def echelon_inputs(draw):
                 f = draw(RATIONALS)
                 for c, v in src.items():
                     row[c] = row.get(c, 0) + f * v
-            if kind == "inconsistent":
-                row[-1] = row.get(-1, 0) + draw(RATIONALS)
         rows.append(row)
     probes = draw(st.lists(st.dictionaries(columns, RATIONALS, max_size=5), max_size=3))
     return ncols, rows, probes + rows
@@ -386,10 +408,9 @@ def test_integer_echelon_matches_fraction_oracle(case):
     ncols, rows, probes = case
     fast, slow = Echelon(ncols), FractionEchelon(ncols)
     for row in rows:
-        fast.add_row(row)
+        fast.add_row(int_row(row))
         slow.add_row(row)
         assert fast.rank == slow.rank
-        assert fast.inconsistent == slow.inconsistent
     assert fast.free_columns() == slow.free_columns()
     for p, row in fast.pivots.items():
         assert all(type(v) is int for v in row.values()) and row[p] > 0
@@ -397,7 +418,6 @@ def test_integer_echelon_matches_fraction_oracle(case):
     basis = fast.nullspace_basis()
     assert_kernel_contract(basis, fast.free_columns())
     assert [dense(v, ncols) for v in basis] == slow.nullspace_basis()
-    assert fast.particular_solution() == slow.particular_solution()
     for probe in probes:
         assert remainder(fast, probe) == slow.reduce(probe)
 
@@ -427,6 +447,7 @@ def test_nullspace_presolve_matches_fraction_oracle(case):
     slow = FractionEchelon(ncols)
     for row in rows:
         slow.add_row(row)
+    rows = [int_row(r) for r in rows]
     copies = [dict(r) for r in rows]
     basis = nullspace(rows, ncols)
     assert_kernel_contract(basis, slow.free_columns())
