@@ -30,7 +30,6 @@ from .polytope import (
     pairing,
     require_budget,
     strict_cone_membership,
-    sub_bracket,
     verify_membership,
     weight_set,
 )
@@ -52,7 +51,8 @@ SCOPE_ALGEBRA = "algebra"
 class Certificate:
     kind: str
     d: Vec
-    # (alpha, J) for DegenerationCone; the limit bracket is sub_bracket(mu, J)
+    # (alpha, J) for DegenerationCone; the limit bracket lambda_J keeps the
+    # constants of mu indexed by J, and is read off mu, never built
     degeneration: tuple[Vec, frozenset[Key]] | None = None
     coefficients: dict[Key, Fraction] = field(default_factory=dict)
     slack: Fraction = ZERO
@@ -154,23 +154,18 @@ def _nice_faces(mu: LieBracket, budget: int):
     """The brackets a cone certificate may rest on, in search order.
 
     Yields (weights, kind, degeneration) of a bracket lam: mu itself when
-    its basis is nice; otherwise lambda_J for every nice face J other than
-    the full index set, by decreasing |J|, with the weights the face walk
-    passes on.  A diagonal derivation of mu solves a subset of its
-    defining equations on lambda_J, so it stays a derivation there.
+    its basis is nice; otherwise lambda_J for every nice face J, by
+    decreasing |J|, with the weights the face walk passes on.  A diagonal
+    derivation of mu solves a subset of its defining equations on
+    lambda_J, so it stays a derivation there.
     ``budget`` bounds the nice subsets tested, i.e. the ``is_face`` LPs;
     once it is spent with nice subsets left, yields None and stops.
     """
-    if is_nice_basis(mu):
+    if is_nice_basis(mu.keys()):
         yield weight_set(mu), NICE_CONE, None
         return
-    full = len(mu.keys())
-
-    def nice_proper(j_set) -> bool:
-        # the full hull needs a nice basis of mu, handled above
-        return len(j_set) < full and is_nice_basis(sub_bracket(mu, j_set))
-
-    for face in iter_faces(mu, budget, nice_proper):
+    # mu is not nice, so neither is its full index set
+    for face in iter_faces(mu, budget, is_nice_basis):
         if face is None:
             yield None
         else:
@@ -327,19 +322,19 @@ def find_witness_metric(
         while not is_negative_definite(extension_ricci(ext)):
             ext = MetricExtension(mu, d, ext.s / 2, ext.h)
         return ext
-    lam = mu if cert.degeneration is None else sub_bracket(mu, cert.degeneration[1])
-    zeros = sum(1 for key in lam.keys() if not cert.coefficients.get(key))
+    w = _bracket_weights(mu, cert)
+    zeros = sum(1 for key in w if not cert.coefficients.get(key))
     eps = cert.slack / (4 * zeros) if zeros else ZERO
-    b = {key: cert.coefficients.get(key) or eps for key in lam.keys()}
+    b = {key: cert.coefficients.get(key) or eps for key in w}
     top = max(b.values())
     # the objective over 2 tr D max b: the same minimizer, and no float
     # overflows or underflows whatever the scale of D or of the constants
     shift = _log_abs(2 * sum(d, ZERO) * top)
     terms = [
         ([(r, float(v)) for r, v in enumerate(wt) if v],
-         2 * _log_abs(lam.constants[key]) - shift,
+         2 * _log_abs(mu.constants[key]) - shift,
          _log_abs(b[key] / top))
-        for key, wt in weight_set(lam).items()
+        for key, wt in w.items()
     ]
     # a millionth of tr D slack, over the same 2 tr D max b: the float error
     # is then far below the rounding's
@@ -353,6 +348,15 @@ def find_witness_metric(
             if is_negative_definite(extension_ricci(ext)):
                 return ext
     return None
+
+
+def _bracket_weights(mu: LieBracket, cert: Certificate) -> Weights:
+    """The weights of the certificate's nice bracket: those of mu, kept to
+    J for a degeneration, in ``mu.keys()`` order."""
+    w = weight_set(mu)
+    if cert.degeneration is None:
+        return w
+    return {key: v for key, v in w.items() if key in cert.degeneration[1]}
 
 
 def _newton_log_metric(terms, n: int, tol: float, budget: int) -> list[float]:
@@ -468,8 +472,7 @@ def _verify_kind_data(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
     if cert.kind == NICE_CONE:
         if cert.degeneration is not None:
             return False, "a nice basis cone carries no degeneration"
-        lam = mu
-        if not is_nice_basis(lam):
+        if not is_nice_basis(mu.keys()):
             return False, "basis is not nice"
     elif cert.kind == DEGENERATION_CONE:
         if cert.degeneration is None:
@@ -484,18 +487,17 @@ def _verify_kind_data(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
                     return False, "alpha does not vanish on the kept set"
             elif pr >= 0:
                 return False, "alpha is not negative on the dropped set"
-        lam = sub_bracket(mu, j_set)
-        if not is_nice_basis(lam):
+        if not is_nice_basis(j_set):
             return False, "degenerate bracket is not nice"
-        if not is_diagonal_derivation(d, lam):
-            return False, "D is not a derivation of the degenerate bracket"
+        # D is a derivation of lambda_J: its equations are a subset of mu's
     else:
         return False, f"unknown certificate kind {cert.kind!r}"
 
-    extra = set(cert.coefficients) - set(lam.keys())
+    w = _bracket_weights(mu, cert)
+    extra = set(cert.coefficients) - w.keys()
     if extra:
         return False, f"coefficients on absent weights {sorted(extra)}"
-    slack = verify_membership(d, weight_set(lam), cert.coefficients)
+    slack = verify_membership(d, w, cert.coefficients)
     if slack is None:
         return False, "coefficients do not witness strict membership"
     if cert.slack <= 0 or slack < cert.slack:

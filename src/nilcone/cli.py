@@ -49,7 +49,7 @@ from .momentricci import (
     moment_map,
 )
 from .linalg import fmt_rational, leading_principal_minors
-from .polytope import iter_faces, project_certificate_cone, sub_bracket, weight_set
+from .polytope import iter_faces, project_certificate_cone, weight_set
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -165,7 +165,7 @@ def cmd_der(args, out: Printer) -> int:
 
 def cmd_nice(args, out: Printer) -> int:
     mu = load_algebra(args.algebra, args.param)
-    out.emit("nice", is_nice_basis(mu))
+    out.emit("nice", is_nice_basis(mu.keys()))
     return EXIT_OK
 
 
@@ -212,7 +212,7 @@ def cmd_degenerate(args, out: Printer) -> int:
     for i, (j_set, alpha, _) in enumerate(faces):
         out.emit(f"face.{i}.kept", ";".join(",".join(map(str, k)) for k in sorted(j_set)))
         out.emit(f"face.{i}.alpha", _fmt_vec(alpha))
-        out.emit(f"face.{i}.nice", is_nice_basis(sub_bracket(mu, j_set)))
+        out.emit(f"face.{i}.nice", is_nice_basis(j_set))
     return EXIT_OK
 
 

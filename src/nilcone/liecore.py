@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
 from .linalg import (
@@ -258,14 +258,15 @@ def center(mu: LieBracket) -> tuple[dict[int, int], ...]:
     return tuple(nullspace(rows.values(), mu.dim))
 
 
-def is_nice_basis(mu: LieBracket) -> bool:
-    """Combinatorial nice-basis test.
+def is_nice_basis(keys: Iterable[Key]) -> bool:
+    """Combinatorial nice-basis test on an index set: ``mu.keys()``, a face
+    J, or the keys of a weight dict.
 
     Each [e_i, e_j] must hit a single basis vector, and two different pairs
     may share a target only if they are disjoint.
     """
     targets: dict[tuple[int, int], int] = {}
-    for (i, j, k) in mu.keys():
+    for (i, j, k) in keys:
         if (i, j) in targets:
             return False  # multi-term bracket
         targets[(i, j)] = k

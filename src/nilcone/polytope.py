@@ -189,14 +189,6 @@ def pairing(alpha, i: int, j: int, k: int):
     return alpha[k - 1] - alpha[i - 1] - alpha[j - 1]
 
 
-def sub_bracket(mu: LieBracket, j_set) -> LieBracket:
-    """lambda_J: the bracket keeping only the constants indexed by J."""
-    j_set = set(j_set)
-    return LieBracket(
-        mu.dim, {key: v for key, v in mu.constants.items() if key in j_set}
-    )
-
-
 def is_face(j_set, w: Weights) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether CH(F_w : w in J) is a face of the full hull.
 
@@ -243,7 +235,8 @@ def iter_faces(mu: LieBracket, budget: int, keep=None):
     Walks ``iter_face_candidates`` and runs ``is_face`` on each candidate
     J with ``keep(J)`` true (every candidate when ``keep`` is None).  The
     weights of J are those of ``weight_set(mu)`` at the keys in J, in the
-    same order, which is ``weight_set(sub_bracket(mu, J))``.
+    same order: the weights of lambda_J, the bracket keeping the constants
+    of mu indexed by J, which is never built.
     ``budget`` bounds the candidates tested, i.e. the ``is_face`` LPs;
     once it is spent with an accepted candidate left, yields None and stops.
     """

@@ -35,11 +35,10 @@ from nilcone.polytope import (
     is_face,
     project_certificate_cone,
     strict_cone_membership,
-    sub_bracket,
     weight_set,
 )
 from test_derivations import matrices
-from test_polytope import evaluate_cone
+from test_polytope import evaluate_cone, limit_bracket
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 
@@ -89,7 +88,7 @@ def test_criterion_03():
     vertex = frozenset({(1, 2, 4)})
     face, alpha = is_face(vertex, weight_set(mu))
     assert face
-    lam = sub_bracket(mu, vertex)
+    lam = limit_bracket(mu, vertex)
     slack, coefficients = strict_cone_membership(d, weight_set(lam))
     cert = Certificate(DEGENERATION_CONE, d, (alpha, vertex), coefficients, slack)
     ok, msg = verify_certificate(mu, cert)
@@ -190,7 +189,7 @@ def test_criterion_08():
 def test_criterion_09():
     rng = random.Random(99)
     for id_, mu in _all_entries():
-        nice = is_nice_basis(mu)
+        nice = is_nice_basis(mu.keys())
         n = mu.dim
         seen_offdiag = False
         for _ in range(50):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nilcone import certifier
+from nilcone import certifier, liecore
 from nilcone.catalog import catalog_entry, catalog_get
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
@@ -28,11 +28,12 @@ from nilcone.errors import InputError, NotADerivationError, ParseError
 from nilcone.liecore import LieBracket
 from nilcone.linalg import nullspace
 from nilcone.momentricci import MetricExtension, extension_ricci, is_negative_definite
-from nilcone.polytope import iter_faces, strict_cone_membership, sub_bracket, weight_set
+from nilcone.polytope import iter_faces, strict_cone_membership, weight_set
 from test_golden import _verdict
 from test_golden_cone import _golden_sections
 from test_golden_kernels import CASES
 from test_liecore import direct_sum
+from test_polytope import limit_bracket
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 
@@ -169,6 +170,40 @@ def test_verify_rejects_unknown_kind():
     cert = Certificate("Bogus", (F(1), F(1), F(2)))
     ok, msg = verify_certificate(HEIS, cert)
     assert not ok and "Bogus" in msg
+
+
+@pytest.mark.parametrize("kind,degeneration,reason", [
+    (DEGENERATION_CONE, ((F(0),) * 4, frozenset({(1, 2, 3), (1, 2, 4), (1, 3, 4)})),
+     "degenerate bracket is not nice"),
+    (DEGENERATION_CONE, ((F(0),) * 4, frozenset({(1, 3, 2)})), "not a subset"),
+    (NICE_CONE, None, "basis is not nice"),
+], ids=["every-triple-kept", "foreign-triple", "nice-cone"])
+def test_verify_rejects_a_limit_bracket_that_is_not_nice(kind, degeneration, reason):
+    # n4nonice is not nice, and alpha = 0 vanishes on every kept triple
+    mu = catalog_get("n4nonice")
+    cert = Certificate(kind, tuple(map(F, (0, 1, 1, 1))), degeneration, {}, F(1, 2))
+    ok, msg = verify_certificate(mu, cert)
+    assert not ok and reason in msg, msg
+
+
+def test_search_verify_and_witness_build_no_bracket(monkeypatch):
+    """The face walk, verify and the witness metric read every lambda_J off
+    mu's index set, so no LieBracket is built (its constructor normalizes
+    the constants)."""
+    alg1 = catalog_get("dim7-alg1")
+    twice = direct_sum([alg1, alg1])
+    d = catalog_entry("dim7-alg1").derivations[0]
+    calls = []
+    normalize = liecore._normalize_constants
+    monkeypatch.setattr(liecore, "_normalize_constants",
+                        lambda *args: calls.append(args) or normalize(*args))
+    for mu, v in [(alg1, certify_derivation(alg1, d)), (twice, certify_nilradical(twice))]:
+        cert = v.certificate
+        assert cert.kind == DEGENERATION_CONE
+        ok, msg = verify_certificate(mu, cert)
+        assert ok, msg
+        assert find_witness_metric(mu, cert.d, cert) is not None
+    assert calls == []
 
 
 def test_verify_rejects_non_derivation():
@@ -312,7 +347,7 @@ def test_least_squares_start_is_the_metric_for_independent_weights():
 def _newton_from_zero(mu, cert, budget=400):
     """Oracle: log h as first computed, by damped Newton from x = 0 on the
     terms (F, c^2, b) in floats; returns x, the weights and the tolerance."""
-    lam = mu if cert.degeneration is None else sub_bracket(mu, cert.degeneration[1])
+    lam = mu if cert.degeneration is None else limit_bracket(mu, cert.degeneration[1])
     zeros = sum(1 for key in lam.keys() if not cert.coefficients.get(key))
     eps = cert.slack / (4 * zeros) if zeros else F(0)
     trd = float(sum(cert.d))

@@ -15,7 +15,6 @@ from nilcone.polytope import (
     pairing,
     project_certificate_cone,
     strict_cone_membership,
-    sub_bracket,
     verify_membership,
     weight_set,
 )
@@ -42,6 +41,11 @@ def limit_along(mu: LieBracket, alpha) -> LieBracket | NoLimit:
         if pr == 0:
             kept[(i, j, k)] = v
     return LieBracket(mu.dim, kept)
+
+
+def limit_bracket(mu: LieBracket, j_set) -> LieBracket:
+    """Oracle: lambda_J as a bracket, keeping the constants indexed by J."""
+    return LieBracket(mu.dim, {key: v for key, v in mu.constants.items() if key in j_set})
 
 
 def evaluate_cone(cone: ProjectedCone, t) -> bool:
@@ -123,13 +127,6 @@ def test_limit_along_diverges_on_positive_pairing():
     res = limit_along(HEIS, (F(0), F(0), F(1)))
     assert isinstance(res, NoLimit)
     assert res.triple == (1, 2, 3)
-
-
-def test_sub_bracket():
-    mu = catalog_get("n4nonice")
-    lam = sub_bracket(mu, [(1, 2, 4)])
-    assert lam.keys() == [(1, 2, 4)]
-    assert lam.dim == 4
 
 
 def test_is_face_vertex_and_nonface():
