@@ -306,9 +306,12 @@ def find_witness_metric(
     1/2 sum_w c_w^2 e^(2 <F_w, x>) - 2 tr D <P, x> over the weights of the
     certificate's nice bracket, where P is the certificate's combination
     with each zero coefficient raised to slack / (4 #zeros); see README
-    "Witness metrics".  Newton starts at the least-squares point, which is
-    the minimizer when the weights are independent; ``budget`` caps the
-    Newton steps after it.  e^x is rounded, finer if needed, and for a
+    "Witness metrics".  When rounding h could lose that slack, which the
+    membership LP caps at 1, P and x are those of D / c for a power of two
+    c >= max |d|, and s = c, since Ric(cD, cs, h) = c^2 Ric(D, s, h).
+    Newton starts at the least-squares point, which is the minimizer when
+    the weights are independent; ``budget`` caps the Newton steps after
+    it.  e^x is rounded, finer if needed, and for a
     degeneration multiplied by 2^(t alpha), t = 0, 1, 2, 4, ...  Only the
     exact Sylvester test accepts; None if no candidate passes it.  A d
     other than cert.d is an ``InputError``: the certificate says nothing
@@ -323,10 +326,20 @@ def find_witness_metric(
             ext = MetricExtension(mu, d, ext.s / 2, ext.h)
         return ext
     w = _bracket_weights(mu, cert)
-    zeros = sum(1 for key in w if not cert.coefficients.get(key))
-    eps = cert.slack / (4 * zeros) if zeros else ZERO
-    b = {key: cert.coefficients.get(key) or eps for key in w}
+    slack, b = cert.slack, _raised_combination(w, cert.coefficients, cert.slack)
     top = max(b.values())
+    c = ONE
+    if slack * 2 ** 20 < top:
+        # the rounding of h moves P by about top 2^-20, more than the slack
+        # the LP caps at 1: solve for D / c, c = 2^k >= max |d|, instead
+        c = 1 << (math.ceil(max(map(abs, d))) - 1).bit_length()
+        d = tuple(x / c for x in d)
+        sol = strict_cone_membership(d, w)
+        if sol is None:  # a certificate made up by hand: D is not in its cone
+            return None
+        slack, coefficients = sol
+        b = _raised_combination(w, coefficients, slack)
+        top = max(b.values())
     # the objective over 2 tr D max b: the same minimizer, and no float
     # overflows or underflows whatever the scale of D or of the constants
     shift = _log_abs(2 * sum(d, ZERO) * top)
@@ -338,16 +351,23 @@ def find_witness_metric(
     ]
     # a millionth of tr D slack, over the same 2 tr D max b: the float error
     # is then far below the rounding's
-    x = _newton_log_metric(terms, mu.dim, 5e-7 * float(cert.slack / top), budget)
+    x = _newton_log_metric(terms, mu.dim, 5e-7 * float(slack / top), budget)
     alpha = integer_row(cert.degeneration[0]) if cert.degeneration else (0,) * mu.dim
     for q in (64, 4096, 2 ** 20):
         h = [_round_exp(v, q) for v in x]
         for t in (0, 1, 2, 4, 8, 16) if cert.degeneration else (0,):
             scaled = tuple(hr * Fraction(2) ** (t * a) for hr, a in zip(h, alpha))
-            ext = MetricExtension(mu, d, ONE, scaled)
+            ext = MetricExtension(mu, cert.d, c, scaled)
             if is_negative_definite(extension_ricci(ext)):
                 return ext
     return None
+
+
+def _raised_combination(w: Weights, coefficients: dict[Key, Fraction], slack: Fraction):
+    """P: the coefficient of each weight, a zero one raised to slack / (4 #zeros)."""
+    zeros = sum(1 for key in w if not coefficients.get(key))
+    eps = slack / (4 * zeros) if zeros else ZERO
+    return {key: coefficients.get(key) or eps for key in w}
 
 
 def _bracket_weights(mu: LieBracket, cert: Certificate) -> Weights:

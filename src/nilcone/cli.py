@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("der", cmd_der, "derivation algebra and diagonal derivations"),
         ("nice", cmd_nice, "nice-basis test"),
         ("weights", cmd_weights, "weight vectors of the nonzero constants"),
-        ("cone", cmd_cone, "certified cone in derivation parameters"),
+        ("cone", cmd_cone,
+         "cone of the full weight hull in derivation parameters; certified on a nice basis"),
         ("degenerate", cmd_degenerate, "face degenerations of the weight hull"),
         ("momentmap", cmd_momentmap, "exact moment-map matrix"),
     ):

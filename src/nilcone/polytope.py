@@ -78,10 +78,10 @@ def _is_conic_combination(target: tuple[int, ...], rows: list[tuple[int, ...]]) 
 
 
 def remove_redundant(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Minimal subsystem with the same strict solution set, deterministic order."""
+    """Minimal subsystem with the same strict solution set, lex sorted."""
     rows = sorted(set(rows))
-    kept = list(rows)
-    for r in list(rows):
+    kept = rows
+    for r in rows:
         rest = [x for x in kept if x != r]
         if _is_conic_combination(r, rest):
             kept = rest
@@ -97,56 +97,36 @@ class ProjectedCone:
     empty: bool = False
 
 
-def fourier_motzkin(
-    rows: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...], bool]],
-    nelim: int,
-) -> ProjectedCone:
-    """Eliminate the first block of variables from a homogeneous system.
+def fourier_motzkin(rows: list[tuple[int, ...]], nelim: int) -> ProjectedCone:
+    """Project {(a, t) : row . (a, t) > 0 for every row, a >= 0} onto t.
 
-    Each row is (elim_coeffs, kept_coeffs, strict) meaning
-    elim.x + kept.t > 0 (strict) or >= 0.  Every row is scaled once to a
-    primitive integer vector; a positive scaling keeps its direction, so
-    the elimination runs in ``int`` and a row is its own duplicate key.
+    Each row is a primitive ``int`` tuple, its first ``nelim`` entries the
+    coefficients of a.  Eliminating a_q keeps each row without an a_q
+    term, drops the a_q term of each row where it is negative (a_q = 0
+    serves that row best), and adds, for each pair of a positive and a
+    negative row, the primitive combination that cancels a_q.  A row is
+    its own duplicate key, so the rows are kept as a set.
     """
-    split = len(rows[0][0]) if rows else 0
-    work = [(integer_row(e + t), s) for e, t, s in rows]
-    for var in range(nelim):
-        zero, pos, neg = [], [], []
-        for v, s in work:
-            c = v[var]
-            if c == 0:
-                zero.append((v, s))
-            elif c > 0:
-                pos.append((v, s))
-            else:
-                neg.append((v, s))
-        new = zero
-        for (vp, sp) in pos:
-            a = vp[var]
-            for (vn, sn) in neg:
-                b = -vn[var]
-                new.append((primitive([b * x + a * y for x, y in zip(vp, vn)]), sp or sn))
-        # prune duplicates to tame growth; a duplicate keeps the first place
-        # and is strict if any copy is
-        pruned: dict[tuple[int, ...], bool] = {}
-        for v, s in new:
-            pruned[v] = pruned.get(v, False) or s
-        work = list(pruned.items())
+    work = set(rows)
+    for q in range(nelim):
+        pos = [v for v in work if v[q] > 0]
+        neg = [v for v in work if v[q] < 0]
+        work = {v for v in work if not v[q]}
+        work.update(primitive(v[:q] + (0,) + v[q + 1:]) for v in neg)
+        for vp in pos:
+            a = vp[q]
+            for vn in neg:
+                b = -vn[q]
+                work.add(primitive([b * x + a * y for x, y in zip(vp, vn)]))
     out = set()
-    for v, s in work:
-        if any(v[:split]):
+    for v in work:
+        if any(v[:nelim]):
             raise InvariantViolation("Fourier-Motzkin left an eliminated variable behind")
-        t = v[split:]
-        if not any(t):
-            if s:
-                return ProjectedCone((), empty=True)  # derived 0 > 0
-            continue
-        # rows with a nonzero kept part always trace back to a strict row
-        out.add(t)
-    kept = remove_redundant(sorted(out))
-    if kept and interior_point(kept) is None:
-        return ProjectedCone(tuple(sorted(kept)), empty=True)
-    return ProjectedCone(tuple(sorted(kept)))
+        if not any(v[nelim:]):
+            return ProjectedCone((), empty=True)  # derived 0 > 0
+        out.add(v[nelim:])
+    kept = tuple(remove_redundant(out))
+    return ProjectedCone(kept, empty=bool(kept) and interior_point(kept) is None)
 
 
 def interior_point(rows) -> Vec | None:
@@ -165,18 +145,11 @@ def project_certificate_cone(
     """
     if dspace.dim == 0:
         raise InputError("empty diagonal-derivation space")
-    n = len(dspace.basis[0])
-    m = len(w)
-    p = dspace.dim
-    rows = []
-    for r in range(n):
-        e = tuple(-v[r] for v in w.values())
-        t = tuple(dspace.basis[mm][r] for mm in range(p))
-        rows.append((e, t, True))
-    for q in range(m):
-        e = tuple(1 if qq == q else 0 for qq in range(m))
-        rows.append((e, (0,) * p, False))
-    return fourier_motzkin(rows, m)
+    rows = [
+        integer_row([-v[r] for v in w.values()] + [b[r] for b in dspace.basis])
+        for r in range(len(dspace.basis[0]))
+    ]
+    return fourier_motzkin(rows, len(w))
 
 
 # ---------------------------------------------------------------------------

@@ -255,9 +255,17 @@ def test_witness_metric_for_a_derivation_beyond_float_range(scale):
     d = tuple(scale * x for x in (F(-1), F(5), F(4)))
     cert = certify_derivation(HEIS, d).certificate
     ext = find_witness_metric(HEIS, d, cert)
-    # the slack is capped at 1, so at 10^400 the rounding of h may lose it
-    assert ext is not None or scale > 1
-    assert ext is None or is_negative_definite(extension_ricci(ext))
+    # the slack is capped at 1, so at 10^400 the metric is that of D / c,
+    # c = 2^1332 the least power of two >= max |d| = 5 10^400, with s = c
+    assert ext.s == (2 ** 1332 if scale > 1 else 1)
+    ok, msg = verify_certificate(HEIS, replace(cert, witness=ext))
+    assert ok, msg
+
+
+def test_witness_metric_for_a_cone_certificate_whose_membership_fails():
+    # a certificate built by hand, D outside its cone: no metric, and no crash
+    cert = Certificate(NICE_CONE, (F(1), F(-5), F(-4)), None, {(1, 2, 3): F(10**9)}, F(1))
+    assert find_witness_metric(HEIS, cert.d, cert) is None
 
 
 def test_positive_derivation_witness_round_trips_through_verify():

@@ -937,30 +937,38 @@ def test_max_margin_keeps_its_pivots_under_free_column_scaling(lp):
 
 @st.composite
 def homogeneous_systems(draw):
-    """Rows (elim, kept, strict) over 1-3 eliminated and 1-3 kept variables."""
+    """Strict rows (elim, kept) over 1-3 eliminated and 1-3 kept variables."""
     nelim = draw(st.integers(1, 3))
     nkept = draw(st.integers(1, 3))
     coeff = st.sampled_from([F(-3), F(-1), F(-1, 2), F(0), F(0), F(1, 3), F(1), F(2)])
-    row = st.tuples(
-        st.tuples(*[coeff] * nelim), st.tuples(*[coeff] * nkept), st.booleans()
-    )
+    row = st.tuples(st.tuples(*[coeff] * nelim), st.tuples(*[coeff] * nkept))
     return draw(st.lists(row, min_size=1, max_size=6)), nelim
 
 
 @settings(max_examples=100)
 @given(homogeneous_systems())
-@example(([((F(1),), (F(1),), True), ((F(-1),), (F(-1),), True)], 1))  # derives 0 > 0
-# the zero row is derived non-strict first, then strict
-@example(([((F(1),), (F(0),), False), ((F(-1),), (F(0),), False), ((F(2),), (F(0),), True)], 1))
+@example(([((F(1),), (F(1),)), ((F(-1),), (F(-1),))], 1))  # derives 0 > 0
+@example(([((F(-1),), (F(1),))], 1))  # a = 0 serves the row: t > 0
+@example(([((F(0),), (F(0),))], 1))  # the zero row: 0 > 0
 def test_fourier_motzkin_matches_fraction_reference(system):
+    """The strict rows over a >= 0, against the reference on the same rows
+    marked strict and one non-strict unit row a_q >= 0 per eliminated variable."""
     rows, nelim = system
-    assert fourier_motzkin(rows, nelim) == reference_fourier_motzkin(rows, nelim)
+    kept = len(rows[0][1])
+    units = [
+        (tuple(F(int(q == r)) for r in range(nelim)), (F(0),) * kept, False)
+        for q in range(nelim)
+    ]
+    want = reference_fourier_motzkin([(e, t, True) for e, t in rows] + units, nelim)
+    assert fourier_motzkin([integer_row(e + t) for e, t in rows], nelim) == want
 
 
 @settings(max_examples=30)
 @given(nilpotent_algebras(unipotent=False))
 @example(catalog_get("dim7-alg1"))  # no positive derivation
 @example(catalog_get("ex9"))
+@example(direct_sum([catalog_get("heis3")] * 4))  # 8 parameters
+@example(direct_sum([catalog_get("n5nonice"), catalog_get("heis3")]))
 def test_certificate_cone_matches_fraction_reference(mu):
     dspace = diagonal_derivations(mu)
     assume(dspace.dim > 0)
