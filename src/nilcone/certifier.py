@@ -22,7 +22,7 @@ from .derivations import (
 from .errors import InputError, InvariantViolation, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
 from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
-from .momentricci import MetricExtension, extension_ricci, is_negative_definite
+from .momentricci import MetricExtension, is_negative_definite, is_ricci_negative
 from .polytope import (
     Weights,
     interior_point,
@@ -322,7 +322,7 @@ def find_witness_metric(
         raise InputError("the derivation is not the one the certificate is for")
     if cert.kind == POSITIVE_DERIVATION:
         ext = MetricExtension(mu, d, ONE, (ONE,) * mu.dim)
-        while not is_negative_definite(extension_ricci(ext)):
+        while not is_ricci_negative(ext):
             ext = MetricExtension(mu, d, ext.s / 2, ext.h)
         return ext
     w = _bracket_weights(mu, cert)
@@ -356,9 +356,9 @@ def find_witness_metric(
     for q in (64, 4096, 2 ** 20):
         h = [_round_exp(v, q) for v in x]
         for t in (0, 1, 2, 4, 8, 16) if cert.degeneration else (0,):
-            scaled = tuple(hr * Fraction(2) ** (t * a) for hr, a in zip(h, alpha))
+            scaled = tuple(_times_power_of_two(hr, t * a) for hr, a in zip(h, alpha))
             ext = MetricExtension(mu, cert.d, c, scaled)
-            if is_negative_definite(extension_ricci(ext)):
+            if is_ricci_negative(ext):
                 return ext
     return None
 
@@ -451,7 +451,14 @@ def _log_abs(q: Fraction) -> float:
 def _round_exp(v: float, q: int) -> Fraction:
     """e^v as 2^k times a mantissa in about [1/2, 1] of denominator <= q."""
     k = math.floor(v / math.log(2)) + 1
-    return Fraction(math.exp(v - k * math.log(2))).limit_denominator(q) * Fraction(2) ** k
+    return _times_power_of_two(Fraction(math.exp(v - k * math.log(2))).limit_denominator(q), k)
+
+
+def _times_power_of_two(x: Fraction, k: int) -> Fraction:
+    """x 2^k, by a shift of the numerator or of the denominator."""
+    if k < 0:
+        return Fraction(x.numerator, x.denominator << -k)
+    return Fraction(x.numerator << k, x.denominator) if k else x
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +477,7 @@ def verify_certificate(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
     if ok and cert.witness is not None:
         if cert.witness.mu != mu or tuple(cert.witness.d) != tuple(cert.d):
             return False, "metric data does not match the algebra or derivation"
-        if not is_negative_definite(extension_ricci(cert.witness)):
+        if not is_ricci_negative(cert.witness):
             return False, "attached metric is not negative definite"
     return ok, reason
 

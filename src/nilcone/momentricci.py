@@ -5,8 +5,11 @@ bracket [e1, e2] = e3 being Diag(-1, -1, 1): the squared norm is the
 plain sum of squared structure constants and the moment map satisfies
 tr(m(mu) E) = <E.mu, mu> / |mu|^2 with no extra factor.
 
-Every matrix is accumulated from one pass over the nonzero structure
-constants; entries that no constant reaches are the shared ``ZERO``.
+Every matrix is accumulated in ints from one pass over the nonzero
+structure constants, scaled to integers, and divided by that scale once
+(for the extension, the scale T of ``_integer_ricci``); entries that no
+constant reaches are the shared ``ZERO``.  The Sylvester test runs on
+integer rows.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .derivations import require_diagonal_derivation
@@ -28,15 +32,15 @@ from .linalg import (
     primitive,
 )
 
-Upper = dict[tuple[int, int], Fraction]
+Upper = dict[tuple[int, int], int]
 
 
 def norm_squared(mu: LieBracket) -> Fraction:
     return sum((v * v for v in mu.constants.values()), ZERO)
 
 
-def _moment_sum(constants: Iterable[tuple[Key, Fraction]]) -> Upper:
-    """Nonzero entries S_ab, a <= b, of S(mu) = |mu|^2 m(mu) (0-based).
+def _moment_sum(constants: Iterable[tuple[Key, int]]) -> Upper:
+    """Nonzero entries S_ab, a <= b, of S(c) = |c|^2 m(c) (0-based), c in ints.
 
     S_ab = 1/2 sum_{i,j} c_ij^a c_ij^b - sum_{j,r} c_aj^r c_bj^r, both sums
     over ordered pairs; the first is one outer product per pair i < j, the
@@ -55,26 +59,32 @@ def _moment_sum(constants: Iterable[tuple[Key, Fraction]]) -> Upper:
             for p, (a, x) in enumerate(col):
                 for b, y in col[p:]:
                     key = (a, b) if a <= b else (b, a)
-                    s[key] = add(s.get(key, ZERO), x * y)
+                    s[key] = add(s.get(key, 0), x * y)
     return {key: x for key, x in s.items() if x}
 
 
-def _dense(n: int, upper: Upper, offset: int = 0) -> list[list[Fraction]]:
-    """Rows of the symmetric matrix with the given upper triangle, its
-    indices shifted by ``offset``; ZERO everywhere else."""
-    rows = [[ZERO] * n for _ in range(n)]
+def _dense(n: int, upper: Upper) -> list[list[int]]:
+    """Rows of the symmetric matrix with the given upper triangle; 0 everywhere else."""
+    rows = [[0] * n for _ in range(n)]
     for (a, b), x in upper.items():
-        rows[a + offset][b + offset] = rows[b + offset][a + offset] = x
+        rows[a][b] = rows[b][a] = x
     return rows
 
 
+def _over(rows: list[list[int]], t) -> Mat:
+    """The rational matrix rows / t; its zero entries are the shared ZERO."""
+    return tuple(tuple(Fraction(x, t) if x else ZERO for x in row) for row in rows)
+
+
 def moment_map(mu: LieBracket) -> Mat:
-    """Symmetric matrix m(mu) with tr(m(mu) E) = <E.mu, mu> / |mu|^2."""
-    nsq = norm_squared(mu)
-    if nsq == 0:
+    """Symmetric matrix m(mu) with tr(m(mu) E) = <E.mu, mu> / |mu|^2.
+
+    m is scale invariant: it is S(C) / |C|^2 for C = integer_row(mu).
+    """
+    c = integer_row(mu.constants.values())
+    if not c:
         raise InputError("moment map is undefined at the zero bracket")
-    s = _moment_sum(mu.constants.items())
-    return tuple(map(tuple, _dense(mu.dim, {key: x / nsq for key, x in s.items()})))
+    return _over(_dense(mu.dim, _moment_sum(zip(mu.constants, c))), sum(x * x for x in c))
 
 
 def moment_diagonal(mu: LieBracket) -> Vec:
@@ -96,8 +106,10 @@ def nil_ricci(mu: LieBracket) -> Mat:
 
     Equals (|mu|^2 / 2) m(mu); the zero bracket is flat.
     """
-    s = _moment_sum(mu.constants.items())
-    return tuple(map(tuple, _dense(mu.dim, {key: x / 2 for key, x in s.items()})))
+    if mu.is_zero():
+        return _over(_dense(mu.dim, {}), 1)
+    half = norm_squared(mu) / 2
+    return tuple(tuple(half * x if x else ZERO for x in row) for row in moment_map(mu))
 
 
 @dataclass(frozen=True)
@@ -127,6 +139,43 @@ class MetricExtension:
         require_diagonal_derivation(self.d, self.mu)
 
 
+def _integer_ricci(ext: MetricExtension) -> tuple[list[list[int]], int]:
+    """(M, T) in ints with T Ric = M, Ric the matrix of ``extension_ricci``.
+
+    T = 2 L^2 dd^2, with L the lcm of the denominators of the constants
+    c' = s h_k / (h_i h_j) c of nu and dd that of d's, so C = L c' and
+    E = dd d are integer and Ric(nu) = S(C) / (2 L^2).  M has (0,0) =
+    -2 L^2 |E|^2, (0,i) = -2 L dd sum_k E_k C_ik^k, and the block
+    dd^2 S(C) - 2 L^2 (tr E) E.
+    """
+    mu, d, s = ext.mu, ext.d, ext.s
+    hr = [(x.numerator, x.denominator) for x in ext.h]
+    scaled = []
+    for (i, j, k), v in mu.constants.items():
+        (ni, di), (nj, dj), (nk, dk) = hr[i - 1], hr[j - 1], hr[k - 1]
+        num = s.numerator * nk * di * dj * v.numerator
+        den = s.denominator * dk * ni * nj * v.denominator
+        g = gcd(num, den)
+        scaled.append(((i, j, k), num // g, den // g))
+    ell = lcm(*[den for _, _, den in scaled])
+    dd = lcm(*[x.denominator for x in d])
+    e = [x.numerator * (dd // x.denominator) for x in d]
+    c = [(key, num * (ell // den)) for key, num, den in scaled]
+    m = _dense(mu.dim + 1, {(a + 1, b + 1): dd * dd * x for (a, b), x in _moment_sum(c).items()})
+    row0, t, f = m[0], 2 * ell * ell, 2 * ell * dd
+    row0[0] = -t * sum(x * x for x in e)
+    for (i, j, k), x in c:
+        if k == j:
+            row0[i] -= f * e[k - 1] * x
+        elif k == i:
+            row0[j] += f * e[k - 1] * x
+    tre = t * sum(e)
+    for a, x in enumerate(e, start=1):
+        m[a][0] = row0[a]
+        m[a][a] -= tre * x
+    return m, t * dd * dd
+
+
 def extension_ricci(ext: MetricExtension) -> Mat:
     """Ricci matrix of R f + n, index 0 the f-direction, in the pulled-back frame.
 
@@ -134,46 +183,23 @@ def extension_ricci(ext: MetricExtension) -> Mat:
     block Ric(nu) shifted by the mean-curvature term -tr(D) D.  Each
     constant of nu = s (h . mu) is c' = s h_k / (h_i h_j) c, and
     tr(D ad_nu(e_i)) = sum_k d_k c'_ik^k, so only constants with k = j
-    (row i) or k = i (row j, opposite sign) reach row 0.
+    (row i) or k = i (row j, opposite sign) reach row 0.  Each nonzero
+    entry is one Fraction(x, T) of the integer kernel's M = T Ric.
     """
-    mu, d, h, s = ext.mu, ext.d, ext.h, ext.s
-    n = mu.dim
-    row0 = [-sum((x * x for x in d), ZERO)] + [ZERO] * n
-    hr = [(x.numerator, x.denominator) for x in h]
-    scaled = []
-    for (i, j, k), v in mu.constants.items():
-        (ni, di), (nj, dj), (nk, dk) = hr[i - 1], hr[j - 1], hr[k - 1]
-        c = Fraction(s.numerator * nk * di * dj * v.numerator,
-                     s.denominator * dk * ni * nj * v.denominator)
-        scaled.append(((i, j, k), c))
-        if k == j:
-            row0[i] -= d[k - 1] * c
-        elif k == i:
-            row0[j] += d[k - 1] * c
-    s_nu = _moment_sum(scaled)
-    ric = _dense(n + 1, {key: x / 2 for key, x in s_nu.items()}, offset=1)
-    ric[0] = row0
-    for a in range(1, n + 1):
-        ric[a][0] = row0[a]
-    trd = sum(d, ZERO)
-    for a, x in enumerate(d, start=1):
-        if x:
-            ric[a][a] -= trd * x
-    return tuple(map(tuple, ric))
+    return _over(*_integer_ricci(ext))
 
 
-def is_negative_definite(a: Mat) -> bool:
-    """Exact Sylvester test: every leading minor of -A is positive.
+def _negative_definite(rows: list) -> bool:
+    """Exact Sylvester test, every leading minor of -A positive, on int
+    rows each a positive multiple of that row of A: no minor changes sign.
 
-    Each row of -A is scaled to coprime integers, a positive factor per
-    row, so no leading minor changes sign.  Elimination without row
-    exchanges then replaces each later row with a nonzero f under the
-    pivot p > 0 by p row - f prow, divided by its gcd, which again scales
-    the leading minors by positive factors.  So minor k of -A is a
-    positive multiple of the product of the first k pivots, and the test
-    fails at the first pivot that is not positive.
+    Elimination without row exchanges replaces each later row with a
+    nonzero f under the pivot p > 0 by p row - f prow, divided by its gcd,
+    which again scales the leading minors by positive factors.  So minor
+    k of -A is a positive multiple of the product of the first k pivots,
+    and the test fails at the first pivot that is not positive.
     """
-    rows = [[-x for x in integer_row(r)] for r in a]
+    rows = [[-x for x in r] for r in rows]
     for k in range(len(rows)):
         prow = rows[k]
         p = prow[0]
@@ -188,3 +214,14 @@ def is_negative_definite(a: Mat) -> bool:
             else:
                 rows[r] = row[1:]
     return True
+
+
+def is_negative_definite(a: Mat) -> bool:
+    """Exact Sylvester test: every leading minor of -A is positive, by
+    ``_negative_definite`` on the coprime integer rows of A."""
+    return _negative_definite([integer_row(r) for r in a])
+
+
+def is_ricci_negative(ext: MetricExtension) -> bool:
+    """``is_negative_definite(extension_ricci(ext))`` on the kernel's M = T Ric."""
+    return _negative_definite(_integer_ricci(ext)[0])

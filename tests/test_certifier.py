@@ -241,6 +241,37 @@ def test_witness_metric_heis():
     assert is_negative_definite(extension_ricci(ext))
 
 
+def _scaled(id_, t):
+    """A catalog algebra with t times its first listed derivation."""
+    return catalog_get(id_), tuple(t * x for x in catalog_entry(id_).derivations[0])
+
+
+# (s, h) exactly as find_witness_metric returns them at its default budget
+PINNED_WITNESS = [
+    ("ex9", _scaled("ex9", 1), 1,
+     "29/30 37/41 48/55 43/51 22/27 26/33 37/62 15/26 84/17 62/21"),
+    ("m0(8) a=7", (LieBracket(8, {(1, i, i + 1): F(1) for i in range(2, 8)}),
+                   (F(-1), F(7), F(6), F(5), F(4), F(3), F(2), F(1))), 1,
+     "17/31 16/61 94/63 66/49 17/14 58/53 63/64 8/9"),
+    ("n4nonice t=2", _scaled("n4nonice", 2), 1, "3/10 148/63 39/16 62/49"),
+    ("dim7-alg1 t=3", _scaled("dim7-alg1", 3), 1, "21/29 9/25 9/14 10/7 19/15 64/57 1"),
+    ("dim7-alg2 t=3", _scaled("dim7-alg2", 3), 1, "11/16 22/61 31/51 19/14 60/47 6/5 26/23"),
+    ("dim7-alg3 t=3", _scaled("dim7-alg3", 3), 1, "45/106 57/116 46/29 52/45 19/17 38/39 31/30"),
+    ("dim7-alg4 t=3", _scaled("dim7-alg4", 3), 1, "11/24 57/118 3/2 16/15 44/43 9/8 30/29"),
+    ("heis3 positive", (HEIS, (F(1, 100), F(1, 100), F(1, 50))), F(1, 32), "1 1 1"),
+]
+
+
+@pytest.mark.parametrize("case,s,h", [c[1:] for c in PINNED_WITNESS],
+                         ids=[c[0] for c in PINNED_WITNESS])
+def test_witness_metric_is_pinned(case, s, h):
+    mu, d = case
+    cert = certify_derivation(mu, d).certificate
+    ext = find_witness_metric(mu, d, cert)
+    assert ext.s == s and " ".join(map(str, ext.h)) == h
+    assert all(type(x) is F for x in (ext.s, *ext.h))
+
+
 def test_witness_metric_rejects_a_derivation_other_than_the_certificates():
     cert = Certificate(POSITIVE_DERIVATION, (F(1), F(1), F(2)), slack=F(1))
     with pytest.raises(InputError):

@@ -88,8 +88,10 @@ from nilcone.linalg import (
 )
 from nilcone.momentricci import (
     MetricExtension,
+    _integer_ricci,
     extension_ricci,
     is_negative_definite,
+    is_ricci_negative,
     moment_map,
     nil_ricci,
     norm_squared,
@@ -1307,21 +1309,44 @@ def sylvester_negative_definite(a) -> bool:
     return all((-1) ** k * m > 0 for k, m in enumerate(leading_principal_minors(a), start=1))
 
 
-def _witness_candidates(mu: LieBracket, d) -> list:
-    """Every Ricci matrix that find_witness_metric tests for (mu, d), in order."""
-    seen = []
-    test = certifier.is_negative_definite
+def _heis3_beyond_float_range() -> MetricExtension:
+    """heis3 at D = 10^400 (-1, 5, 4) with its witness metric, s = 2^1332."""
+    mu, d = catalog_get("heis3"), tuple(F(10**400 * x) for x in (-1, 5, 4))
+    return find_witness_metric(mu, d, certify_derivation(mu, d).certificate)
 
-    def recorded(a):
-        seen.append(a)
-        return test(a)
+
+@settings(max_examples=150)
+@given(metric_extensions())
+@example(_heis3_beyond_float_range())
+@example(MetricExtension(LieBracket(3, {(1, 2, 2): ONE, (1, 3, 3): F(2)}),
+                         (ZERO, F(1, 2), F(3, 4)), F(2), (F(1, 2), F(3), ONE)))  # k == j, dd = 4
+@example(MetricExtension(LieBracket(2, {(1, 2, 1): F(-3)}), (F(2, 3), ZERO), ONE, (F(5), F(1, 3))))  # k == i
+@example(MetricExtension(catalog_get("heis3"), (F(1, 2), F(1, 3), F(5, 6)), F(3, 7), (ONE, F(2), F(1, 3))))
+@example(MetricExtension(LieBracket(3, {}), (F(1, 2), F(-1, 3), F(2)), F(3), (ONE, F(2), F(1, 5))))  # L = lcm() = 1
+def test_integer_ricci_kernel_matches_the_reference(ext):
+    m, t = _integer_ricci(ext)
+    ref = reference_extension_ricci(ext)
+    assert t > 0 and all(type(x) is int for row in m for x in row)
+    assert tuple(tuple(F(x, t) for x in row) for row in m) == ref
+    assert is_ricci_negative(ext) == sylvester_negative_definite(ref)
+
+
+def _witness_candidates(mu: LieBracket, d) -> list:
+    """The Ricci matrix of every extension that find_witness_metric tests
+    for (mu, d), in order, as the reference builds it."""
+    seen = []
+    test = certifier.is_ricci_negative
+
+    def recorded(ext):
+        seen.append(reference_extension_ricci(ext))
+        return test(ext)
 
     cert = certify_derivation(mu, d).certificate
-    certifier.is_negative_definite = recorded
+    certifier.is_ricci_negative = recorded
     try:
         find_witness_metric(mu, d, cert)
     finally:
-        certifier.is_negative_definite = test
+        certifier.is_ricci_negative = test
     return seen
 
 
