@@ -10,6 +10,7 @@ the degeneration search under-approximates the true cone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .derivations import (
 from .errors import InputError, InvariantViolation, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
 from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
-from .momentricci import MetricExtension, is_negative_definite, is_ricci_negative
+from .momentricci import MetricExtension, _ricci_negative, is_negative_definite, is_ricci_negative
 from .polytope import (
     Weights,
     interior_point,
@@ -311,38 +312,48 @@ def find_witness_metric(
     c >= max |d|, and s = c, since Ric(cD, cs, h) = c^2 Ric(D, s, h).
     Newton starts at the least-squares point, which is the minimizer when
     the weights are independent; ``budget`` caps the Newton steps after
-    it.  e^x is rounded, finer if needed, and for a
-    degeneration multiplied by 2^(t alpha), t = 0, 1, 2, 4, ...  Only the
-    exact Sylvester test accepts; None if no candidate passes it.  A d
-    other than cert.d is an ``InputError``: the certificate says nothing
-    about it, and for a positive derivation the halving of s would then
-    never end.
+    it, and both kinds of linear system are solved by Cholesky.  Each
+    entry of e^x is rounded to 2^k times a mantissa of denominator <= q,
+    q = 64, then 4096 and 2^20 if needed: the best such approximation,
+    from the continued fraction of the float's exact ratio
+    (``_round_exp``).  For a degeneration h is also multiplied by
+    2^(t alpha), t = 0, 1, 2, 4, ...  Only the exact Sylvester test
+    accepts, run on each candidate's parts (mu, d, s, h) by the integer
+    Ricci kernel; d is checked once, and the one metric returned is built
+    as a ``MetricExtension``, which validates it.  None if no candidate
+    passes.  A d other than cert.d is an ``InputError``: the certificate
+    says nothing about it, and for a positive derivation the halving of s
+    would then never end.
     """
     if tuple(d) != tuple(cert.d):
         raise InputError("the derivation is not the one the certificate is for")
+    # mu and d are fixed for the whole search: d is checked once here, and
+    # the candidates are tested on their parts
+    d = tuple(map(frac, d))
+    require_diagonal_derivation(d, mu)
     if cert.kind == POSITIVE_DERIVATION:
-        ext = MetricExtension(mu, d, ONE, (ONE,) * mu.dim)
-        while not is_ricci_negative(ext):
-            ext = MetricExtension(mu, d, ext.s / 2, ext.h)
-        return ext
+        s, h = ONE, (ONE,) * mu.dim
+        while not _ricci_negative(mu, d, s, h):
+            s /= 2
+        return MetricExtension(mu, d, s, h)
     w = _bracket_weights(mu, cert)
     slack, b = cert.slack, _raised_combination(w, cert.coefficients, cert.slack)
     top = max(b.values())
-    c = ONE
+    c, e = ONE, d
     if slack * 2 ** 20 < top:
         # the rounding of h moves P by about top 2^-20, more than the slack
-        # the LP caps at 1: solve for D / c, c = 2^k >= max |d|, instead
+        # the LP caps at 1: solve for E = D / c, c = 2^k >= max |d|, instead
         c = 1 << (math.ceil(max(map(abs, d))) - 1).bit_length()
-        d = tuple(x / c for x in d)
-        sol = strict_cone_membership(d, w)
+        e = tuple(x / c for x in d)
+        sol = strict_cone_membership(e, w)
         if sol is None:  # a certificate made up by hand: D is not in its cone
             return None
         slack, coefficients = sol
         b = _raised_combination(w, coefficients, slack)
         top = max(b.values())
-    # the objective over 2 tr D max b: the same minimizer, and no float
+    # the objective over 2 tr E max b: the same minimizer, and no float
     # overflows or underflows whatever the scale of D or of the constants
-    shift = _log_abs(2 * sum(d, ZERO) * top)
+    shift = _log_abs(2 * sum(e, ZERO) * top)
     terms = [
         ([(r, float(v)) for r, v in enumerate(wt) if v],
          2 * _log_abs(mu.constants[key]) - shift,
@@ -357,9 +368,8 @@ def find_witness_metric(
         h = [_round_exp(v, q) for v in x]
         for t in (0, 1, 2, 4, 8, 16) if cert.degeneration else (0,):
             scaled = tuple(_times_power_of_two(hr, t * a) for hr, a in zip(h, alpha))
-            ext = MetricExtension(mu, cert.d, c, scaled)
-            if is_ricci_negative(ext):
-                return ext
+            if _ricci_negative(mu, d, c, scaled):
+                return MetricExtension(mu, d, c, scaled)
     return None
 
 
@@ -401,27 +411,34 @@ def _newton_log_metric(terms, n: int, tol: float, budget: int) -> list[float]:
             a[r][r] += 1e-9 * (1 + a[r][r])
         return a
 
-    gram = [[0.0] * n for _ in range(n)]
+    def outer(weighted):
+        # sum over (F, z) of z F F^T
+        a = [[0.0] * n for _ in range(n)]
+        for f, z in weighted:
+            for r, v in f:
+                row = a[r]
+                for s, u in f:
+                    row[s] += z * v * u
+        return a
+
     rhs = [0.0] * n
     for f, lc2, lb in terms:
         for r, v in f:
             rhs[r] += (lb - lc2) / 2 * v
-            for s, u in f:
-                gram[r][s] += v * u
-    x = _solve_positive_definite(ridged(gram), rhs)
+    x = _solve_positive_definite(ridged(outer([(f, 1.0) for f, _, _ in terms])), rhs)
     for _ in range(budget):
         grad = [0.0] * n
-        hess = [[0.0] * n for _ in range(n)]
+        zs = []
         for f, lc2, lb in terms:
             z = math.exp(lc2 + 2 * sum(v * x[r] for r, v in f))
             g = z - math.exp(lb)
             for r, v in f:
                 grad[r] += g * v
-                for s, u in f:
-                    hess[r][s] += 2 * z * v * u
+            zs.append((f, 2 * z))
         if max(map(abs, grad)) <= tol:
             break
-        step = _solve_positive_definite(ridged(hess), [-g for g in grad])
+        # the Hessian only when a step is taken: the start is usually the minimizer
+        step = _solve_positive_definite(ridged(outer(zs)), [-g for g in grad])
         slope, f0, t = sum(g * s for g, s in zip(grad, step)), value(x), 1.0
         # backtracking (Armijo) line search
         while value(trial := [xr + t * sr for xr, sr in zip(x, step)]) > f0 + t * slope / 4:
@@ -433,14 +450,23 @@ def _newton_log_metric(terms, n: int, tol: float, budget: int) -> list[float]:
 
 
 def _solve_positive_definite(a: list[list[float]], b: list[float]) -> list[float]:
-    """Gauss-Jordan elimination in floats, without pivoting since ``a`` is positive definite."""
-    for c in range(len(b)):
-        for r in range(len(b)):
-            if r != c:
-                f = a[r][c] / a[c][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-                b[r] -= f * b[c]
-    return [b[r] / a[r][r] for r in range(len(b))]
+    """Solve a x = b for positive definite ``a`` by Cholesky, a = L L^T,
+    in floats and in place: L overwrites the lower triangle of ``a``, and
+    the forward and back substitutions overwrite ``b``."""
+    n = len(b)
+    for j in range(n):
+        aj = a[j]
+        lj = aj[:j]  # row j of L left of the diagonal; map stops at its end
+        aj[j] = ljj = math.sqrt(aj[j] - sum(map(operator.mul, lj, lj)))
+        for i in range(j + 1, n):
+            ai = a[i]
+            ai[j] = (ai[j] - sum(map(operator.mul, ai, lj))) / ljj
+    for i in range(n):
+        ai = a[i]
+        b[i] = (b[i] - sum(map(operator.mul, ai, b[:i]))) / ai[i]
+    for i in reversed(range(n)):
+        b[i] = (b[i] - sum([a[k][i] * b[k] for k in range(i + 1, n)])) / a[i][i]
+    return b
 
 
 def _log_abs(q: Fraction) -> float:
@@ -449,9 +475,31 @@ def _log_abs(q: Fraction) -> float:
 
 
 def _round_exp(v: float, q: int) -> Fraction:
-    """e^v as 2^k times a mantissa in about [1/2, 1] of denominator <= q."""
+    """e^v as 2^k times a mantissa in about [1/2, 1] of denominator <= q.
+
+    The mantissa is ``Fraction(m).limit_denominator(q)`` for the float m =
+    e^(v - k log 2): the best approximation of denominator <= q, from the
+    continued fraction of m's exact ratio, run here on that ratio's
+    integers.  Of the last convergent p1/q1 and the semiconvergent
+    (p0 + j p1) / (q0 + j q1), j as large as q allows, the nearer is taken,
+    p1/q1 on a tie.  2^k is a shift, and one Fraction is built at the end.
+    """
     k = math.floor(v / math.log(2)) + 1
-    return _times_power_of_two(Fraction(math.exp(v - k * math.log(2))).limit_denominator(q), k)
+    num, den = math.exp(v - k * math.log(2)).as_integer_ratio()
+    if den > q:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, m = num, den
+        while q0 + (a := n // m) * q1 <= q:
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, m = m, n - a * m
+        j = (q - q0) // q1
+        # |p1/q1 - num/den| = m / (q1 den), and the two bounds lie
+        # 1 / (q1 (q0 + j q1)) apart
+        if 2 * m * (q0 + j * q1) <= den:
+            num, den = p1, q1
+        else:
+            num, den = p0 + j * p1, q0 + j * q1
+    return Fraction(num << k, den) if k >= 0 else Fraction(num, den << -k)
 
 
 def _times_power_of_two(x: Fraction, k: int) -> Fraction:

@@ -28,6 +28,7 @@ from .linalg import (
     Vec,
     ZERO,
     dense,
+    fmt_rational,
     frac,
     integer_row,
     nullspace,
@@ -331,4 +332,4 @@ def solve_phi(a: Analysis) -> Vec | str:
 
 def require_diagonal_derivation(d: Vec, mu: LieBracket) -> None:
     if not is_diagonal_derivation(d, mu):
-        raise NotADerivationError(f"{d} is not a diagonal derivation")
+        raise NotADerivationError(f"{','.join(map(fmt_rational, d))} is not a diagonal derivation")

@@ -139,8 +139,9 @@ class MetricExtension:
         require_diagonal_derivation(self.d, self.mu)
 
 
-def _integer_ricci(ext: MetricExtension) -> tuple[list[list[int]], int]:
-    """(M, T) in ints with T Ric = M, Ric the matrix of ``extension_ricci``.
+def _integer_ricci(mu: LieBracket, d: Vec, s: Fraction, h: Vec) -> tuple[list[list[int]], int]:
+    """(M, T) in ints with T Ric = M, Ric the matrix of ``extension_ricci``
+    for the extension (mu, d, s, h), whose parts it takes unchecked.
 
     T = 2 L^2 dd^2, with L the lcm of the denominators of the constants
     c' = s h_k / (h_i h_j) c of nu and dd that of d's, so C = L c' and
@@ -148,8 +149,7 @@ def _integer_ricci(ext: MetricExtension) -> tuple[list[list[int]], int]:
     -2 L^2 |E|^2, (0,i) = -2 L dd sum_k E_k C_ik^k, and the block
     dd^2 S(C) - 2 L^2 (tr E) E.
     """
-    mu, d, s = ext.mu, ext.d, ext.s
-    hr = [(x.numerator, x.denominator) for x in ext.h]
+    hr = [(x.numerator, x.denominator) for x in h]
     scaled = []
     for (i, j, k), v in mu.constants.items():
         (ni, di), (nj, dj), (nk, dk) = hr[i - 1], hr[j - 1], hr[k - 1]
@@ -186,7 +186,7 @@ def extension_ricci(ext: MetricExtension) -> Mat:
     (row i) or k = i (row j, opposite sign) reach row 0.  Each nonzero
     entry is one Fraction(x, T) of the integer kernel's M = T Ric.
     """
-    return _over(*_integer_ricci(ext))
+    return _over(*_integer_ricci(ext.mu, ext.d, ext.s, ext.h))
 
 
 def _negative_definite(rows: list) -> bool:
@@ -224,4 +224,11 @@ def is_negative_definite(a: Mat) -> bool:
 
 def is_ricci_negative(ext: MetricExtension) -> bool:
     """``is_negative_definite(extension_ricci(ext))`` on the kernel's M = T Ric."""
-    return _negative_definite(_integer_ricci(ext)[0])
+    return _ricci_negative(ext.mu, ext.d, ext.s, ext.h)
+
+
+def _ricci_negative(mu: LieBracket, d: Vec, s: Fraction, h: Vec) -> bool:
+    """``is_ricci_negative`` on the parts of an extension, which it takes
+    unchecked: the witness search tests its candidates here and builds a
+    ``MetricExtension`` only for the one it returns."""
+    return _negative_definite(_integer_ricci(mu, d, s, h)[0])

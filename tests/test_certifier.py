@@ -32,6 +32,7 @@ from nilcone.polytope import iter_faces, strict_cone_membership, weight_set
 from test_golden import _verdict
 from test_golden_cone import _golden_sections
 from test_golden_kernels import CASES
+from test_kernel_properties import reference_solve_positive_definite
 from test_liecore import direct_sum
 from test_polytope import limit_bracket
 
@@ -281,6 +282,17 @@ def test_witness_metric_rejects_a_derivation_other_than_the_certificates():
     assert find_witness_metric(HEIS, [1, 1, 2], cert).s == 1
 
 
+@pytest.mark.parametrize("kind, d", [
+    (NICE_CONE, (F(-1), F(1), F(1))),  # no candidate passes: only the check of d raises
+    (POSITIVE_DERIVATION, (F(1), F(1), F(1))),
+])
+def test_witness_metric_refuses_a_certificate_on_a_non_derivation(kind, d):
+    # the search tests its candidates unchecked, so it checks d itself
+    cert = Certificate(kind, d, None, {(1, 2, 3): F(1)} if kind == NICE_CONE else {}, F(1))
+    with pytest.raises(NotADerivationError):
+        find_witness_metric(HEIS, d, cert)
+
+
 @pytest.mark.parametrize("scale", [F(1, 10**400), F(10**400)], ids=["10^-400", "10^400"])
 def test_witness_metric_for_a_derivation_beyond_float_range(scale):
     d = tuple(scale * x for x in (F(-1), F(5), F(4)))
@@ -418,7 +430,7 @@ def _newton_from_zero(mu, cert, budget=400):
             break
         for r in range(n):
             hess[r][r] += 1e-9 * (1 + hess[r][r])
-        step = certifier._solve_positive_definite(hess, [-g for g in grad])
+        step = reference_solve_positive_definite(hess, [-g for g in grad])
         slope, f0, t = sum(g * s for g, s in zip(grad, step)), value(x), 1.0
         while value(trial := [xr + t * sr for xr, sr in zip(x, step)]) > f0 + t * slope / 4:
             t /= 2

@@ -165,9 +165,19 @@ def test_unknown_id_is_input_error(capsys):
 
 
 def test_bad_derivation_is_input_error(capsys):
+    # d is printed as --derivation takes it
     code, _, err = run(capsys, "certify", "heis3", "--derivation", "1,1,1")
-    assert code == 1
-    assert "error:" in err
+    assert (code, err) == (1, "error: 1,1,1 is not a diagonal derivation\n")
+    code, _, err = run(capsys, "certify", "heis3", "--derivation=-1/2,1,1")
+    assert (code, err) == (1, "error: -1/2,1,1 is not a diagonal derivation\n")
+
+
+def test_verify_names_a_metric_on_a_bad_derivation_as_the_cli_takes_it(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    path.write_text("certificate\nkind PositiveDerivation\ndim 3\nbracket 1 2 3 1\n"
+                    "derivation 1 1 1\nslack 1\nmetric-scale 1\nmetric-h 1 1 1\nend\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "error: 1,1,1 is not a diagonal derivation\n")
 
 
 def test_missing_catalog_id_is_input_error(capsys):

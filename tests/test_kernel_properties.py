@@ -18,7 +18,9 @@ sum.  They also keep the slow exact kernels of the certificate cone: the
 ``Fraction`` simplex that recomputes every reduced cost each iteration
 (the library's tableau holds integer rows), Fourier-Motzkin over
 ``Fraction`` rows, and one ``det`` per leading principal minor.  The
-integer Sylvester test is checked against the signs of those minors.
+integer Sylvester test is checked against the signs of those minors.  The
+witness search's float steps keep theirs too: ``limit_denominator`` for
+the rounding of h, and Gauss-Jordan for the Newton systems.
 Certificates from both certifiers are checked to survive serialize,
 parse and verify.  The torus LPs of ``certify_nilradical`` are checked
 against the per-derivation walk of ``certify_derivation``, the nice faces
@@ -28,6 +30,7 @@ Fourier-Motzkin projection against direct cone membership.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -1324,7 +1327,7 @@ def _heis3_beyond_float_range() -> MetricExtension:
 @example(MetricExtension(catalog_get("heis3"), (F(1, 2), F(1, 3), F(5, 6)), F(3, 7), (ONE, F(2), F(1, 3))))
 @example(MetricExtension(LieBracket(3, {}), (F(1, 2), F(-1, 3), F(2)), F(3), (ONE, F(2), F(1, 5))))  # L = lcm() = 1
 def test_integer_ricci_kernel_matches_the_reference(ext):
-    m, t = _integer_ricci(ext)
+    m, t = _integer_ricci(ext.mu, ext.d, ext.s, ext.h)
     ref = reference_extension_ricci(ext)
     assert t > 0 and all(type(x) is int for row in m for x in row)
     assert tuple(tuple(F(x, t) for x in row) for row in m) == ref
@@ -1333,20 +1336,23 @@ def test_integer_ricci_kernel_matches_the_reference(ext):
 
 def _witness_candidates(mu: LieBracket, d) -> list:
     """The Ricci matrix of every extension that find_witness_metric tests
-    for (mu, d), in order, as the reference builds it."""
+    for (mu, d), in order, as the reference builds it from the parts the
+    search passes to its predicate."""
     seen = []
-    test = certifier.is_ricci_negative
+    test = certifier._ricci_negative
 
-    def recorded(ext):
-        seen.append(reference_extension_ricci(ext))
-        return test(ext)
+    def recorded(*parts):
+        seen.append(reference_extension_ricci(MetricExtension(*parts)))
+        return test(*parts)
 
     cert = certify_derivation(mu, d).certificate
-    certifier.is_ricci_negative = recorded
+    certifier._ricci_negative = recorded
     try:
         find_witness_metric(mu, d, cert)
     finally:
-        certifier.is_ricci_negative = test
+        certifier._ricci_negative = test
+    # a search that tests its candidates elsewhere would leave this empty
+    assert seen, "find_witness_metric tested no candidate through certifier._ricci_negative"
     return seen
 
 
@@ -1381,3 +1387,52 @@ def test_sign_test_is_the_sylvester_reading_of_the_minors(a):
 def test_witness_examples_include_the_accepted_ricci_matrices():
     # both searches accept a metric, so each tested at least one matrix
     assert sum(map(is_negative_definite, WITNESS_RICCI)) == 2
+
+
+def reference_round_exp(v: float, q: int) -> F:
+    """e^v as 2^k times ``Fraction(m).limit_denominator(q)``, m = e^(v - k log 2)."""
+    k = math.floor(v / math.log(2)) + 1
+    return F(math.exp(v - k * math.log(2))).limit_denominator(q) * F(2) ** k
+
+
+@settings(max_examples=500)
+@given(st.floats(-2000, 2000, allow_nan=False, allow_infinity=False),
+       st.sampled_from([1, 2, 3, 64, 4096, 2 ** 20]))
+@example(0.0, 2)                    # m = 1/2: its own denominator is <= q
+@example(0.4054651081081644, 64)    # m = 3/4, likewise
+@example(0.0, 1)                    # m = 1/2 halfway between 0 and 1: 0 wins the tie
+@example(0.4054651081081644, 2)     # m = 3/4 halfway between 1/2 and 1: 1 wins the tie
+@example(0.5596157879354227, 4)     # m = 7/8 halfway between 3/4 and 1: 1 wins the tie
+def test_round_exp_is_limit_denominator_times_a_power_of_two(v, q):
+    assert certifier._round_exp(v, q) == reference_round_exp(v, q)
+
+
+def reference_solve_positive_definite(a: list[list[float]], b: list[float]) -> list[float]:
+    """Gauss-Jordan elimination in floats, without pivoting since ``a`` is positive definite."""
+    for c in range(len(b)):
+        for r in range(len(b)):
+            if r != c:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+                b[r] -= f * b[c]
+    return [b[r] / a[r][r] for r in range(len(b))]
+
+
+@st.composite
+def positive_definite_systems(draw):
+    """(A, b) with A = B B^T + I, so every eigenvalue is at least 1."""
+    n = draw(st.integers(1, 12))
+    entry = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    a = [[sum(x * y for x, y in zip(ri, rj)) + (i == j) for j, rj in enumerate(m)]
+         for i, ri in enumerate(m)]
+    return a, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=200)
+@given(positive_definite_systems())
+def test_cholesky_solve_matches_gauss_jordan(system):
+    a, b = system
+    want = reference_solve_positive_definite([row[:] for row in a], b[:])
+    got = certifier._solve_positive_definite([row[:] for row in a], b[:])
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9 * max(map(abs, want))
