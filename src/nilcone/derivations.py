@@ -2,8 +2,11 @@
 
 The derivation algebra Der(mu) is the exact nullspace of E -> E.mu on
 n x n matrices, each basis derivation kept as the integer columns of the
-nullspace vector.  Whether every derivation is traceless is decided on the
-diagonal derivations first, and needs Der(mu) only when they are all
+nullspace vector.  The diagonal torus is held the same way, as the
+integer vectors of its nullspace (``integer_basis``); the rational basis
+that ``der``, ``cone`` and the catalog print is derived from them.
+Whether every derivation is traceless is decided on the diagonal
+derivations first, and needs Der(mu) only when they are all
 traceless.  The characteristically-nilpotent decision builds an Engel
 flag: it succeeds iff every derivation is strictly triangular in an
 adapted basis, and otherwise names the stage of the flag at which the
@@ -27,7 +30,6 @@ from .linalg import (
     Mat,
     Vec,
     ZERO,
-    dense,
     fmt_rational,
     frac,
     integer_row,
@@ -53,25 +55,25 @@ class DerivationBasis:
 
 @dataclass(frozen=True)
 class DiagonalDerivationSpace:
-    basis: tuple[Vec, ...]
+    """The diagonal torus as (w_m, L_m): w_m the dense form of a primitive
+    ``nullspace`` vector, L_m > 0 its entry at its least index.
+
+    The rational basis vector v_m = w_m / L_m is 1 at that index.  An LP
+    over t' with the integer columns w_m is the LP over t with the
+    rational columns v_m, at t_m = L_m t'_m: a column scaled by a positive
+    factor keeps every pivot (see ``nilcone.simplex``).
+    """
+
+    integer_basis: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.integer_basis)
 
     @cached_property
-    def integer_basis(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(L_m v_m, L_m) for each basis vector v_m, L_m the lcm of its denominators.
-
-        An LP over t' with the integer columns L_m v_m is the LP over t with
-        the rational columns v_m, at t_m = L_m t'_m: a column scaled by a
-        positive factor keeps every pivot (see ``nilcone.simplex``).
-        """
-        out = []
-        for v in self.basis:
-            vden = lcm(*[x.denominator for x in v])
-            out.append((tuple(x.numerator * (vden // x.denominator) for x in v), vden))
-        return tuple(out)
+    def basis(self) -> tuple[Vec, ...]:
+        """The rational vectors v_m, as ``der``, ``cone`` and the catalog print them."""
+        return tuple(tuple(Fraction(x, lead) for x in ints) for ints, lead in self.integer_basis)
 
     def point(self, t) -> Vec:
         """Map parameter coordinates to a diagonal derivation vector.
@@ -84,7 +86,7 @@ class DiagonalDerivationSpace:
             if tm:
                 terms.append((ints, tm.numerator, tm.denominator * vden))
         den = lcm(*[d for *_, d in terms])
-        total = [0] * len(self.basis[0])
+        total = [0] * len(self.integer_basis[0][0])
         for ints, num, d in terms:
             f = num * (den // d)
             for r, x in enumerate(ints):
@@ -182,7 +184,13 @@ def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
         for idx, v in ((k - 1, 1), (i - 1, -1), (j - 1, -1)):
             row[idx] = row.get(idx, 0) + v
         rows.append(row)
-    return DiagonalDerivationSpace(tuple(dense(v, mu.dim) for v in nullspace(rows, mu.dim)))
+    integer_basis = []
+    for v in nullspace(rows, mu.dim):
+        ints = [0] * mu.dim
+        for c, x in v.items():
+            ints[c] = x
+        integer_basis.append((tuple(ints), v[min(v)]))
+    return DiagonalDerivationSpace(tuple(integer_basis))
 
 
 def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
@@ -229,11 +237,11 @@ class Analysis:
 
         The diagonal torus decides first, and exactly: diag(d) with
         d_k = d_i + d_j on every nonzero constant is itself a derivation,
-        of trace sum(d).  So one vector of ``dspace`` with a nonzero sum
-        settles the question without Der(mu).  Only a traceless torus
-        reads the traces of ``der``.
+        of trace sum(d).  So one integer vector of ``dspace`` with a
+        nonzero sum settles the question without Der(mu).  Only a
+        traceless torus reads the traces of ``der``.
         """
-        if any(sum(v, ZERO) for v in self.dspace.basis):
+        if any(sum(w) for w, _ in self.dspace.integer_basis):
             return False
         return not any(_trace(e) for e in self.der.basis)
 
@@ -246,6 +254,22 @@ class EngelResult:
     witness_stage: int | None = None
 
 
+def _induced_rows(der: DerivationBasis, flag: Echelon, comp: list[int]):
+    """The rows of each operator Der(mu) induces modulo ``flag``, one
+    operator at a time, over the complement columns ``comp``."""
+    position = {c: i for i, c in enumerate(comp)}
+    for cols in der.basis:
+        reduced = [(position[c], *flag.reduce_scaled(col))
+                   for c, col in cols.items() if c in position]
+        common = lcm(*(den for _, _, den in reduced))
+        induced: dict[int, dict[int, int]] = {}
+        for i, col, den in reduced:
+            scale = common // den
+            for a, v in col.items():
+                induced.setdefault(a, {})[i] = v * scale
+        yield from induced.values()
+
+
 def engel_flag(der: DerivationBasis) -> EngelResult:
     """The Engel flag of the derivations in ``der``.
 
@@ -254,7 +278,9 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
     form: its free columns c index a complement, and D e_c reduced modulo
     V_s is column c of the induced operator, read at those columns.  A
     kernel is that of any nonzero multiple, so each induced operator is
-    put over the common denominator of its reduced columns.
+    put over the common denominator of its reduced columns.  The rows
+    reach ``nullspace`` one induced operator at a time: no stage holds
+    them all twice.
     """
     n = der.dim_algebra
     if not der.basis:
@@ -263,19 +289,7 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
     flag_dims: list[int] = []
     while flag.rank < n:
         comp = flag.free_columns()
-        position = {c: i for i, c in enumerate(comp)}
-        rows = []
-        for cols in der.basis:
-            reduced = [(position[c], *flag.reduce_scaled(col))
-                       for c, col in cols.items() if c in position]
-            common = lcm(*(den for _, _, den in reduced))
-            induced: dict[int, dict[int, int]] = {}
-            for i, col, den in reduced:
-                scale = common // den
-                for a, v in col.items():
-                    induced.setdefault(a, {})[i] = v * scale
-            rows.extend(induced.values())
-        kernel = nullspace(rows, len(comp))
+        kernel = nullspace(_induced_rows(der, flag, comp), len(comp))
         if not kernel:
             return EngelResult(False, tuple(flag_dims), witness_stage=len(flag_dims))
         for kv in kernel:

@@ -3,6 +3,10 @@
 A bracket is stored sparsely as a map (i, j, k) -> coefficient with the
 canonical orientation i < j; antisymmetry is implicit.  Indices are
 1-based everywhere in the public API, matching the algebra file format.
+Nilpotency is read off a topological order of the index graph (i -> k
+and j -> k for each nonzero c_ij^k); only a graph with a cycle computes
+the lower central series, which reads the constants through an index by
+the basis vector they bracket with.
 """
 
 from __future__ import annotations
@@ -209,27 +213,30 @@ def check_jacobi(mu: LieBracket) -> tuple[bool, tuple[int, int, int] | None]:
 def lower_central_series(mu: LieBracket) -> SubspaceChain:
     """gamma_1 = n, gamma_{k+1} = [n, gamma_k]; stops at stabilization.
 
-    Each spanning vector v of gamma_k takes one pass over the constants:
-    c_ab^k adds c v_b to [e_a, v]_k and -c v_a to [e_b, v]_k.  The basis
+    The constants are indexed once by the basis vector they bracket with:
+    x -> [(a, k, c)], c the coefficient of e_k in [e_a, e_x], so c_ab^k
+    is listed under b as (a, k, c) and under a as (b, k, -c).  A spanning
+    vector v of gamma_k then reads only the entries indexed by its
+    support: [e_a, v]_k gains c v_x for each (a, k, c) under x.  The basis
     of each term is the pivot rows of its reduced echelon form.  Only
     spans are read, so the constants are scaled to coprime integers once
     and every vector is an int row.
     """
     n = mu.dim
-    constants = list(zip(mu.constants, integer_row(mu.constants.values())))
+    by_vector: dict[int, list[tuple[int, int, int]]] = {}
+    for (a, b, k), cv in zip(mu.constants, integer_row(mu.constants.values())):
+        by_vector.setdefault(b - 1, []).append((a, k - 1, cv))
+        by_vector.setdefault(a - 1, []).append((b, k - 1, -cv))
     current: list[dict[int, int]] = [{s: 1} for s in range(n)]
     dims = [n]
     while True:
         ech = Echelon(n)
         for v in current:
             images: dict[int, dict[int, int]] = {}
-            for (a, b, k), cv in constants:
-                if b - 1 in v:
+            for x, vx in v.items():
+                for a, k, cv in by_vector.get(x, ()):
                     img = images.setdefault(a, {})
-                    img[k - 1] = img.get(k - 1, 0) + cv * v[b - 1]
-                if a - 1 in v:
-                    img = images.setdefault(b, {})
-                    img[k - 1] = img.get(k - 1, 0) - cv * v[a - 1]
+                    img[k] = img.get(k, 0) + cv * vx
             for img in images.values():
                 ech.add_row(img)
         d = ech.rank
@@ -240,7 +247,35 @@ def lower_central_series(mu: LieBracket) -> SubspaceChain:
 
 
 def is_nilpotent(mu: LieBracket) -> bool:
-    return lower_central_series(mu).terminates
+    """True iff the lower central series of mu reaches 0.
+
+    The index graph has an edge i -> k and an edge j -> k for each
+    nonzero c_ij^k; k in {i, j} is a self-loop.  If the graph sorts
+    topologically (Kahn), let rho(x) be the position of x in that order
+    and F_m = span{e_x : rho(x) >= m}.  Every [e_a, e_x] lies in the span
+    of the e_k with rho(k) > rho(x), so [n, F_m] lies in F_{m+1}; from
+    gamma_1 = n = F_0 it follows that gamma_{m+1} lies in F_m, and
+    gamma_{n+1} = 0.  No elimination is needed.  A cycle proves nothing
+    (a basis such as (e1, e2, e3 + e1) of heis3 has one), so only then is
+    the series computed.
+    """
+    n = mu.dim
+    successors: dict[int, list[int]] = {}
+    indegree = [0] * (n + 1)
+    for (i, j, k) in mu.constants:
+        successors.setdefault(i, []).append(k)
+        successors.setdefault(j, []).append(k)
+        indegree[k] += 2
+    ready = [x for x in range(1, n + 1) if not indegree[x]]
+    placed = 0
+    while ready:
+        x = ready.pop()
+        placed += 1
+        for k in successors.get(x, ()):
+            indegree[k] -= 1
+            if not indegree[k]:
+                ready.append(k)
+    return placed == n or lower_central_series(mu).terminates
 
 
 def center(mu: LieBracket) -> tuple[dict[int, int], ...]:

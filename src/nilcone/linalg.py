@@ -10,8 +10,8 @@ present in a row), so free variables accumulate at the low-index
 coordinates and bases are reproducible across runs.  A system with a
 right-hand side is posed as the kernel of the rows with that side as one
 more column.  A nullspace basis stays in integers: one sparse primitive
-vector per free column, which ``dense`` turns into the rational vector
-that is 1 at that column.  Only solutions are ``Fraction``.
+vector per free column, positive at that column.  Only solutions are
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class Echelon:
         The vector is positive at f, f is its least index (the pivot rule
         puts every off-pivot entry of a pivot row at a lower column), and
         it is zero at the other free columns.  Divided by its entry at f
-        it is the rational basis vector that is 1 at f (see ``dense``).
+        it is the rational basis vector that is 1 at f.
         """
         hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in self.free_columns()}
         # the entries of a pivot row off its pivot sit at free columns
@@ -252,12 +252,3 @@ def nullspace(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[int, int]
     for c in pinned:
         ech.pivots[c] = {c: 1}
     return ech.nullspace_basis()
-
-
-def dense(v: dict[int, int], ncols: int) -> Vec:
-    """A kernel vector of ``nullspace`` as the rational tuple that is 1 at its least index."""
-    out = [ZERO] * ncols
-    lead = v[min(v)]
-    for c, x in v.items():
-        out[c] = Fraction(x, lead)
-    return tuple(out)

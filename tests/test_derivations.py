@@ -16,7 +16,7 @@ from nilcone.derivations import (
 )
 from nilcone.errors import NotADerivationError
 from nilcone.liecore import LieBracket
-from nilcone.linalg import dense
+from test_linalg import dense
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 

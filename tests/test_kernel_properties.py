@@ -5,7 +5,11 @@ rescaled by a random positive diagonal h and moved by a random unipotent
 upper-triangular g, so that brackets have several terms and the basis is
 in general not nice.  The Jacobi, central-series and center kernels are
 also run on random skew brackets, most of which break Jacobi and many of
-which are not nilpotent.  Witness metrics are built for every derivation
+which are not nilpotent; ``is_nilpotent``, which reads an acyclic index
+graph without the series, is checked against the reference series on
+both, and a counter on the series shows where it still runs.  The
+integer torus is checked against the lcm of its rational basis's
+denominators.  Witness metrics are built for every derivation
 of the generated algebras that gets a cone certificate.  The traceless
 decision, made on the diagonal torus before Der(mu), is checked against
 the traces of the dense Der(mu).
@@ -31,6 +35,7 @@ Fourier-Motzkin projection against direct cone membership.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -40,7 +45,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nilcone.catalog import catalog_entry, catalog_get, catalog_list
-from nilcone import certifier, derivations
+from nilcone import certifier, derivations, liecore
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
     CERTIFIED_RN,
@@ -77,12 +82,12 @@ from nilcone.liecore import (
     center,
     check_jacobi,
     is_nice_basis,
+    is_nilpotent,
     lower_central_series,
 )
 from nilcone.linalg import (
     ONE,
     ZERO,
-    dense,
     det,
     frac,
     integer_row,
@@ -116,6 +121,7 @@ from test_derivations import matrices
 from test_linalg import (
     FractionEchelon,
     bracket,
+    dense,
     dense_row,
     int_row,
     mat_inv,
@@ -494,7 +500,9 @@ def test_nil_ricci_is_half_norm_times_moment_map(mu):
 @given(nilpotent_algebras())
 def test_sparse_kernels_match_dense_references(mu):
     assert matrices(derivation_algebra(mu)) == reference_derivation_algebra(mu)
-    assert lower_central_series(mu) == reference_lower_central_series(mu)
+    series = reference_lower_central_series(mu)
+    assert lower_central_series(mu) == series
+    assert is_nilpotent(mu) == series.terminates
     assert check_jacobi(mu) == reference_check_jacobi(mu) == (True, None)
     assert center(mu) == reference_center(mu)
 
@@ -508,6 +516,71 @@ def test_kernels_match_references_without_jacobi(mu):
     assert lower_central_series(mu) == reference_lower_central_series(mu)
     assert center(mu) == reference_center(mu)
     assert matrices(derivation_algebra(mu)) == reference_derivation_algebra(mu)
+
+
+# heis3 in the basis (e1, e2, e3 + e1): nilpotent, yet [f1, f2] = f3 - f1
+# puts a cycle (a self-loop at 1) in the index graph
+HEIS3_CYCLIC = LieBracket(3, {(1, 2, 3): F(1), (1, 2, 1): F(-1), (2, 3, 1): F(1), (2, 3, 3): F(-1)})
+SO3 = LieBracket(3, {(1, 2, 3): F(1), (2, 3, 1): F(1), (1, 3, 2): F(-1)})
+
+
+@settings(max_examples=300)
+@given(skew_brackets())
+@example(LieBracket(3, {}))
+@example(HEIS3_CYCLIC)
+@example(SO3)  # cyclic, not nilpotent
+@example(LieBracket(2, {(1, 2, 1): F(1)}))  # [e1, e2] = e1: a self-loop
+def test_nilpotency_from_the_index_graph_matches_the_series(mu):
+    assert is_nilpotent(mu) == reference_lower_central_series(mu).terminates
+
+
+@contextmanager
+def counted_series_calls():
+    """The brackets ``liecore.lower_central_series`` is called on, while open."""
+    calls = []
+    real = liecore.lower_central_series
+
+    def counted(mu):
+        calls.append(mu)
+        return real(mu)
+
+    liecore.lower_central_series = counted
+    try:
+        yield calls
+    finally:
+        liecore.lower_central_series = real
+
+
+@st.composite
+def relabelled_filiforms(draw) -> LieBracket:
+    """Vergne's filiform m_0(n), n in 4..12, with its basis permuted."""
+    n = draw(st.integers(4, 12))
+    p = draw(st.permutations(range(1, n + 1)))
+    return LieBracket(n, {(p[0], p[i - 1], p[i]): ONE for i in range(2, n)})
+
+
+def test_certify_nilradical_computes_no_series_on_the_catalog():
+    algebras = [catalog_get(id_, **params) for _, id_, params in CASES]
+    with counted_series_calls() as calls:
+        for mu in algebras:
+            certify_nilradical(mu)
+    assert calls == []
+
+
+@settings(max_examples=30)
+@given(relabelled_filiforms())
+def test_certify_nilradical_computes_no_series_on_relabelled_filiforms(mu):
+    with counted_series_calls() as calls:
+        certify_nilradical(mu)
+    assert calls == []
+
+
+def test_certify_nilradical_computes_the_series_on_a_cycle():
+    with counted_series_calls() as calls:
+        v = certify_nilradical(HEIS3_CYCLIC)
+    assert calls == [HEIS3_CYCLIC]
+    assert (v.status, v.certificate.kind, v.d, v.notes) == (
+        CERTIFIED_RN, DEGENERATION_CONE, (1, 0, 1), "degeneration keeping 1 of 4 constants")
 
 
 def _reference_pivot(rows: list[list[F]], basis: list[int], r: int, col: int) -> None:
@@ -1006,13 +1079,35 @@ def test_projected_cone_agrees_with_direct_membership(case):
     assert evaluate_cone(project_certificate_cone(w, dspace), t) == direct
 
 
+def reference_integer_basis(basis) -> tuple:
+    """(L v, L) for each rational vector v, L the lcm of its denominators."""
+    out = []
+    for v in basis:
+        vden = lcm(*[x.denominator for x in v])
+        out.append((tuple(x.numerator * (vden // x.denominator) for x in v), vden))
+    return tuple(out)
+
+
+@settings(max_examples=60)
+@given(st.one_of(nilpotent_algebras(unipotent=False), nilpotent_algebras()))
+def test_torus_integer_basis_is_the_lcm_scaled_rational_basis(mu):
+    dspace = diagonal_derivations(mu)
+    assert dspace.integer_basis == reference_integer_basis(dspace.basis)
+
+
+def test_catalog_torus_integer_basis_is_the_lcm_scaled_rational_basis():
+    for label, id_, params in CASES:
+        dspace = diagonal_derivations(catalog_get(id_, **params))
+        assert dspace.integer_basis == reference_integer_basis(dspace.basis), label
+
+
 @st.composite
 def torus_points(draw):
     """A DiagonalDerivationSpace on any rational vectors, and parameters t."""
     n = draw(st.integers(1, 6))
     basis = draw(st.lists(st.tuples(*[LP_COEFFS | MARGIN_RHS] * n), min_size=1, max_size=4))
     t = draw(st.lists(MARGIN_RHS | st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
-    return DiagonalDerivationSpace(tuple(basis)), t
+    return DiagonalDerivationSpace(reference_integer_basis(basis)), t
 
 
 @settings(max_examples=100)
@@ -1035,8 +1130,8 @@ def test_torus_lps_do_not_depend_on_the_scale_of_the_torus_basis(mu, factors):
     with each vector scaled by a positive rational gives the same D."""
     dspace = diagonal_derivations(mu)
     assume(dspace.dim > 0)
-    scaled = DiagonalDerivationSpace(
-        tuple(tuple(f * x for x in v) for v, f in zip(dspace.basis, factors)))
+    scaled = DiagonalDerivationSpace(reference_integer_basis(
+        tuple(f * x for x in v) for v, f in zip(dspace.basis, factors)))
     assert (certifier._positive_diagonal_derivation(scaled, mu.dim)
             == certifier._positive_diagonal_derivation(dspace, mu.dim))
     for weights, _, _ in certifier._nice_faces(mu, 2 ** len(mu.keys())):

@@ -9,7 +9,6 @@ from nilcone.linalg import (
     ONE,
     ZERO,
     Echelon,
-    dense,
     det,
     frac,
     integer_row,
@@ -146,6 +145,15 @@ class FractionEchelon:
         for p, row in self.pivots.items():
             v[p] = -row.get(-1, ZERO)
         return tuple(v)
+
+
+def dense(v: dict[int, int], ncols: int):
+    """A kernel vector of ``nullspace`` as the rational tuple that is 1 at its least index."""
+    out = [ZERO] * ncols
+    lead = v[min(v)]
+    for c, x in v.items():
+        out[c] = F(x, lead)
+    return tuple(out)
 
 
 def dense_row(v):
