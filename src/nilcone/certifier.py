@@ -23,7 +23,7 @@ from .derivations import (
 from .errors import InputError, InvariantViolation, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
 from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
-from .momentricci import MetricExtension, _ricci_negative, is_negative_definite, is_ricci_negative
+from .momentricci import MetricExtension, _negative_definite, _ricci_negative, is_ricci_negative
 from .polytope import (
     Weights,
     interior_point,
@@ -70,27 +70,44 @@ class Verdict:
     notes: str = ""
 
 
+NOT_POSITIVE_ON_CENTER = "restriction to the center is not positive definite"
+
+
 def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
     """tr D > 0 and D positive definite on the center.
 
+    Both are read in integers off e, d scaled once to its primitive
+    integer row, a positive multiple of d: tr D has the sign of sum(e),
+    and the center test is ``_positive_on_center`` on e.  Only a failing
+    trace is summed in Fractions, for its message.
+    """
+    e = require_diagonal_derivation(d, mu)
+    if sum(e) <= 0:
+        return False, f"trace {sum(d, ZERO)} is not positive"
+    if not _positive_on_center(mu, e):
+        return False, NOT_POSITIVE_ON_CENTER
+    return True, None
+
+
+def _positive_on_center(mu: LieBracket, e: tuple[int, ...]) -> bool:
+    """D positive definite on the center of mu, for e a positive integer
+    multiple of D.
+
     The center need not be spanned by standard basis vectors, so the
     restriction is tested as a quadratic form: minus its Gram matrix must
-    pass the exact Sylvester test.  The integer center basis is a positive
-    multiple of each rational basis vector, which scales every leading
-    principal minor by a positive square and keeps the verdict.
+    pass the exact Sylvester test.  The Gram matrix is built in integers
+    from e and the integer center basis.  Each integer center vector is a
+    positive multiple of a rational basis vector, and e of D, so every
+    leading principal minor is the rational one times a positive factor,
+    which keeps the verdict.
     """
-    require_diagonal_derivation(d, mu)
-    trd = sum(d, ZERO)
-    if trd <= 0:
-        return False, f"trace {trd} is not positive"
     z = center(mu)
-    if z:
-        # only coordinates where d and both center vectors are nonzero add
-        weighted = [[(r, -d[r] * v) for r, v in za.items() if d[r]] for za in z]
-        neg_gram = [[sum((w * zb[r] for r, w in dza if r in zb), ZERO) for zb in z] for dza in weighted]
-        if not is_negative_definite(neg_gram):
-            return False, "restriction to the center is not positive definite"
-    return True, None
+    if not z:
+        return True
+    # only coordinates where e and both center vectors are nonzero add
+    weighted = [[(r, -e[r] * v) for r, v in za.items() if e[r]] for za in z]
+    return _negative_definite(
+        [[sum([w * zb[r] for r, w in dza if r in zb]) for zb in z] for dza in weighted])
 
 
 def membership_certificate(
@@ -116,23 +133,23 @@ def certify_derivation(
     face subsets tested, i.e. the ``is_face`` LPs.
     """
     require_budget(budget)
-    require_diagonal_derivation(d, mu)
-    d = tuple(frac(x) for x in d)
-    trd = sum(d, ZERO)
-    if trd <= 0:
-        raise InputError(f"derivation trace must be positive, got {trd}")
+    # e is d checked once and scaled to a positive integer multiple: the
+    # signs, the trace's included, and the necessary condition read it
+    e = require_diagonal_derivation(d, mu)
+    d = tuple(map(frac, d))
+    if sum(e) <= 0:
+        raise InputError(f"derivation trace must be positive, got {sum(d, ZERO)}")
 
-    if all(x > 0 for x in d):
+    if all(x > 0 for x in e):
         cert = Certificate(POSITIVE_DERIVATION, d, slack=min(d))
         return _certified(mu, SCOPE_DERIVATION, cert)
 
-    ok, reason = necessary_condition(mu, d)
-    if not ok:
+    if not _positive_on_center(mu, e):
         return Verdict(
             CERTIFIED_NOT_RN,
             SCOPE_DERIVATION,
             d,
-            obstruction=f"necessary condition fails: {reason}",
+            obstruction=f"necessary condition fails: {NOT_POSITIVE_ON_CENTER}",
             notes="verdict applies to this derivation only",
         )
 
@@ -201,9 +218,12 @@ def _torus_point(dspace: DiagonalDerivationSpace, t_scaled) -> Vec:
 
 
 def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Vec | None:
-    """LP for a derivation with all diagonal entries positive."""
-    if dspace.dim == 0:
-        return None
+    """LP for a derivation with all diagonal entries positive.
+
+    An index where every torus vector vanishes is a zero row, and
+    ``max_margin`` returns None for it before the simplex runs; with no
+    torus at all, every row is one.
+    """
     cols = [v for v, _ in dspace.integer_basis]
     t = interior_point([[v[r] for v in cols] for r in range(n)])
     return None if t is None else _torus_point(dspace, t)
@@ -310,6 +330,10 @@ def find_witness_metric(
     "Witness metrics".  When rounding h could lose that slack, which the
     membership LP caps at 1, P and x are those of D / c for a power of two
     c >= max |d|, and s = c, since Ric(cD, cs, h) = c^2 Ric(D, s, h).
+    That set-up runs in integers: P and tr E each over the lcm of their
+    denominators, each log from a ratio of integers reduced by its gcd
+    (the float ``_log_abs`` gives for that ratio), and the tolerance from
+    one correctly rounded int / int.
     Newton starts at the least-squares point, which is the minimizer when
     the weights are independent; ``budget`` caps the Newton steps after
     it, and both kinds of linear system are solved by Cholesky.  Each
@@ -337,32 +361,37 @@ def find_witness_metric(
             s /= 2
         return MetricExtension(mu, d, s, h)
     w = _bracket_weights(mu, cert)
-    slack, b = cert.slack, _raised_combination(w, cert.coefficients, cert.slack)
-    top = max(b.values())
+    # P is b / bden in integers, in the order of w, and top / bden is max P
+    slack = cert.slack
+    b, bden = _over_lcm(_raised_combination(w, cert.coefficients, slack).values())
+    top = max(b)
     c, e = ONE, d
-    if slack * 2 ** 20 < top:
-        # the rounding of h moves P by about top 2^-20, more than the slack
-        # the LP caps at 1: solve for E = D / c, c = 2^k >= max |d|, instead
+    if slack.numerator * bden << 20 < slack.denominator * top:
+        # the rounding of h moves P by about max P 2^-20, more than the
+        # slack the LP caps at 1: solve for E = D / c, c = 2^k >= max |d|
         c = 1 << (math.ceil(max(map(abs, d))) - 1).bit_length()
         e = tuple(x / c for x in d)
         sol = strict_cone_membership(e, w)
         if sol is None:  # a certificate made up by hand: D is not in its cone
             return None
         slack, coefficients = sol
-        b = _raised_combination(w, coefficients, slack)
-        top = max(b.values())
-    # the objective over 2 tr E max b: the same minimizer, and no float
+        b, bden = _over_lcm(_raised_combination(w, coefficients, slack).values())
+        top = max(b)
+    # the objective over 2 tr E max P: the same minimizer, and no float
     # overflows or underflows whatever the scale of D or of the constants
-    shift = _log_abs(2 * sum(e, ZERO) * top)
+    # tr E is sum(tre) / eden in integers
+    tre, eden = _over_lcm(e)
+    shift = _log_ratio(2 * sum(tre) * top, eden * bden)
     terms = [
         ([(r, float(v)) for r, v in enumerate(wt) if v],
          2 * _log_abs(mu.constants[key]) - shift,
-         _log_abs(b[key] / top))
-        for key, wt in w.items()
+         _log_ratio(bw, top))
+        for (key, wt), bw in zip(w.items(), b)
     ]
-    # a millionth of tr D slack, over the same 2 tr D max b: the float error
-    # is then far below the rounding's
-    x = _newton_log_metric(terms, mu.dim, 5e-7 * float(slack / top), budget)
+    # a millionth of tr D slack, over the same 2 tr D max P: the float
+    # error is then far below the rounding's
+    tol = 5e-7 * (slack.numerator * bden / (slack.denominator * top))
+    x = _newton_log_metric(terms, mu.dim, tol, budget)
     alpha = integer_row(cert.degeneration[0]) if cert.degeneration else (0,) * mu.dim
     for q in (64, 4096, 2 ** 20):
         h = [_round_exp(v, q) for v in x]
@@ -371,6 +400,14 @@ def find_witness_metric(
             if _ricci_negative(mu, d, c, scaled):
                 return MetricExtension(mu, d, c, scaled)
     return None
+
+
+def _over_lcm(q) -> tuple[list[int], int]:
+    """Rationals as integers over one denominator L, the lcm of theirs:
+    ([L x for x in q], L)."""
+    q = list(q)
+    den = math.lcm(*[x.denominator for x in q])
+    return [x.numerator * (den // x.denominator) for x in q], den
 
 
 def _raised_combination(w: Weights, coefficients: dict[Key, Fraction], slack: Fraction):
@@ -472,6 +509,13 @@ def _solve_positive_definite(a: list[list[float]], b: list[float]) -> list[float
 def _log_abs(q: Fraction) -> float:
     """log |q| from its integers, so no float overflows or underflows on the way."""
     return math.log(abs(q.numerator)) - math.log(q.denominator)
+
+
+def _log_ratio(n: int, m: int) -> float:
+    """``_log_abs(Fraction(n, m))`` for m > 0: the logs of the ratio's
+    integers once reduced by their gcd, so the float is the same."""
+    g = math.gcd(n, m)
+    return math.log(abs(n) // g) - math.log(m // g)
 
 
 def _round_exp(v: float, q: int) -> Fraction:

@@ -195,10 +195,15 @@ def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
 
 def is_diagonal_derivation(d: Vec, mu: LieBracket) -> bool:
     """d_k = d_i + d_j on every nonzero constant, tested on d scaled once to integers."""
+    return _diagonal_derivation_row(d, mu) is not None
+
+
+def _diagonal_derivation_row(d: Vec, mu: LieBracket) -> tuple[int, ...] | None:
+    """``integer_row(d)`` when d is a diagonal derivation of mu, else None."""
     if len(d) != mu.dim:
-        return False
-    d = integer_row(d)
-    return all(d[k - 1] == d[i - 1] + d[j - 1] for (i, j, k) in mu.keys())
+        return None
+    e = integer_row(d)
+    return e if all(e[k - 1] == e[i - 1] + e[j - 1] for (i, j, k) in mu.keys()) else None
 
 
 def _diagonal(e: Columns) -> dict[int, int]:
@@ -344,6 +349,10 @@ def solve_phi(a: Analysis) -> Vec | str:
     return tuple(Fraction(x, den) for x in num)
 
 
-def require_diagonal_derivation(d: Vec, mu: LieBracket) -> None:
-    if not is_diagonal_derivation(d, mu):
+def require_diagonal_derivation(d: Vec, mu: LieBracket) -> tuple[int, ...]:
+    """d scaled to its primitive integer row, a positive multiple of d, once
+    d is checked to be a diagonal derivation of mu."""
+    e = _diagonal_derivation_row(d, mu)
+    if e is None:
         raise NotADerivationError(f"{','.join(map(fmt_rational, d))} is not a diagonal derivation")
+    return e

@@ -253,7 +253,13 @@ def max_margin(
     the first ``free`` entries of x are free, the rest are >= 0.  a_ub
     and a_eq hold ints, b_ub may hold Fractions, and a_ub needs at least
     one row.  Returns (eps, x) when the optimal eps is positive, else None.
+    A row of a_ub with no nonzero coefficient and a bound b <= 0 reads
+    eps <= b <= 0 on its own, so it returns None before any tableau is
+    built: the LP would find eps <= 0 or no feasible point.  The bound is
+    compared only on such a row.
     """
+    if any(not any(row) and b <= 0 for row, b in zip(a_ub, b_ub)):
+        return None
     k = len(a_ub[0])
     sol = solve_lp(
         [0] * k + [1],

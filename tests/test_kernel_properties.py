@@ -25,6 +25,9 @@ sum.  They also keep the slow exact kernels of the certificate cone: the
 integer Sylvester test is checked against the signs of those minors.  The
 witness search's float steps keep theirs too: ``limit_denominator`` for
 the rounding of h, and Gauss-Jordan for the Newton systems.
+``max_margin`` keeps its simplex-only body, which its zero-row rule skips,
+and the necessary condition its ``Fraction`` Gram matrix; a counter on
+``simplex.solve_lp`` shows which torus LPs stop before the simplex.
 Certificates from both certifiers are checked to survive serialize,
 parse and verify.  The torus LPs of ``certify_nilradical`` are checked
 against the per-derivation walk of ``certify_derivation``, the nice faces
@@ -583,6 +586,54 @@ def test_certify_nilradical_computes_the_series_on_a_cycle():
         CERTIFIED_RN, DEGENERATION_CONE, (1, 0, 1), "degeneration keeping 1 of 4 constants")
 
 
+@contextmanager
+def counted_lp_calls():
+    """The arguments of each ``simplex.solve_lp`` call, while open;
+    ``max_margin`` looks it up in its module, so it is patched there."""
+    calls = []
+    real = simplex.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    simplex.solve_lp = counted
+    try:
+        yield calls
+    finally:
+        simplex.solve_lp = real
+
+
+NO_CANDIDATE = ("no candidate derivation certified; obstruction tests passed, "
+                "so the algebra may still be a Ricci negative nilradical")
+
+
+def test_certify_nilradical_solves_no_lp_where_the_torus_vanishes():
+    """On ex1ex2ex5-i, -ii and -iii, at every ``FAMILY_SAMPLES`` value, the
+    torus vanishes at an index that is a sink: the positive-derivation LP
+    and the sink LP each have a zero row with bound 0, and no simplex runs."""
+    cases = [(label, id_, params) for label, id_, params in CASES if id_.startswith("ex1ex2ex5")]
+    assert len(cases) == 7
+    for label, id_, params in cases:
+        mu = catalog_get(id_, **params)
+        with counted_lp_calls() as calls:
+            v = certify_nilradical(mu)
+        assert (label, len(calls)) == (label, 0)
+        assert (v.status, v.notes) == (UNKNOWN, NO_CANDIDATE)
+
+
+def test_certify_nilradical_lp_counts_without_a_zero_row():
+    """ex8ex7-i and -ii: a torus with entries of both signs at each index,
+    so both LPs run; heis3: one LP finds the positive derivation."""
+    for id_, want, status, notes in [("ex8ex7-i", 2, UNKNOWN, NO_CANDIDATE),
+                                     ("ex8ex7-ii", 2, UNKNOWN, NO_CANDIDATE),
+                                     ("heis3", 1, CERTIFIED_RN, "positive derivation")]:
+        mu = catalog_get(id_)
+        with counted_lp_calls() as calls:
+            v = certify_nilradical(mu)
+        assert (id_, len(calls), v.status, v.notes) == (id_, want, status, notes)
+
+
 def _reference_pivot(rows: list[list[F]], basis: list[int], r: int, col: int) -> None:
     inv = ONE / rows[r][col]
     rows[r] = [v * inv for v in rows[r]]
@@ -1013,6 +1064,55 @@ def test_max_margin_keeps_its_pivots_under_free_column_scaling(lp):
         assert got == (eps, tuple(F(v, f) for v, f in zip(x, factors)) + x[free:])
 
 
+def reference_max_margin(a_ub, b_ub, a_eq=(), free=0):
+    """``max_margin`` always through the simplex, with no zero-row rule:
+    maximize eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0."""
+    k = len(a_ub[0])
+    sol = solve_lp(
+        [0] * k + [1],
+        [[*row, 1] for row in a_ub] + [[0] * k + [1]],
+        [*b_ub, 1],
+        [[*row, 0] for row in a_eq],
+        [0] * len(a_eq),
+        free,
+    )
+    if sol.status != OPTIMAL or sol.value <= 0:
+        return None
+    return sol.value, sol.x[:k]
+
+
+@st.composite
+def margin_systems(draw):
+    """A ``max_margin`` system on 0-4 int columns, any 0..k of them free,
+    with 0-2 equality rows and 0-2 zero rows planted among the others;
+    each bound is an int or a Fraction, of either sign or zero."""
+    k = draw(st.integers(0, 4))
+    row = st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 1, 3]), min_size=k, max_size=k)
+    a_ub = draw(st.lists(row, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        a_ub.insert(draw(st.integers(0, len(a_ub))), [0] * k)
+    b_ub = draw(st.lists(st.integers(-2, 2) | MARGIN_RHS, min_size=len(a_ub), max_size=len(a_ub)))
+    return a_ub, b_ub, draw(st.lists(row, max_size=2)), draw(st.integers(0, k))
+
+
+@settings(max_examples=300)
+@given(margin_systems())
+@example(([[0, 0], [1, -1]], [0, 1], [], 2))  # a zero row with bound 0
+@example(([[1], [0]], [1, F(-1, 3)], [], 0))  # a zero row with a negative bound
+@example(([[0, 0]], [F(1, 2)], [[1, 1]], 1))  # a positive bound: the simplex decides
+@example(([[], []], [0, 1], [], 0))  # rows of length 0, as for an empty torus
+@example(([[]], [F(2, 3)], [[]], 0))
+def test_max_margin_matches_the_simplex_it_skips(system):
+    """The same answer as the simplex, which runs exactly when no zero row
+    has a bound <= 0."""
+    a_ub, b_ub, a_eq, free = system
+    with counted_lp_calls() as calls:
+        got = max_margin(a_ub, b_ub, a_eq, free)
+    assert got == reference_max_margin(a_ub, b_ub, a_eq, free)
+    forced = any(not any(r) and b <= 0 for r, b in zip(a_ub, b_ub))
+    assert len(calls) == (0 if forced else 1)
+
+
 @st.composite
 def homogeneous_systems(draw):
     """Strict rows (elim, kept) over 1-3 eliminated and 1-3 kept variables."""
@@ -1198,15 +1298,56 @@ def reference_necessary_condition(mu: LieBracket, d):
 SKEW_CENTER = LieBracket(4, {(1, 2, 4): F(1), (1, 3, 4): F(2)})
 
 
-@settings(max_examples=60)
-@given(diagonal_derivations_of_algebras())
+def reference_fraction_gram_necessary_condition(mu: LieBracket, d):
+    """``necessary_condition`` with a Fraction trace and a Fraction Gram
+    matrix of D on the integer center basis, tested by ``is_negative_definite``."""
+    trd = sum(d, ZERO)
+    if trd <= 0:
+        return False, f"trace {trd} is not positive"
+    z = center(mu)
+    if z:
+        weighted = [[(r, -d[r] * v) for r, v in za.items() if d[r]] for za in z]
+        neg_gram = [[sum((w * zb[r] for r, w in dza if r in zb), ZERO) for zb in z]
+                    for dza in weighted]
+        if not is_negative_definite(neg_gram):
+            return False, "restriction to the center is not positive definite"
+    return True, None
+
+
+@st.composite
+def signed_torus_points(draw):
+    """(mu, D): a generated algebra, moved in one draw of four (which
+    mostly leaves only D = 0), and a rational point of its diagonal torus,
+    of any trace sign."""
+    mu = draw(nilpotent_algebras(unipotent=draw(st.sampled_from([False, False, False, True]))))
+    dspace = diagonal_derivations(mu)
+    if not dspace.dim:
+        return mu, (ZERO,) * mu.dim
+    t = draw(st.lists(st.integers(-3, 3) | MARGIN_RHS, min_size=dspace.dim, max_size=dspace.dim))
+    return mu, dspace.point(t)
+
+
+@settings(max_examples=80)
+@given(signed_torus_points())
 @example((SKEW_CENTER, (F(-1), F(2), F(2), F(1))))  # positive on the center
 @example((SKEW_CENTER, (F(2), F(-1), F(-1), F(1))))  # negative on 2 e_2 - e_3
+@example((SKEW_CENTER, (F(1, 2), F(-1, 3), F(-1, 3), F(1, 6))))  # trace 0
+@example((catalog_get("ex8ex7-ii"), catalog_entry("ex8ex7-ii").derivations[0]))
 def test_necessary_condition_keeps_its_verdict_on_the_integer_center(case):
-    """The integer center basis differs from the rational one by a positive
-    diagonal congruence of the Gram matrix, which keeps the Sylvester verdict."""
+    """The integer center basis differs from the rational one, and the
+    integer row of D from D, by positive factors, which keep the Sylvester
+    verdict: the same verdict and message (the rational trace in it
+    included) as the Fraction Gram on either basis; where
+    ``certify_derivation`` takes D, its necessary-condition verdict too."""
     mu, d = case
-    assert necessary_condition(mu, d) == reference_necessary_condition(mu, d)
+    want = reference_fraction_gram_necessary_condition(mu, d)
+    assert necessary_condition(mu, d) == want
+    assert reference_necessary_condition(mu, d) == want
+    if sum(d) > 0:
+        v = certify_derivation(mu, d, budget=0)
+        ok, reason = want
+        assert (v.status == CERTIFIED_NOT_RN) == (not ok)
+        assert v.obstruction == (None if ok else f"necessary condition fails: {reason}")
 
 
 def _survives_round_trip(mu: LieBracket, verdict) -> None:
