@@ -497,7 +497,7 @@ def _check(entry: CatalogEntry, a: Analysis, exp: Expected) -> CheckResult:
     elif name == "traceless":
         got = a.traceless
     elif name == "char-nilpotent":
-        got = a.engel.is_nilpotent
+        got = a.characteristically_nilpotent
     elif name == "listed-derivations":
         got = all(is_diagonal_derivation(d, mu) for d in entry.derivations)
     elif name == "listed-derivation-trace":

@@ -89,18 +89,28 @@ def necessary_condition(mu: LieBracket, d: Vec) -> tuple[bool, str | None]:
     return True, None
 
 
+def _sinks(mu: LieBracket) -> list[int]:
+    """The 0-based indices r that occur in no bracketed pair: each e_r is central."""
+    bracketed = {x - 1 for (i, j, _) in mu.constants for x in (i, j)}
+    return [r for r in range(mu.dim) if r not in bracketed]
+
+
 def _positive_on_center(mu: LieBracket, e: tuple[int, ...]) -> bool:
     """D positive definite on the center of mu, for e a positive integer
     multiple of D.
 
-    The center need not be spanned by standard basis vectors, so the
-    restriction is tested as a quadratic form: minus its Gram matrix must
-    pass the exact Sylvester test.  The Gram matrix is built in integers
-    from e and the integer center basis.  Each integer center vector is a
-    positive multiple of a rational basis vector, and e of D, so every
-    leading principal minor is the rational one times a positive factor,
-    which keeps the verdict.
+    A sink r settles a failure before the center is solved for: e_r is
+    central and D e_r = D_r e_r, so D_r <= 0 there already fails the
+    test.  Otherwise the center need not be spanned by standard basis
+    vectors, so the restriction is tested as a quadratic form: minus its
+    Gram matrix must pass the exact Sylvester test.  The Gram matrix is
+    built in integers from e and the integer center basis.  Each integer
+    center vector is a positive multiple of a rational basis vector, and
+    e of D, so every leading principal minor is the rational one times a
+    positive factor, which keeps the verdict.
     """
+    if any(e[r] <= 0 for r in _sinks(mu)):
+        return False
     z = center(mu)
     if not z:
         return True
@@ -265,14 +275,13 @@ def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
         raise InputError("algebra is not nilpotent")
 
     if a.traceless:
-        engel = a.engel
-        if engel.is_nilpotent:
+        if a.characteristically_nilpotent:
             return Verdict(
                 CERTIFIED_NOT_RN,
                 SCOPE_ALGEBRA,
                 obstruction="characteristically nilpotent: every derivation is "
                 "nilpotent (Engel flag of dimensions "
-                + ",".join(map(str, engel.flag_dims)) + ")",
+                + ",".join(map(str, a.engel.flag_dims)) + ")",
             )
         return Verdict(
             CERTIFIED_NOT_RN,
@@ -287,8 +296,7 @@ def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
         return _certified(mu, SCOPE_ALGEBRA, cert)
 
     cols = [v for v, _ in a.dspace.integer_basis]
-    bracketed = {x - 1 for (i, j, _) in mu.keys() for x in (i, j)}
-    sinks = [[v[r] for v in cols] for r in range(mu.dim) if r not in bracketed]
+    sinks = [[v[r] for v in cols] for r in _sinks(mu)]
     note = ("no candidate derivation certified; obstruction tests passed, "
             "so the algebra may still be a Ricci negative nilradical")
     if interior_point([[sum(v) for v in cols], *sinks]) is not None:

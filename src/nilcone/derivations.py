@@ -1,19 +1,23 @@
 """Derivation algebras, diagonal derivations, and the obstruction tests.
 
 The derivation algebra Der(mu) is the exact nullspace of E -> E.mu on
-n x n matrices, each basis derivation kept as the integer columns of the
-nullspace vector.  The diagonal torus is held the same way, as the
-integer vectors of its nullspace (``integer_basis``); the rational basis
-that ``der``, ``cone`` and the catalog print is derived from them.
-Whether every derivation is traceless is decided on the diagonal
-derivations first, and needs Der(mu) only when they are all
-traceless.  The characteristically-nilpotent decision builds an Engel
-flag: it succeeds iff every derivation is strictly triangular in an
-adapted basis, and otherwise names the stage of the flag at which the
-induced operators have no common kernel.  ``Analysis``
-holds one bracket's Der(mu), Engel flag and diagonal torus for one call, so
-that the traceless test, the Engel flag, the phi solve and the algebra
-verdict build each at most once.
+n x n matrices, its rows built in one pass over the constants and each
+basis derivation kept as the integer columns of the nullspace vector.
+The diagonal torus is held the same way, as the integer vectors of its
+nullspace (``integer_basis``); the rational basis that ``der``, ``cone``
+and the catalog print is derived from them.  Whether every derivation
+is traceless is decided on the diagonal derivations first, and needs
+Der(mu) only when they are all traceless.  Whether every derivation is
+nilpotent is decided on the basis derivations first: one with
+tr(D^2) != 0 is not nilpotent.  Only when every basis derivation has
+tr(D^2) = 0 is the Engel flag built: it succeeds iff every derivation
+is strictly triangular in an adapted basis, and otherwise names the
+stage of the flag at which the induced operators have no common
+kernel.  ``Analysis`` holds one bracket's Der(mu), Engel flag and
+diagonal torus for one call, each built on first use, so that the
+traceless test, the characteristically-nilpotent test, the phi solve
+and the algebra verdict build each at most once, and a verdict that
+the traces settle builds no flag.
 """
 
 from __future__ import annotations
@@ -133,34 +137,40 @@ def _derivation_nullspace(mu: LieBracket) -> list[dict[int, int]]:
     """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
 
     Row (i, j, r), i < j, is the e_r coefficient of (E.mu)(e_i, e_j) =
-    E mu(e_i, e_j) - mu(E e_i, e_j) - mu(e_i, E e_j).  Each constant
-    c_ab^k is added straight into the rows it touches.  The system is
-    homogeneous, so the constants are scaled to coprime integers once and
-    every row is an int row.
+    E mu(e_i, e_j) - mu(E e_i, e_j) - mu(e_i, E e_j), keyed by the one int
+    (i*n + j)*n + r (0-based).  The system is built in one pass over the
+    constants: each c_ab^k, scaled once with the others to coprime
+    integers (the system is homogeneous, so every row is an int row),
+    adds its five runs of terms straight into the rows they touch, each
+    run a pair of ranges of row keys and unknowns.  Entries that cancel
+    stay as zeros, which ``nullspace`` drops.  Under its fixed pivot rule
+    the reduced form of a span is unique, so the rows go in by length
+    alone and the basis does not depend on their order.
     """
     n = mu.dim
-    by_key: dict[tuple[int, int, int], dict[int, int]] = {}
-
-    def add(i, j, r, p, q, v):
-        row = by_key.setdefault((i, j, r), {})
-        idx = (p - 1) * n + (q - 1)
-        row[idx] = row.get(idx, 0) + v
-
+    nn = n * n
+    rows: dict[int, dict[int, int]] = {}
     for (a, b, k), v in zip(mu.constants, integer_row(mu.constants.values())):
-        for r in range(1, n + 1):
-            add(a, b, r, r, k, v)  # E mu(e_a, e_b)
-        for i in range(1, b):
-            add(i, b, k, a, i, -v)  # mu(E e_i, e_b) through E_ai
-        for i in range(1, a):
-            add(i, a, k, b, i, v)  # mu(E e_i, e_a) through E_bi
-        for j in range(a + 1, n + 1):
-            add(a, j, k, b, j, -v)  # mu(e_a, E e_j) through E_bj
-        for j in range(b + 1, n + 1):
-            add(b, j, k, a, j, v)  # mu(e_b, E e_j) through E_aj
-    rows = [{c: x for c, x in by_key[key].items() if x} for key in sorted(by_key)]
-    rows = [row for row in rows if row]
-    rows.sort(key=len)
-    return nullspace(rows, n * n)
+        a, b, k = a - 1, b - 1, k - 1
+        for keys, unknowns, x in (
+            # E mu(e_a, e_b): row (a, b, r) through E_rk, every r
+            (range((a * n + b) * n, (a * n + b + 1) * n), range(k, nn, n), v),
+            # mu(E e_i, e_b) through E_ai: row (i, b, k), i < b
+            (range(b * n + k, b * nn, nn), range(a * n, a * n + b), -v),
+            # mu(E e_i, e_a) through E_bi: row (i, a, k), i < a
+            (range(a * n + k, a * nn, nn), range(b * n, b * n + a), v),
+            # mu(e_a, E e_j) through E_bj: row (a, j, k), j > a
+            (range((a * n + a + 1) * n + k, (a + 1) * nn, n), range(b * n + a + 1, b * n + n), -v),
+            # mu(e_b, E e_j) through E_aj: row (b, j, k), j > b
+            (range((b * n + b + 1) * n + k, (b + 1) * nn, n), range(a * n + b + 1, a * n + n), v),
+        ):
+            for key, idx in zip(keys, unknowns):
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {idx: x}
+                else:
+                    row[idx] = row.get(idx, 0) + x
+    return nullspace(sorted(rows.values(), key=len), nn)
 
 
 def derivation_algebra(mu: LieBracket) -> DerivationBasis:
@@ -214,10 +224,18 @@ def _trace(e: Columns) -> int:
     return sum(_diagonal(e).values())
 
 
+def _trace_of_square(e: Columns) -> int:
+    """tr(E^2) = sum of E_rc E_cr over the nonzero entries E_rc."""
+    return sum(x * e[r].get(c, 0) for c, col in e.items() for r, x in col.items() if r in e)
+
+
 class Analysis:
     """Der(mu), its Engel flag and the diagonal torus of one bracket, each built on first use.
 
-    An instance serves one call and is dropped with it; nothing is cached
+    ``traceless`` reads the torus, and Der(mu) only when the torus is
+    traceless; ``characteristically_nilpotent`` reads Der(mu), and the
+    Engel flag only when no basis derivation has tr(D^2) != 0.  An
+    instance serves one call and is dropped with it; nothing is cached
     on the bracket or across calls.
     """
 
@@ -249,6 +267,21 @@ class Analysis:
         if any(sum(w) for w, _ in self.dspace.integer_basis):
             return False
         return not any(_trace(e) for e in self.der.basis)
+
+    @cached_property
+    def characteristically_nilpotent(self) -> bool:
+        """True iff every derivation of mu is nilpotent.
+
+        The basis derivations decide first, in integers: a nilpotent D has
+        a nilpotent D^2, so tr(D^2) = 0, and one basis derivation with
+        tr(D^2) != 0 settles the answer without the Engel flag (an
+        integer derivation is c D for some c > 0, and tr((c D)^2) =
+        c^2 tr(D^2)).  Only when every basis derivation has tr(D^2) = 0
+        is the flag built.
+        """
+        if any(_trace_of_square(e) for e in self.der.basis):
+            return False
+        return self.engel.is_nilpotent
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from nilcone import certifier, liecore
-from nilcone.catalog import catalog_entry, catalog_get
+from nilcone import certifier, derivations, liecore
+from nilcone.catalog import FAMILY_SAMPLES, catalog_entry, catalog_get, catalog_list
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
     CERTIFIED_RN,
     DEGENERATION_CONE,
     NICE_CONE,
+    NOT_POSITIVE_ON_CENTER,
     POSITIVE_DERIVATION,
     SCOPE_ALGEBRA,
     SCOPE_DERIVATION,
@@ -484,18 +485,81 @@ def test_nilradical_n4nonice_uses_degeneration():
     assert v.d == (F(0), x, x, x) and x > 0
 
 
-def test_nilradical_traceless_obstruction():
+def _nilradical_counting_engel_flags(monkeypatch, id_):
+    calls = []
+    flag = derivations.engel_flag
+
+    def counted(der):
+        calls.append(der)
+        return flag(der)
+
+    monkeypatch.setattr(derivations, "engel_flag", counted)
+    return certify_nilradical(catalog_get(id_)), len(calls)
+
+
+def test_nilradical_traceless_obstruction(monkeypatch):
+    # a basis derivation with tr(D^2) != 0 settles the Engel question: no flag
     for id_ in ("ex3", "ex10"):
-        v = certify_nilradical(catalog_get(id_))
-        assert v.status == CERTIFIED_NOT_RN
-        assert "traceless" in v.obstruction
+        v, flags = _nilradical_counting_engel_flags(monkeypatch, id_)
+        assert (v.status, v.scope, v.obstruction, flags) == (
+            CERTIFIED_NOT_RN, SCOPE_ALGEBRA,
+            "every derivation is traceless, so all solvable extensions are unimodular", 0)
 
 
-def test_nilradical_engel_obstruction():
-    for id_ in ("ex4-1", "ex4-2"):
-        v = certify_nilradical(catalog_get(id_))
-        assert v.status == CERTIFIED_NOT_RN
-        assert "characteristically nilpotent" in v.obstruction
+def test_nilradical_engel_obstruction(monkeypatch):
+    # every basis derivation has tr(D^2) = 0: one flag decides, and names its dimensions
+    for id_, dims in (("ex4-1", "3,6,9,12"), ("ex4-2", "4,6,8,12")):
+        v, flags = _nilradical_counting_engel_flags(monkeypatch, id_)
+        assert (v.status, v.scope, v.obstruction, flags) == (
+            CERTIFIED_NOT_RN, SCOPE_ALGEBRA,
+            "characteristically nilpotent: every derivation is nilpotent "
+            f"(Engel flag of dimensions {dims})", 1)
+
+
+def _listed_derivations():
+    """(label, mu, D) for each listed catalog derivation of positive trace,
+    each family at its samples."""
+    for id_, _, _ in catalog_list():
+        entry = catalog_entry(id_)
+        for t in FAMILY_SAMPLES if entry.params else (None,):
+            mu = entry.bracket() if t is None else entry.bracket(t=t)
+            label = id_ if t is None else f"{id_}(t={t})"
+            for idx, d in enumerate(entry.derivations):
+                if sum(d) > 0:
+                    yield f"{label} d{idx}", mu, d
+
+
+SINK_DECIDED = {
+    "ex1ex2ex5-i d0", "ex1ex2ex5-ii d0", "ex1ex2ex5-ii d1",
+    *(f"ex1ex2ex5-iii(t={t}) d0" for t in FAMILY_SAMPLES),
+    "ex8ex7-i d0", "ex8ex7-ii d0",
+}
+
+
+def test_sinks_decide_every_listed_center_failure_without_the_center(monkeypatch):
+    """Every listed derivation that fails the necessary condition is
+    non-positive at a sink, so neither ``necessary_condition`` nor
+    ``certify_derivation`` solves for the center."""
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return liecore.center(mu)
+
+    monkeypatch.setattr(certifier, "center", counted)
+    failed = set()
+    for label, mu, d in _listed_derivations():
+        calls.clear()
+        ok, reason = necessary_condition(mu, d)
+        v = certify_derivation(mu, d, budget=0)
+        if not ok:
+            failed.add(label)
+            assert reason == NOT_POSITIVE_ON_CENTER
+            assert (v.status, v.scope, v.obstruction) == (
+                CERTIFIED_NOT_RN, SCOPE_DERIVATION,
+                f"necessary condition fails: {NOT_POSITIVE_ON_CENTER}")
+            assert not calls, label
+    assert failed == SINK_DECIDED
 
 
 NILRADICAL_UNKNOWN_NOTE = ("no candidate derivation certified; obstruction tests passed, "

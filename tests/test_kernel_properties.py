@@ -12,7 +12,11 @@ integer torus is checked against the lcm of its rational basis's
 denominators.  Witness metrics are built for every derivation
 of the generated algebras that gets a cone certificate.  The traceless
 decision, made on the diagonal torus before Der(mu), is checked against
-the traces of the dense Der(mu).
+the traces of the dense Der(mu), and the characteristically-nilpotent
+decision, made on tr(D^2) of the basis derivations before the Engel
+flag, against the flag.  Der(mu) is also checked against its dense
+reference on the catalog's brackets of dim 11 to 17, beyond the
+generated sums.
 
 The ``reference_*`` functions are the dense definitions the sparse kernels
 replaced: Der(mu), the lower central series, the Jacobi test, the center,
@@ -26,7 +30,8 @@ integer Sylvester test is checked against the signs of those minors.  The
 witness search's float steps keep theirs too: ``limit_denominator`` for
 the rounding of h, and Gauss-Jordan for the Newton systems.
 ``max_margin`` keeps its simplex-only body, which its zero-row rule skips,
-and the necessary condition its ``Fraction`` Gram matrix; a counter on
+and the necessary condition its ``Fraction`` Gram matrix and its integer
+center Gram without the sink test (``reference_positive_on_center``); a counter on
 ``simplex.solve_lp`` shows which torus LPs stop before the simplex.
 Certificates from both certifiers are checked to survive serialize,
 parse and verify.  The torus LPs of ``certify_nilradical`` are checked
@@ -44,6 +49,7 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import lcm
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +106,7 @@ from nilcone.linalg import (
 from nilcone.momentricci import (
     MetricExtension,
     _integer_ricci,
+    _negative_definite,
     extension_ricci,
     is_negative_definite,
     is_ricci_negative,
@@ -417,6 +424,25 @@ def _unit(n: int, a: int, b: int):
 @example(catalog_get("ex4-1"))  # characteristically nilpotent: the flag reaches n
 def test_engel_flag_matches_adapted_basis_reference(mu):
     assert engel_flag(derivation_algebra(mu)) == reference_engel(mu)
+
+
+@pytest.mark.parametrize("id_", ["ex3", "ex10", "ex4-1", "ex4-2", "ex8ex7-ii"])
+def test_derivation_algebra_matches_the_reference_beyond_the_generated_sizes(id_):
+    """The generated sums stop at dim 8; these brackets have n = 11..17."""
+    mu = catalog_get(id_)
+    assert matrices(derivation_algebra(mu)) == reference_derivation_algebra(mu)
+
+
+@settings(max_examples=40)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
+@example(catalog_get("ex3"))  # tr(D^2) != 0 on the first basis derivation
+@example(catalog_get("ex10"))
+@example(catalog_get("ex4-1"))  # every tr(D^2) = 0: the flag decides
+@example(catalog_get("ex4-2"))
+@example(LieBracket(3, {}))  # gl(3): D = E_11 has tr(D^2) = 1
+def test_characteristically_nilpotent_matches_the_engel_flag(mu):
+    want = engel_flag(derivation_algebra(mu)).is_nilpotent
+    assert Analysis(mu).characteristically_nilpotent == want
 
 
 def reference_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace):
@@ -1348,6 +1374,44 @@ def test_necessary_condition_keeps_its_verdict_on_the_integer_center(case):
         ok, reason = want
         assert (v.status == CERTIFIED_NOT_RN) == (not ok)
         assert v.obstruction == (None if ok else f"necessary condition fails: {reason}")
+
+
+def reference_positive_on_center(mu: LieBracket, e) -> bool:
+    """``certifier._positive_on_center`` with no sink test: the integer Gram
+    matrix of minus D on the integer center basis, always solved for."""
+    z = center(mu)
+    if not z:
+        return True
+    weighted = [[(r, -e[r] * v) for r, v in za.items() if e[r]] for za in z]
+    return _negative_definite(
+        [[sum([w * zb[r] for r, w in dza if r in zb]) for zb in z] for dza in weighted])
+
+
+# sinks e_3 and e_4 of heis3 + a line; D = (1, 1, 2, -1) fails at the sink e_4
+HEIS3_PLUS_LINE = LieBracket(4, {(1, 2, 3): F(1)})
+
+
+@settings(max_examples=80)
+@given(signed_torus_points())
+@example((SKEW_CENTER, (F(2), F(-1), F(-1), F(1))))  # sink positive, fails on 2 e_2 - e_3
+@example((SKEW_CENTER, (F(-1), F(2), F(2), F(1))))  # passes the Gram test
+@example((HEIS3_PLUS_LINE, (F(1), F(1), F(2), F(-1))))  # decided at a sink
+@example(_listed("ex1ex2ex5-ii"))  # decided at a sink
+@example(_listed("ex8ex7-ii"))
+def test_necessary_condition_matches_the_center_gram_reference(case):
+    """The sink test decides only what the center Gram would: the same
+    center verdict on the integer row of D, and the same verdict and
+    message from ``necessary_condition``."""
+    mu, d = case
+    e = integer_row(d)
+    assert certifier._positive_on_center(mu, e) == reference_positive_on_center(mu, e)
+    if sum(d) <= 0:
+        want = (False, f"trace {sum(d, ZERO)} is not positive")
+    elif not reference_positive_on_center(mu, e):
+        want = (False, certifier.NOT_POSITIVE_ON_CENTER)
+    else:
+        want = (True, None)
+    assert necessary_condition(mu, d) == want
 
 
 def _survives_round_trip(mu: LieBracket, verdict) -> None:
