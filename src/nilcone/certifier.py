@@ -140,7 +140,8 @@ def certify_derivation(
     Pipeline: entrywise-positive shortcut, necessary condition, nice-basis
     LP, nice face degenerations by decreasing |J|, then Unknown.  Never
     returns a verdict about the algebra itself.  ``budget`` bounds the nice
-    face subsets tested, i.e. the ``is_face`` LPs.
+    face subsets tested, i.e. the ``is_face`` calls, some of which a rank
+    test settles without an LP.
     """
     require_budget(budget)
     # e is d checked once and scaled to a positive integer multiple: the
@@ -186,8 +187,9 @@ def _nice_faces(mu: LieBracket, budget: int):
     decreasing |J|, with the weights the face walk passes on.  A diagonal
     derivation of mu solves a subset of its defining equations on
     lambda_J, so it stays a derivation there.
-    ``budget`` bounds the nice subsets tested, i.e. the ``is_face`` LPs;
-    once it is spent with nice subsets left, yields None and stops.
+    ``budget`` bounds the nice subsets tested, i.e. the ``is_face`` calls
+    (see ``iter_faces``); once it is spent with nice subsets left, yields
+    None and stops.
     """
     if is_nice_basis(mu.keys()):
         yield weight_set(mu), NICE_CONE, None
@@ -241,8 +243,21 @@ def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Ve
 
 def _torus_cone_point(dspace: DiagonalDerivationSpace, weights: Weights, n: int) -> Vec | None:
     """One LP over (t free, a >= 0): D = point(t) with D - sum a_w F_w > 0
-    over the given weights and tr D > 0, as a primitive integer vector."""
+    over the given weights and tr D > 0, as a primitive integer vector.
+
+    A one-dimensional torus needs no LP: every D(t) is a multiple of its
+    one integer vector v, and tr D > 0 fixes the sign s of the multiple.
+    The cone is closed under positive scaling, so the LP is feasible
+    exactly when s v passes the membership LP, and its D is then
+    ``integer_row(s v)``.  That direction is returned as it is (None when
+    tr v = 0), and the caller's membership LP decides.
+    """
     cols = [v for v, _ in dspace.integer_basis]
+    if dspace.dim == 1:
+        trace = sum(cols[0])
+        if not trace:
+            return None
+        return tuple(map(frac, integer_row(x if trace > 0 else -x for x in cols[0])))
     wts = list(weights.values())
     rows = [[-v[r] for v in cols] + [wt[r] for wt in wts] for r in range(n)]
     rows.append([-sum(v) for v in cols] + [0] * len(wts))
@@ -260,8 +275,12 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
     tries a positive derivation, then rules out every torus D by one LP
     when no D has tr D > 0 and D_r > 0 at each sink r (an index never
     bracketed from, where every weight has F_w[r] >= 0), then solves one
-    torus LP per bracket of ``_nice_faces``.  ``budget`` is as for
-    ``certify_derivation``, and an ``Unknown`` says when it ran out.
+    torus LP per bracket of ``_nice_faces``.  On a one-dimensional torus
+    the first two are read off the signs of the torus vector
+    (``interior_point``) and the third is the membership LP of its
+    direction (``_torus_cone_point``).  ``budget`` is as for
+    ``certify_derivation`` (it counts ``is_face`` calls, not LPs), and an
+    ``Unknown`` says when it ran out.
     """
     return nilradical_verdict(Analysis(mu), budget)
 
@@ -309,9 +328,11 @@ def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
             if d is None:
                 continue
             cert = membership_certificate(d, weights, kind, degeneration)
-            if cert is None:
+            if cert is not None:
+                return _certified(mu, SCOPE_ALGEBRA, cert)
+            # on a line the direction is not checked before membership
+            if a.dspace.dim > 1:
                 raise InvariantViolation("a torus LP point fails its membership LP")
-            return _certified(mu, SCOPE_ALGEBRA, cert)
     return Verdict(UNKNOWN, SCOPE_ALGEBRA, notes=note)
 
 
@@ -592,9 +613,13 @@ def _verify_kind_data(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
     if cert.kind == POSITIVE_DERIVATION:
         if cert.coefficients or cert.degeneration is not None:
             return False, "a positive derivation carries no coefficients or degeneration"
-        if all(x > 0 for x in d) and cert.slack > 0 and cert.slack <= min(d):
-            return True, "all diagonal entries positive"
-        return False, "entries are not all positive"
+        if not all(x > 0 for x in d):
+            return False, "entries are not all positive"
+        if cert.slack <= 0:
+            return False, f"claimed slack {cert.slack} is not positive"
+        if cert.slack > min(d):
+            return False, f"claimed slack {cert.slack} exceeds the least entry {min(d)}"
+        return True, "all diagonal entries positive"
 
     if cert.kind == NICE_CONE:
         if cert.degeneration is not None:
@@ -627,7 +652,9 @@ def _verify_kind_data(mu: LieBracket, cert: Certificate) -> tuple[bool, str]:
     slack = verify_membership(d, w, cert.coefficients)
     if slack is None:
         return False, "coefficients do not witness strict membership"
-    if cert.slack <= 0 or slack < cert.slack:
+    if cert.slack <= 0:
+        return False, f"claimed slack {cert.slack} is not positive"
+    if slack < cert.slack:
         return False, f"claimed slack {cert.slack} exceeds actual {slack}"
     return True, f"membership verified with slack {slack}"
 

@@ -1,7 +1,9 @@
 """Weights of the torus action, convex-hull membership, and degenerations.
 
 Every verdict produced here is exact: feasibility comes from a rational
-simplex with a strictness slack, and cone projections come from
+simplex with a strictness slack, or, where the simplex's answer is
+already fixed, from a rank test (``is_face``) or the signs of a single
+column (``interior_point``), and cone projections come from
 Fourier-Motzkin elimination with LP-certified redundancy removal.  A
 weight has entries in {-1, 0, 1}, so weights are ``int`` tuples and reach
 the simplex as they are.
@@ -16,7 +18,7 @@ from fractions import Fraction
 from .derivations import DiagonalDerivationSpace
 from .errors import InputError, InvariantViolation
 from .liecore import Key, LieBracket
-from .linalg import Vec, ZERO, frac, integer_row, primitive
+from .linalg import Echelon, Vec, ZERO, frac, integer_row, primitive
 from .simplex import feasible_nonneg, max_margin
 
 
@@ -130,7 +132,20 @@ def fourier_motzkin(rows: list[tuple[int, ...]], nelim: int) -> ProjectedCone:
 
 
 def interior_point(rows) -> Vec | None:
-    """Some t with row . t > 0 for every (int) row, or None if there is none (t free, exact LP)."""
+    """Some t with row . t > 0 for every (int) row, or None if there is none (t free, exact LP).
+
+    A single column c needs no LP: c_r t > 0 on every row exactly when
+    every c_r is nonzero and of one sign s, and the max-margin optimum is
+    then the one vertex t = s / min |c_r| of its optimal face (eps = 1 and
+    t c_r >= 1 on every row), which is the point the simplex returns.
+    """
+    if len(rows[0]) == 1:
+        col = [c for c, in rows]
+        if all(c > 0 for c in col):
+            return (Fraction(1, min(col)),)
+        if all(c < 0 for c in col):
+            return (Fraction(1, max(col)),)
+        return None
     sol = max_margin([[-x for x in row] for row in rows], [0] * len(rows), free=len(rows[0]))
     return None if sol is None else sol[1]
 
@@ -168,6 +183,9 @@ def is_face(j_set, w: Weights) -> tuple[bool, tuple[int, ...] | None]:
     Searches alpha with <alpha, F> = 0 on J and < 0 on the complement by
     exact LP (maximizing the complement margin, capped at 1).  Returns
     the separating alpha as a primitive ``int`` tuple on success.
+    A rank test comes first: a dropped weight in the span of the kept ones
+    pairs to 0 with every alpha that vanishes on J, so J is no face and
+    no LP runs.  Only the LP finds an alpha.
     """
     j_set = set(j_set)
     if not j_set <= w.keys():
@@ -176,15 +194,31 @@ def is_face(j_set, w: Weights) -> tuple[bool, tuple[int, ...] | None]:
     n = len(next(iter(w.values()))) if w else 0
     if not comp:
         return True, (0,) * n
-    sol = max_margin(
-        comp,
-        [0] * len(comp),
-        [v for key, v in w.items() if key in j_set],
-        free=n,
-    )
+    kept = [v for key, v in w.items() if key in j_set]
+    if _dropped_in_span(kept, comp, n):
+        return False, None
+    sol = max_margin(comp, [0] * len(comp), kept, free=n)
     if sol is None:
         return False, None
     return True, integer_row(sol[1])
+
+
+def _dropped_in_span(kept, comp, n: int) -> bool:
+    """Whether some weight of comp lies in the span of those of kept.
+
+    Only a weight that is zero at every index where every kept weight is
+    zero can, so only such weights are reduced, and with none the echelon
+    is never built.
+    """
+    untouched = [not x for x in map(any, zip(*kept))]
+    suspects = [v for v in comp if not any(itertools.compress(v, untouched))]
+    if not suspects:
+        return False
+    span = Echelon(n)
+    for v in kept:
+        span.add_row(dict(enumerate(v)))
+    return any(not span.reduce_scaled({c: v[c] for c in itertools.compress(range(n), v)})[0]
+               for v in suspects)
 
 
 def iter_face_candidates(mu: LieBracket):
@@ -196,7 +230,7 @@ def iter_face_candidates(mu: LieBracket):
 
 
 def require_budget(budget: int) -> None:
-    """A face budget counts ``is_face`` LPs, so a negative one is an input fault."""
+    """A face budget counts ``is_face`` tests, so a negative one is an input fault."""
     if budget < 0:
         raise InputError(f"face budget must be nonnegative, got {budget}")
 
@@ -210,8 +244,9 @@ def iter_faces(mu: LieBracket, budget: int, keep=None):
     weights of J are those of ``weight_set(mu)`` at the keys in J, in the
     same order: the weights of lambda_J, the bracket keeping the constants
     of mu indexed by J, which is never built.
-    ``budget`` bounds the candidates tested, i.e. the ``is_face`` LPs;
-    once it is spent with an accepted candidate left, yields None and stops.
+    ``budget`` bounds the candidates tested, i.e. the ``is_face`` calls,
+    whether the rank test or the LP settles each; once it is spent with
+    an accepted candidate left, yields None and stops.
     """
     require_budget(budget)
     w = weight_set(mu)

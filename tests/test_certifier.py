@@ -159,6 +159,29 @@ def test_verify_rejects_tampering():
     assert not ok and "alpha" in msg
 
 
+@pytest.mark.parametrize("slack,reason", [
+    (F(0), "claimed slack 0 is not positive"),
+    (F(-1), "claimed slack -1 is not positive"),
+    (F(5), "claimed slack 5 exceeds the least entry 1"),
+    (F(3, 2), "claimed slack 3/2 exceeds the least entry 1"),
+])
+def test_verify_names_a_bad_positive_derivation_slack(slack, reason):
+    # every entry of D = (1, 1, 2) is positive: only the slack is wrong
+    cert = certify_nilradical(HEIS).certificate
+    assert cert.kind == POSITIVE_DERIVATION and cert.d == (F(1), F(1), F(2))
+    assert verify_certificate(HEIS, replace(cert, slack=slack)) == (False, reason)
+
+
+def test_verify_names_a_bad_cone_slack():
+    # the coefficient 2 of D = (-1, 5, 4) leaves slack 1
+    cert = certify_derivation(HEIS, (F(-1), F(5), F(4))).certificate
+    assert (cert.kind, cert.slack) == (NICE_CONE, F(1))
+    assert verify_certificate(HEIS, replace(cert, slack=F(0))) == (
+        False, "claimed slack 0 is not positive")
+    assert verify_certificate(HEIS, replace(cert, slack=F(2))) == (
+        False, "claimed slack 2 exceeds actual 1")
+
+
 def test_verify_rejects_foreign_coefficients():
     cert = _nice_cone_cert(HEIS, (F(1), F(1), F(2)))
     tampered = Certificate(

@@ -33,6 +33,11 @@ the rounding of h, and Gauss-Jordan for the Newton systems.
 and the necessary condition its ``Fraction`` Gram matrix and its integer
 center Gram without the sink test (``reference_positive_on_center``); a counter on
 ``simplex.solve_lp`` shows which torus LPs stop before the simplex.
+``is_face`` keeps its LP without the rank test (``reference_is_face``,
+on every subset of the small catalog index sets and on generated ones),
+the one-column ``interior_point`` is checked against ``max_margin``, and
+the torus LP that a one-dimensional torus skips is patched back in
+(``reference_torus_cone_point``) to check the verdict.
 Certificates from both certifiers are checked to survive serialize,
 parse and verify.  The torus LPs of ``certify_nilradical`` are checked
 against the per-derivation walk of ``certify_derivation``, the nice faces
@@ -46,7 +51,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 import pytest
@@ -118,6 +123,7 @@ from nilcone.polytope import (
     ProjectedCone,
     fourier_motzkin,
     interior_point,
+    is_face,
     iter_faces,
     project_certificate_cone,
     remove_redundant,
@@ -161,13 +167,14 @@ SUMS = _direct_sums()
 
 
 @st.composite
-def nilpotent_algebras(draw, unipotent: bool = True) -> LieBracket:
-    """A rescaled direct sum, moved by a random unipotent g unless told not to.
+def nilpotent_algebras(draw, unipotent: bool = True, sums: list[LieBracket] = SUMS) -> LieBracket:
+    """A rescaled direct sum from ``sums``, moved by a random unipotent g
+    unless told not to.
 
     Most such moves leave no diagonal derivation, so kernels that need
     one are tested with ``unipotent=False``.
     """
-    mu = draw(st.sampled_from(SUMS))
+    mu = draw(st.sampled_from(sums))
     n = mu.dim
     h = draw(st.lists(st.fractions(F(1, 3), F(3), max_denominator=3), min_size=n, max_size=n))
     entries = st.integers(-2, 2) if unipotent else st.just(0)
@@ -649,15 +656,37 @@ def test_certify_nilradical_solves_no_lp_where_the_torus_vanishes():
 
 
 def test_certify_nilradical_lp_counts_without_a_zero_row():
-    """ex8ex7-i and -ii: a torus with entries of both signs at each index,
-    so both LPs run; heis3: one LP finds the positive derivation."""
-    for id_, want, status, notes in [("ex8ex7-i", 2, UNKNOWN, NO_CANDIDATE),
-                                     ("ex8ex7-ii", 2, UNKNOWN, NO_CANDIDATE),
-                                     ("heis3", 1, CERTIFIED_RN, "positive derivation")]:
+    """The LPs of the algebra verdict and of ``certify_derivation`` at the
+    first listed derivation.  heis3: one LP finds the positive derivation
+    on its two-dimensional torus.  Every other entry has a one-dimensional
+    torus, whose positive-derivation and sink tests are read off the signs
+    of its vector, and whose torus LP is the membership LP of its
+    direction.  ex8ex7-i and -ii: that vector has entries of both signs,
+    at the sinks too, so no LP runs.  n4nonice, dim7-alg1..4, ex9: the
+    LPs left are the ``is_face`` tests the rank test leaves open and the
+    membership LPs."""
+    for id_, want, listed, status, notes in [
+        ("heis3", 1, None, CERTIFIED_RN, "positive derivation"),
+        ("ex8ex7-i", 0, 0, UNKNOWN, NO_CANDIDATE),
+        ("ex8ex7-ii", 0, 0, UNKNOWN, NO_CANDIDATE),
+        ("n4nonice", 2, 2, CERTIFIED_RN, "degeneration keeping 2 of 3 constants"),
+        ("dim7-alg1", 2, 2, CERTIFIED_RN, "degeneration keeping 7 of 8 constants"),
+        ("dim7-alg2", 2, 2, CERTIFIED_RN, "degeneration keeping 6 of 7 constants"),
+        ("dim7-alg3", 2, 2, CERTIFIED_RN, "degeneration keeping 7 of 8 constants"),
+        ("dim7-alg4", 3, 3, CERTIFIED_RN, "degeneration keeping 6 of 8 constants"),
+        ("ex9", 1, 1, CERTIFIED_RN, "nice basis cone"),
+    ]:
         mu = catalog_get(id_)
         with counted_lp_calls() as calls:
             v = certify_nilradical(mu)
         assert (id_, len(calls), v.status, v.notes) == (id_, want, status, notes)
+        derivations = catalog_entry(id_).derivations
+        if listed is None:
+            assert not derivations
+            continue
+        with counted_lp_calls() as calls:
+            certify_derivation(mu, derivations[0])
+        assert (id_, len(calls)) == (id_, listed)
 
 
 def _reference_pivot(rows: list[list[F]], basis: list[int], r: int, col: int) -> None:
@@ -1139,6 +1168,83 @@ def test_max_margin_matches_the_simplex_it_skips(system):
     assert len(calls) == (0 if forced else 1)
 
 
+def reference_is_face(j_set, w):
+    """``is_face`` by its LP alone, without the rank test."""
+    comp = [v for key, v in w.items() if key not in j_set]
+    n = len(next(iter(w.values()))) if w else 0
+    if not comp:
+        return True, (0,) * n
+    sol = max_margin(comp, [0] * len(comp), [v for key, v in w.items() if key in j_set], free=n)
+    return (False, None) if sol is None else (True, integer_row(sol[1]))
+
+
+def relabelled(mu: LieBracket, p) -> LieBracket:
+    """mu with e_i renamed e_p[i-1]: the same algebra, its keys and
+    weights in another order."""
+    return LieBracket(mu.dim, {(p[i - 1], p[j - 1], p[k - 1]): v
+                               for (i, j, k), v in mu.constants.items()})
+
+
+def test_is_face_matches_the_lp_on_every_catalog_subset():
+    """Every subset of each catalog index set of at most 12 constants:
+    the same answer and alpha as the LP, which runs once unless J is
+    everything or a dropped weight lies in the span of the kept ones
+    (``FractionEchelon``); some proper subsets are settled that way."""
+    checked = settled = 0
+    for label, id_, params in CASES:
+        w = weight_set(catalog_get(id_, **params))
+        if len(w) > 12:
+            continue
+        for size in range(len(w) + 1):
+            for j_set in combinations(w, size):
+                want = reference_is_face(set(j_set), w)
+                with counted_lp_calls() as calls:
+                    got = is_face(j_set, w)
+                assert (label, j_set, got) == (label, j_set, want)
+                span = FractionEchelon(len(next(iter(w.values()))))
+                for key in j_set:
+                    span.add_row(dict(enumerate(w[key])))
+                in_span = any(not span.reduce(dict(enumerate(v)))
+                              for key, v in w.items() if key not in j_set)
+                assert len(calls) == (0 if size == len(w) or in_span else 1)
+                checked += 1
+                settled += in_span
+    assert settled and checked > 10000
+
+
+@st.composite
+def face_candidates(draw):
+    """(J, weights): a generated algebra, relabelled, and a subset J of its keys."""
+    mu = draw(nilpotent_algebras(unipotent=draw(st.booleans())))
+    assume(len(mu.keys()) <= 16)
+    mu = relabelled(mu, draw(st.permutations(range(1, mu.dim + 1))))
+    return frozenset(draw(st.sets(st.sampled_from(mu.keys())))), weight_set(mu)
+
+
+@settings(max_examples=100)
+@given(face_candidates())
+def test_is_face_matches_the_lp_on_generated_algebras(case):
+    j_set, w = case
+    assert is_face(j_set, w) == reference_is_face(j_set, w)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+@example([3, 1, 2])  # the least entry, not the first, sets t
+@example([-2, -6])
+@example([1, 0, 2])  # a zero row
+@example([2, -1])  # mixed signs
+def test_interior_point_on_one_column_matches_max_margin(col):
+    """c_r t > 0 on every row: the signs and the least |c_r| give the
+    point the LP finds, and no simplex runs."""
+    rows = [[c] for c in col]
+    sol = reference_max_margin([[-c] for c in col], [0] * len(col), free=1)
+    with counted_lp_calls() as calls:
+        got = interior_point(rows)
+    assert got == (None if sol is None else sol[1])
+    assert calls == []
+
+
 @st.composite
 def homogeneous_systems(draw):
     """Strict rows (elim, kept) over 1-3 eliminated and 1-3 kept variables."""
@@ -1460,6 +1566,88 @@ def test_torus_search_agrees_with_the_per_derivation_walk(case):
         assert certify_derivation(mu, v.d, budget=budget).certificate == v.certificate
     elif v.status == UNKNOWN and sum(d) > 0:
         assert certify_derivation(mu, d, budget=budget).status != CERTIFIED_RN
+
+
+def reference_torus_cone_point(dspace: DiagonalDerivationSpace, weights, n: int):
+    """``certifier._torus_cone_point`` by its LP on a torus of any dimension."""
+    cols = [v for v, _ in dspace.integer_basis]
+    wts = list(weights.values())
+    rows = [[-v[r] for v in cols] + [wt[r] for wt in wts] for r in range(n)]
+    rows.append([-sum(v) for v in cols] + [0] * len(wts))
+    sol = max_margin(rows, [0] * len(rows), free=dspace.dim)
+    if sol is None:
+        return None
+    return tuple(map(frac, integer_row(certifier._torus_point(dspace, sol[1][:dspace.dim]))))
+
+
+def nilradical_verdict_with_the_torus_lp(mu: LieBracket):
+    """``certify_nilradical`` with ``reference_torus_cone_point`` patched in."""
+    real = certifier._torus_cone_point
+    certifier._torus_cone_point = reference_torus_cone_point
+    try:
+        return certify_nilradical(mu)
+    finally:
+        certifier._torus_cone_point = real
+
+
+# two brackets with a one-dimensional torus, found by a random search over
+# upper-triangular brackets, where a nice face fails the membership of the
+# torus direction: the first is certified on a later face, the second
+# fails on every face and stays Unknown
+LATER_FACE = LieBracket(7, {(1, 2, 6): -ONE, (1, 3, 6): F(2), (1, 4, 7): -ONE,
+                            (3, 4, 5): ONE, (3, 4, 6): F(2), (4, 5, 7): -ONE})
+NO_FACE = LieBracket(6, {(1, 2, 4): -ONE, (1, 2, 6): F(2), (1, 3, 6): ONE,
+                         (1, 5, 6): F(2), (2, 4, 6): -ONE})
+LINE_TORUS_SUMS = [mu for mu in SUMS if diagonal_derivations(mu).dim == 1] + [LATER_FACE, NO_FACE]
+
+
+@st.composite
+def line_torus_algebras(draw) -> LieBracket:
+    """A rescaled bracket with a one-dimensional torus, relabelled (a
+    unipotent move almost always leaves no torus at all)."""
+    mu = draw(nilpotent_algebras(unipotent=False, sums=LINE_TORUS_SUMS))
+    return relabelled(mu, draw(st.permutations(range(1, mu.dim + 1))))
+
+
+def test_line_torus_verdicts_match_the_torus_lp_on_the_catalog():
+    """On every catalog bracket with a one-dimensional torus, the verdict
+    without the torus LP is the verdict with it, certificate included."""
+    lines = 0
+    for label, id_, params in CASES:
+        mu = catalog_get(id_, **params)
+        if diagonal_derivations(mu).dim == 1:
+            lines += 1
+            assert (label, certify_nilradical(mu)) == (label, nilradical_verdict_with_the_torus_lp(mu))
+    assert lines == 15
+
+
+@settings(max_examples=40)
+@given(line_torus_algebras())
+@example(catalog_get("n4nonice"))
+@example(LATER_FACE)
+@example(NO_FACE)
+@example(relabelled(catalog_get("dim7-alg1"), (7, 6, 5, 4, 3, 2, 1)))
+def test_line_torus_verdicts_match_the_torus_lp(mu):
+    assert diagonal_derivations(mu).dim == 1
+    assert certify_nilradical(mu) == nilradical_verdict_with_the_torus_lp(mu)
+
+
+def test_line_torus_membership_failures_are_not_invariant_violations(monkeypatch):
+    """The direction of a line fails the membership LP on two faces of
+    LATER_FACE before the third certifies it, and on every face of NO_FACE."""
+    failed = []
+    real = certifier.membership_certificate
+
+    def recorded(d, weights, kind, degeneration):
+        cert = real(d, weights, kind, degeneration)
+        failed.append(cert is None)
+        return cert
+
+    monkeypatch.setattr(certifier, "membership_certificate", recorded)
+    later, none = certify_nilradical(LATER_FACE), certify_nilradical(NO_FACE)
+    assert (later.status, later.notes) == (CERTIFIED_RN, "degeneration keeping 3 of 6 constants")
+    assert (none.status, none.notes) == (UNKNOWN, NO_CANDIDATE)
+    assert failed == [True, True, False] + [True] * 12
 
 
 @settings(max_examples=30)
