@@ -29,6 +29,7 @@ from .derivations import (
 from .polytope import (
     is_face,
     iter_faces,
+    iter_nice_candidates,
     project_certificate_cone,
     strict_cone_membership,
     weight_set,

@@ -9,6 +9,7 @@ the degeneration search under-approximates the true cone.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,12 +27,15 @@ from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
 from .momentricci import MetricExtension, _negative_definite, _ricci_negative, is_ricci_negative
 from .polytope import (
     Weights,
+    face_by_remainders,
     interior_point,
-    iter_faces,
+    iter_nice_candidates,
     pairing,
     require_budget,
+    separating_alpha,
     strict_cone_membership,
     verify_membership,
+    weight_relations,
     weight_set,
 )
 from .simplex import max_margin
@@ -123,10 +127,16 @@ def _positive_on_center(mu: LieBracket, e: tuple[int, ...]) -> bool:
 def membership_certificate(
     d: Vec, weights: Weights, kind: str, degeneration
 ) -> Certificate | None:
+    """The cone certificate of d over the given weights, or None.  A
+    degeneration comes as (alpha, J) with alpha a function of no arguments,
+    called only once d passes its membership LP."""
     res = strict_cone_membership(d, weights)
     if res is None:
         return None
     slack, coefficients = res
+    if degeneration is not None:
+        alpha, j_set = degeneration
+        degeneration = (alpha(), j_set)
     return Certificate(kind, tuple(d), degeneration, coefficients, slack)
 
 
@@ -140,8 +150,8 @@ def certify_derivation(
     Pipeline: entrywise-positive shortcut, necessary condition, nice-basis
     LP, nice face degenerations by decreasing |J|, then Unknown.  Never
     returns a verdict about the algebra itself.  ``budget`` bounds the nice
-    face subsets tested, i.e. the ``is_face`` calls, some of which a rank
-    test settles without an LP.
+    face subsets tested, whether the remainders of the dropped weights or
+    an LP settles each (see ``_nice_faces``).
     """
     require_budget(budget)
     # e is d checked once and scaled to a positive integer multiple: the
@@ -184,23 +194,57 @@ def _nice_faces(mu: LieBracket, budget: int):
 
     Yields (weights, kind, degeneration) of a bracket lam: mu itself when
     its basis is nice; otherwise lambda_J for every nice face J, by
-    decreasing |J|, with the weights the face walk passes on.  A diagonal
+    decreasing |J|, with the weights of mu restricted to J.  A diagonal
     derivation of mu solves a subset of its defining equations on
     lambda_J, so it stays a derivation there.
-    ``budget`` bounds the nice subsets tested, i.e. the ``is_face`` calls
-    (see ``iter_faces``); once it is spent with nice subsets left, yields
-    None and stops.
+    The walk visits only the nice subsets (``iter_nice_candidates``).
+    ``face_by_remainders`` settles each with at most two dropped weights,
+    and rules out some others; only those it leaves open reach the LP
+    (``separating_alpha``), which then also finds alpha.  The degeneration
+    of a face is (alpha, J) with alpha a function of no arguments: for a
+    face the remainders found, alpha's LP runs only when a certificate
+    rests on that face.  ``budget`` bounds the nice subsets tested,
+    whether the remainders or the LP settles each; once it is spent with
+    nice subsets left, yields None and stops.
     """
-    if is_nice_basis(mu.keys()):
-        yield weight_set(mu), NICE_CONE, None
+    w = weight_set(mu)
+    if is_nice_basis(w):
+        yield w, NICE_CONE, None
         return
+    vecs = list(w.values())
+    solved = []
+
+    def relations():
+        if not solved:
+            solved.append(weight_relations(w))
+        return solved[0]
+
     # mu is not nice, so neither is its full index set
-    for face in iter_faces(mu, budget, is_nice_basis):
-        if face is None:
+    for tested, (j_set, positions) in enumerate(iter_nice_candidates(list(w))):
+        if tested >= budget:
             yield None
+            return
+        kept = [v for q, v in enumerate(vecs) if q not in positions]
+        dropped = [vecs[q] for q in positions]
+        face = face_by_remainders(kept, dropped, positions, relations)
+        if face is False:
+            continue
+        weights = {key: v for key, v in w.items() if key in j_set}
+        if face is None:
+            alpha = separating_alpha(kept, dropped, mu.dim)
+            if alpha is not None:
+                yield weights, DEGENERATION_CONE, (lambda alpha=alpha: alpha, j_set)
         else:
-            j_set, alpha, weights = face
+            alpha = functools.partial(_found_alpha, kept, dropped, mu.dim)
             yield weights, DEGENERATION_CONE, (alpha, j_set)
+
+
+def _found_alpha(kept, dropped, n: int) -> tuple[int, ...]:
+    """``separating_alpha`` of a face ``face_by_remainders`` found."""
+    alpha = separating_alpha(kept, dropped, n)
+    if alpha is None:
+        raise InvariantViolation("the LP finds no alpha for a face the remainders found")
+    return alpha
 
 
 def _certified(mu: LieBracket, scope: str, cert: Certificate) -> Verdict:
@@ -279,7 +323,7 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
     the first two are read off the signs of the torus vector
     (``interior_point``) and the third is the membership LP of its
     direction (``_torus_cone_point``).  ``budget`` is as for
-    ``certify_derivation`` (it counts ``is_face`` calls, not LPs), and an
+    ``certify_derivation`` (it counts nice subsets tested, not LPs), and an
     ``Unknown`` says when it ran out.
     """
     return nilradical_verdict(Analysis(mu), budget)

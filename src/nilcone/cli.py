@@ -10,6 +10,7 @@ stdout closed before all output was written (as by ``| head``).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -429,9 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call of ``main`` rather than at
+    import, and kept: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "catalog" and args.action in ("show", "export") and not args.id:
         print("error: catalog action needs an id", file=sys.stderr)
         return EXIT_INPUT

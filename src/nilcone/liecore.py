@@ -314,3 +314,24 @@ def is_nice_basis(keys: Iterable[Key]) -> bool:
                 if set(pairs[a]) & set(pairs[b]):
                     return False
     return True
+
+
+def nice_conflicts(keys: Sequence[Key]) -> list[int]:
+    """The conflict graph of an index set, by earlier neighbours: bit q of
+    entry p, for q < p, is set when keys[p] and keys[q] bracket the same
+    pair, or hit the same target from pairs sharing an index.
+
+    ``is_nice_basis`` fails exactly on such a pair, so a subset is nice
+    exactly when it is an independent set of this graph.
+    """
+    # the positions so far by pair (i, j) and by (-target, index), as masks
+    seen: dict[tuple[int, int], int] = {}
+    earlier = []
+    for p, (i, j, k) in enumerate(keys):
+        mask = 0
+        for group in ((i, j), (-k, i), (-k, j)):
+            had = seen.get(group, 0)
+            mask |= had
+            seen[group] = had | 1 << p
+        earlier.append(mask)
+    return earlier

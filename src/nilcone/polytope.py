@@ -2,7 +2,8 @@
 
 Every verdict produced here is exact: feasibility comes from a rational
 simplex with a strictness slack, or, where the simplex's answer is
-already fixed, from a rank test (``is_face``) or the signs of a single
+already fixed, from a rank test (``is_face``), the remainders of the
+weights a face drops (``face_by_remainders``) or the signs of a single
 column (``interior_point``), and cone projections come from
 Fourier-Motzkin elimination with LP-certified redundancy removal.  A
 weight has entries in {-1, 0, 1}, so weights are ``int`` tuples and reach
@@ -12,13 +13,15 @@ the simplex as they are.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .derivations import DiagonalDerivationSpace
 from .errors import InputError, InvariantViolation
-from .liecore import Key, LieBracket
-from .linalg import Echelon, Vec, ZERO, frac, integer_row, primitive
+from .liecore import Key, LieBracket, nice_conflicts
+from .linalg import Echelon, Vec, ZERO, frac, integer_row, nullspace, primitive
 from .simplex import feasible_nonneg, max_margin
 
 
@@ -181,8 +184,8 @@ def is_face(j_set, w: Weights) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether CH(F_w : w in J) is a face of the full hull.
 
     Searches alpha with <alpha, F> = 0 on J and < 0 on the complement by
-    exact LP (maximizing the complement margin, capped at 1).  Returns
-    the separating alpha as a primitive ``int`` tuple on success.
+    exact LP (``separating_alpha``).  Returns the separating alpha as a
+    primitive ``int`` tuple on success.
     A rank test comes first: a dropped weight in the span of the kept ones
     pairs to 0 with every alpha that vanishes on J, so J is no face and
     no LP runs.  Only the LP finds an alpha.
@@ -192,15 +195,22 @@ def is_face(j_set, w: Weights) -> tuple[bool, tuple[int, ...] | None]:
         raise InputError("J is not a subset of the index set")
     comp = [v for key, v in w.items() if key not in j_set]
     n = len(next(iter(w.values()))) if w else 0
-    if not comp:
-        return True, (0,) * n
     kept = [v for key, v in w.items() if key in j_set]
     if _dropped_in_span(kept, comp, n):
         return False, None
-    sol = max_margin(comp, [0] * len(comp), kept, free=n)
-    if sol is None:
-        return False, None
-    return True, integer_row(sol[1])
+    alpha = separating_alpha(kept, comp, n)
+    return alpha is not None, alpha
+
+
+def separating_alpha(kept, dropped, n: int) -> tuple[int, ...] | None:
+    """The LP of ``is_face``: alpha with <alpha, F> = 0 on the kept weights
+    and < 0 on the dropped ones, maximizing the margin (capped at 1), as a
+    primitive ``int`` tuple; None when there is none.  With no dropped
+    weight, J is the whole hull and alpha = 0."""
+    if not dropped:
+        return (0,) * n
+    sol = max_margin(dropped, [0] * len(dropped), kept, free=n)
+    return None if sol is None else integer_row(sol[1])
 
 
 def _dropped_in_span(kept, comp, n: int) -> bool:
@@ -221,6 +231,79 @@ def _dropped_in_span(kept, comp, n: int) -> bool:
                for v in suspects)
 
 
+def weight_relations(w: Weights) -> list[dict[int, int]]:
+    """A basis of the linear relations among the weights: integer vectors
+    lambda, by position in w, with sum lambda_q F_q = 0 (``nullspace``)."""
+    vecs = list(w.values())
+    n = len(vecs[0]) if vecs else 0
+    return nullspace([{q: v[r] for q, v in enumerate(vecs) if v[r]} for r in range(n)], len(vecs))
+
+
+def face_by_remainders(kept, dropped, positions, relations) -> bool | None:
+    """Whether J is a face, read off the remainders r_q of its dropped
+    weights modulo the span of its kept ones; None when only the LP can
+    tell.  ``kept`` and ``dropped`` are the weights J keeps and drops,
+    ``positions`` those of the dropped ones in the full weight set, and
+    ``relations`` a function of no arguments that returns
+    ``weight_relations`` of the full set; it is called only when two or
+    more weights are dropped and their supports leave the answer open.
+
+    Every alpha vanishing on J has <alpha, F_q> = <alpha, r_q>, and q -> r_q
+    is linear with kernel the span of the kept weights.  So by Gordan's
+    alternative, on the quotient by that span (whose dual is the alpha
+    vanishing on J), either some such alpha is negative on every dropped
+    weight, and J is a face, or some nonzero c >= 0 has sum c_q r_q = 0,
+    not both.  A c with one nonzero entry is a zero remainder, one with
+    two a pair of negatively proportional remainders; either makes J no
+    face, whatever the number of dropped weights.  With one or two dropped
+    weights there are no others, so J is otherwise a face: r != 0 decides
+    for one, and for two r_1, r_2 != 0 and not negatively proportional.
+
+    One dropped weight has remainder 0 exactly when it lies in the span of
+    the kept ones, which the rank test of ``is_face`` decides.  For more,
+    note that a remainder agrees with its weight at the indices where every
+    kept weight is zero.  So only a weight that is zero there can have
+    remainder 0, and only two that are zero there, or there the negative
+    of each other, negatively proportional remainders (a weight has
+    entries in {-1, 0, 1}, so a positive multiple of one is the other only
+    at factor 1).  Without such weights J is a face, or for three or more
+    dropped weights is left to the LP, and no relation is read.
+
+    Otherwise the c are read off the relations: sum c_q r_q = 0 says that
+    sum c_q F_q lies in the span of the kept weights, i.e. that c extends
+    to a relation among all the weights, so the c form the space L of the
+    relations restricted to the dropped positions.  L is reduced to its
+    echelon form (``linalg.Echelon``: primitive rows, each positive at its
+    pivot and zero at the other pivots).  A c in L is the combination of
+    the rows whose pivots lie in its support, so a c >= 0 with at most two
+    nonzero entries is a row with at most two entries, all positive, or a
+    positive combination of two rows whose entries off their pivots are
+    negatively proportional.
+    """
+    if len(dropped) == 1:
+        return not _dropped_in_span(kept, dropped, len(dropped[0]))
+    untouched = [not x for x in map(any, zip(*kept))]
+    # tuples from lists, built at their final size: a tuple built from an
+    # iterator is resized, and that filled the tuple free lists, about
+    # 1 MB more peak memory on the bench's faces workload
+    parts = [tuple([x for x, u in zip(v, untouched) if u]) for v in dropped]
+    if all(map(any, parts)) and not {tuple([-x for x in p]) for p in parts}.intersection(parts):
+        return True if len(dropped) <= 2 else None
+    span = Echelon(len(positions))
+    for lam in relations():
+        span.add_row({i: lam[q] for i, q in enumerate(positions) if q in lam})
+    rests = []
+    for p, row in span.pivots.items():
+        if len(row) <= 2 and min(row.values()) > 0:
+            return False
+        g = math.gcd(*[x for c, x in row.items() if c != p])
+        rest = {c: x // g for c, x in row.items() if c != p}
+        if {c: -x for c, x in rest.items()} in rests:
+            return False
+        rests.append(rest)
+    return True if len(dropped) <= 2 else None
+
+
 def iter_face_candidates(mu: LieBracket):
     """Nonempty subsets of I_mu, smallest complement first, lex within size."""
     idx = mu.keys()
@@ -229,35 +312,94 @@ def iter_face_candidates(mu: LieBracket):
             yield frozenset(idx) - frozenset(comp)
 
 
+def iter_nice_candidates(keys: Sequence[Key]):
+    """The nice subsets among the face candidates of the index set
+    ``keys`` (``mu.keys()`` for ``iter_face_candidates(mu)``), in their
+    order, without visiting the others: (J, positions of the complement
+    of J in keys).
+
+    A nice J is an independent set of the conflict graph
+    (``liecore.nice_conflicts``), so its complement C is a vertex cover,
+    and the walk runs through the covers size by size, smallest first,
+    each size in lex order of positions.  A branch picks the positions of C in increasing
+    order and keeps those it passes over; it ends as soon as a kept
+    position conflicts with an earlier kept one, since every later pick
+    keeps it too.  A greedy maximal matching of the graph bounds the picks
+    still needed: each matching edge whose later end is not yet passed and
+    whose earlier end is not picked needs a pick of its own, the edges
+    being disjoint.  Keeping a position leaves that count as it is (an
+    edge it ends was covered by a pick, or the branch ends there), and a
+    pick lowers it by the edge it covers, if any; a branch is not entered
+    once the count exceeds the picks left.  No cover is smaller than the
+    matching, so the sizes start there.
+    """
+    m = len(keys)
+    adj = nice_conflicts(keys)
+    full = frozenset(keys)
+    # a greedy maximal matching of the conflict graph, as partner positions
+    partner, matched, pairs = [-1] * m, 0, 0
+    for q in range(m):
+        free = adj[q] & ~matched
+        if free and partner[q] < 0:
+            p = (free & -free).bit_length() - 1
+            partner[p], partner[q] = q, p
+            matched |= 1 << p | 1 << q
+            pairs += 1
+    for size in range(pairs, m):
+        # frames of the search: [next position to pick, picks, kept mask,
+        # picks left over beyond the uncovered matching edges]
+        frames = [[0, (), 0, size - pairs]]
+        while frames:
+            frame = frames[-1]
+            c, picks, kept, slack = frame
+            left = size - len(picks)
+            if not left:
+                frames.pop()
+                for q in range(c, m):
+                    if adj[q] & kept:
+                        break
+                    kept |= 1 << q
+                else:
+                    yield full.difference([keys[q] for q in picks]), picks
+                continue
+            if c > m - left:
+                frames.pop()
+                continue
+            # after the branch that picks c, this frame keeps c, unless
+            # that conflicts with a kept position (all of them earlier);
+            # picking c covers its matching edge unless an earlier pick did
+            frame[0] = m if adj[c] & kept else c + 1
+            frame[2] = kept | 1 << c
+            p = partner[c]
+            slack += p >= 0 and (p > c or kept >> p & 1)
+            if slack > 0:
+                frames.append([c + 1, picks + (c,), kept, slack - 1])
+
+
 def require_budget(budget: int) -> None:
-    """A face budget counts ``is_face`` tests, so a negative one is an input fault."""
+    """A face budget counts face candidates tested, so a negative one is an input fault."""
     if budget < 0:
         raise InputError(f"face budget must be nonnegative, got {budget}")
 
 
-def iter_faces(mu: LieBracket, budget: int, keep=None):
-    """The face walk: (J, alpha, weights of J) for each face J among the
-    candidates ``keep`` accepts.
+def iter_faces(mu: LieBracket, budget: int):
+    """The full face walk: (J, alpha, weights of J) for each face J of the
+    hull, over every candidate of ``iter_face_candidates``.
 
-    Walks ``iter_face_candidates`` and runs ``is_face`` on each candidate
-    J with ``keep(J)`` true (every candidate when ``keep`` is None).  The
-    weights of J are those of ``weight_set(mu)`` at the keys in J, in the
-    same order: the weights of lambda_J, the bracket keeping the constants
-    of mu indexed by J, which is never built.
+    Runs ``is_face`` on each candidate.  The weights of J are those of
+    ``weight_set(mu)`` at the keys in J, in the same order: the weights of
+    lambda_J, the bracket keeping the constants of mu indexed by J, which
+    is never built.
     ``budget`` bounds the candidates tested, i.e. the ``is_face`` calls,
     whether the rank test or the LP settles each; once it is spent with
-    an accepted candidate left, yields None and stops.
+    a candidate left, yields None and stops.
     """
     require_budget(budget)
     w = weight_set(mu)
-    tested = 0
-    for j_set in iter_face_candidates(mu):
-        if keep is not None and not keep(j_set):
-            continue
+    for tested, j_set in enumerate(iter_face_candidates(mu)):
         if tested >= budget:
             yield None
             return
-        tested += 1
         face, alpha = is_face(j_set, w)
         if face:
             yield j_set, alpha, {key: v for key, v in w.items() if key in j_set}

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nilcone import certifier, derivations, liecore
+from nilcone import certifier, derivations, liecore, polytope
 from nilcone.catalog import FAMILY_SAMPLES, catalog_entry, catalog_get, catalog_list
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
@@ -17,6 +17,7 @@ from nilcone.certifier import (
     SCOPE_DERIVATION,
     UNKNOWN,
     Certificate,
+    Verdict,
     certify_derivation,
     certify_nilradical,
     find_witness_metric,
@@ -25,7 +26,7 @@ from nilcone.certifier import (
     serialize_certificate,
     verify_certificate,
 )
-from nilcone.errors import InputError, NotADerivationError, ParseError
+from nilcone.errors import InputError, InvariantViolation, NotADerivationError, ParseError
 from nilcone.liecore import LieBracket
 from nilcone.linalg import nullspace
 from nilcone.momentricci import MetricExtension, extension_ricci, is_negative_definite
@@ -659,3 +660,63 @@ def test_nilradical_of_sums_beyond_sixteen_constants(ids, kind):
     assert mu2 == mu and cert2 == v.certificate
     ok, msg = verify_certificate(mu2, cert2)
     assert ok, msg
+
+
+def _summand(key, s):
+    """key in the s-th summand of a sum of dim7-alg1's."""
+    return tuple(x + 7 * s for x in key)
+
+
+ALG1_COEFFICIENTS = {(1, 2, 4): F(3, 13), (1, 5, 6): F(5, 13), (1, 6, 7): F(2, 13),
+                     (2, 3, 5): F(9, 13), (3, 5, 7): F(1, 13)}
+
+
+def test_nilradical_of_dim7_alg1_five_times_walks_only_nice_subsets(monkeypatch):
+    """dim7-alg1^5 (n = 35, 40 constants) is not nice and has no positive
+    derivation.  (2, 3, 7) conflicts with (2, 3, 5) and with (3, 5, 7) in
+    each summand, so a nice subset drops a constant from every summand,
+    and none that drops fewer than five is nice.  The walk must visit
+    none of those: it tests one subset, no niceness test of a subset
+    fails, and the walk over every subset is never started.  The verdict
+    is the one the filtered walk finds."""
+    mu = direct_sum([catalog_get("dim7-alg1")] * 5)
+    assert len(mu.keys()) == 40
+    rejected, walked = [], []
+    is_nice, walk = liecore.is_nice_basis, certifier.iter_nice_candidates
+
+    def counted(keys):
+        keys = list(keys)
+        ok = is_nice(keys)
+        rejected.extend([] if ok or len(keys) == 40 else [keys])
+        return ok
+
+    def recorded(keys):
+        for j_set, dropped in walk(keys):
+            walked.append(j_set)
+            yield j_set, dropped
+
+    monkeypatch.setattr(certifier, "is_nice_basis", counted)
+    monkeypatch.setattr(polytope, "is_nice_basis", counted, raising=False)
+    monkeypatch.setattr(certifier, "iter_nice_candidates", recorded)
+    monkeypatch.setattr(polytope, "iter_face_candidates",
+                        lambda mu: pytest.fail("the walk visits every subset"))
+    v = certify_nilradical(mu)
+    dropped = {_summand((2, 3, 7), s) for s in range(5)}
+    assert rejected == []
+    assert walked == [frozenset(mu.keys()) - dropped]
+    d = tuple(map(F, (0, 1, 0, 1, 1, 1, 1) * 5))
+    cert = Certificate(
+        DEGENERATION_CONE, d, ((-1, 4, -2, 3, 2, 1, 0) * 5, frozenset(mu.keys()) - dropped),
+        {_summand(key, s): a for key, a in ALG1_COEFFICIENTS.items() for s in range(5)},
+        F(10, 13))
+    assert v == Verdict(CERTIFIED_RN, SCOPE_ALGEBRA, d, cert,
+                        notes="degeneration keeping 35 of 40 constants")
+    assert verify_certificate(mu, v.certificate) == (True, "membership verified with slack 10/13")
+
+
+def test_a_face_the_remainders_found_without_an_alpha_is_an_invariant_violation(monkeypatch):
+    # dim7-alg1's first nice subset drops one weight, which the remainders
+    # settle as a face; its alpha is solved for once D passes membership
+    monkeypatch.setattr(certifier, "separating_alpha", lambda *args: None)
+    with pytest.raises(InvariantViolation, match="no alpha for a face the remainders found"):
+        certify_nilradical(catalog_get("dim7-alg1"))

@@ -113,6 +113,20 @@ def test_certify_family_parameter(capsys):
     assert "status:" in out
 
 
+def test_calls_in_one_process_share_no_parameters(capsys):
+    """``main`` builds its parser once and keeps it: the --param values of
+    one call reach neither a later call nor the parser's defaults."""
+    export = ("catalog", "export", "ex1ex2ex5-iii")
+    half = run(capsys, *export, "--param", "t=1/2")
+    two = run(capsys, *export, "--param", "t=2")
+    assert half[0] == two[0] == 0 and half[1] != two[1]
+    assert run(capsys, *export, "--param", "t=1/2") == half
+    assert run(capsys, *export) == (1, "", "error: entry 'ex1ex2ex5-iii' needs parameter(s) t\n")
+    assert run(capsys, "certify", "ex1ex2ex5-iii", "--param", "t=2")[0] == 0
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["certify", "heis3"]).param == []
+
+
 def test_witness_heis(capsys):
     code, out, _ = run(capsys, "witness", "heis3", "--derivation", "1,1,2")
     assert code == 0
