@@ -22,7 +22,6 @@ from .derivations import (
     derivation_algebra,
     diagonal_derivations,
     engel_flag,
-    is_derivation,
     is_diagonal_derivation,
     solve_phi,
 )

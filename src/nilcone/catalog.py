@@ -60,6 +60,11 @@ class CatalogEntry:
             raise UnknownCatalogEntry(
                 f"entry {self.id!r} needs parameter(s) {', '.join(missing)}"
             )
+        unknown = [p for p in params if p not in self.params]
+        if unknown:
+            raise UnknownCatalogEntry(
+                f"entry {self.id!r} takes no parameter(s) {', '.join(unknown)}"
+            )
         return self.build(**params)
 
 

@@ -3,9 +3,11 @@
 The derivation algebra Der(mu) is the exact nullspace of E -> E.mu on
 n x n matrices, its rows built in one pass over the constants and each
 basis derivation kept as the integer columns of the nullspace vector.
-The diagonal torus is held the same way, as the integer vectors of its
-nullspace (``integer_basis``); the rational basis that ``der``, ``cone``
-and the catalog print is derived from them.  Whether every derivation
+The diagonal torus is found by substitution on d_k = d_i + d_j, in the
+topological order of the index graph, and held as the integer vectors
+that ``nullspace`` would give (``integer_basis``): the reduced basis of a
+span is unique.  The rational basis that ``der``, ``cone`` and the
+catalog print is derived from them.  Whether every derivation
 is traceless is decided on the diagonal derivations first, and needs
 Der(mu) only when they are all traceless.  Whether every derivation is
 nilpotent is decided on the basis derivations first: one with
@@ -25,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvariantViolation, NotADerivationError
-from .liecore import LieBracket
+from .liecore import LieBracket, topological_order
 from .linalg import (
     Echelon,
-    Mat,
     Vec,
     ZERO,
     fmt_rational,
@@ -99,40 +100,6 @@ class DiagonalDerivationSpace:
         return tuple(Fraction(x, den) for x in total)
 
 
-def rep_action(e: Mat, mu: LieBracket) -> dict[tuple[int, int], Vec]:
-    """(E.mu)(e_i, e_j) for i < j, as coefficient vectors."""
-    n = mu.dim
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            res = [ZERO] * n
-            # E mu(e_i, e_j)
-            for k in range(1, n + 1):
-                cv = mu.c(i, j, k)
-                if cv:
-                    for r in range(n):
-                        if e[r][k - 1]:
-                            res[r] += cv * e[r][k - 1]
-            # - mu(E e_i, e_j) - mu(e_i, E e_j)
-            for p in range(1, n + 1):
-                if e[p - 1][i - 1]:
-                    for k in range(1, n + 1):
-                        cv = mu.c(p, j, k)
-                        if cv:
-                            res[k - 1] -= e[p - 1][i - 1] * cv
-                if e[p - 1][j - 1]:
-                    for k in range(1, n + 1):
-                        cv = mu.c(i, p, k)
-                        if cv:
-                            res[k - 1] -= e[p - 1][j - 1] * cv
-            out[(i, j)] = tuple(res)
-    return out
-
-
-def is_derivation(e: Mat, mu: LieBracket) -> bool:
-    return all(not any(v) for v in rep_action(e, mu).values())
-
-
 def _derivation_nullspace(mu: LieBracket) -> list[dict[int, int]]:
     """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
 
@@ -187,19 +154,103 @@ def derivation_algebra(mu: LieBracket) -> DerivationBasis:
 
 
 def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
-    """Solutions of d_k = d_i + d_j over the nonzero structure constants."""
-    rows = []
-    for (i, j, k) in mu.keys():
-        row: dict[int, int] = {}
-        for idx, v in ((k - 1, 1), (i - 1, -1), (j - 1, -1)):
-            row[idx] = row.get(idx, 0) + v
-        rows.append(row)
+    """Solutions of d_k = d_i + d_j over the nonzero structure constants,
+    found by substitution.
+
+    Each index x starts as its own parameter p_x, and d_x is held as an
+    integer form in the parameters still free.  The constants are read in
+    the topological order of their targets (``topological_order``): the
+    first constant into k finds p_k in forms[k] alone and defines forms[k]
+    = forms[i] + forms[j].  A later one gives the integer relation
+    forms[k] - forms[i] - forms[j] = 0, which eliminates its largest
+    parameter p from every form; when p has a coefficient c other than
+    +-1, the relation's other parameters are first rescaled by c, so that
+    the forms stay integer.  A graph with a cycle defines nothing and
+    reads every constant as a relation, in ``mu.keys()`` order.
+
+    A free p_q is held by forms[q] and by no other free index, so its
+    coefficients are a torus vector that pivots at q.  The vectors are
+    then moved to the pivots ``nullspace`` uses: a vector with an entry
+    below its pivot pivots at its least index instead, and is eliminated
+    from the others there.  That ends with each vector positive at its
+    least index and 0 at the others' least indices.  The reduced basis of
+    a span is unique, so each is, made primitive, the vector ``nullspace``
+    returns for that free column, in the same order.
+    """
+    n = mu.dim
+    order = topological_order(mu)
+    if order is None:
+        keys = mu.keys()
+    else:
+        rank = [0] * (n + 1)
+        for r, x in enumerate(order):
+            rank[x] = r
+        keys = sorted(mu.constants, key=lambda key: rank[key[2]])
+    forms: list[dict[int, int]] = [{}] + [{x: 1} for x in range(1, n + 1)]
+    fresh = [order is not None] * (n + 1)  # p_k is held by forms[k] alone
+    for (i, j, k) in keys:
+        rel = forms[k].copy()
+        for x in (i, j):
+            for q, a in forms[x].items():
+                rel[q] = rel.get(q, 0) - a
+        rel = {q: a for q, a in rel.items() if a}
+        first, fresh[k] = fresh[k], False
+        if not rel:
+            continue
+        p = k if first else max(rel)
+        c = rel.pop(p)  # c p + rel = 0
+        if c == -1:  # p = rel: negated, as p = -rel for c = 1
+            rel = {q: -b for q, b in rel.items()}
+        elif c != 1:  # p_q = c p'_q for each q in rel, then p = -rel(p')
+            for form in forms:
+                for q in rel:
+                    if q in form:
+                        form[q] *= c
+        for form in (forms[k],) if first else forms:
+            a = form.pop(p, 0)
+            if a:
+                for q, b in rel.items():
+                    v = form.get(q, 0) - a * b
+                    if v:
+                        form[q] = v
+                    else:
+                        del form[q]
+    # the coefficients of each free p_q, pivoting at q
+    vectors = {q: {} for q in range(1, n + 1) if q in forms[q]}
+    for x in range(1, n + 1):
+        for q, a in forms[x].items():
+            vectors[q][x] = a
+    pivots = list(vectors)
+    basis = list(vectors.values())
+    moved = [m for m, v in enumerate(basis) if min(v) != pivots[m]]
+    while moved:
+        m = moved.pop()
+        v = basis[m]
+        x0 = min(v)
+        if x0 == pivots[m]:
+            continue
+        pivots[m] = x0
+        a = v[x0]
+        for m2, u in enumerate(basis):
+            b = u.get(x0)
+            if b and m2 != m:
+                w = {x: a * c for x, c in u.items()}
+                for x, c in v.items():
+                    w[x] = w.get(x, 0) - b * c
+                w = {x: c for x, c in w.items() if c}
+                g = gcd(*w.values())
+                basis[m2] = u = {x: c // g for x, c in w.items()}
+                if min(u) != pivots[m2]:
+                    moved.append(m2)
     integer_basis = []
-    for v in nullspace(rows, mu.dim):
-        ints = [0] * mu.dim
-        for c, x in v.items():
-            ints[c] = x
-        integer_basis.append((tuple(ints), v[min(v)]))
+    for x0, v in sorted(zip(pivots, basis), key=lambda pv: pv[0]):
+        g = gcd(*v.values())
+        if v[x0] < 0:
+            g = -g
+        ints = [0] * n
+        for x, a in v.items():
+            ints[x - 1] = a // g
+        integer_basis.append((tuple(ints), v[x0] // g))
     return DiagonalDerivationSpace(tuple(integer_basis))
 
 

@@ -5,8 +5,11 @@ canonical orientation i < j; antisymmetry is implicit.  Indices are
 1-based everywhere in the public API, matching the algebra file format.
 Nilpotency is read off a topological order of the index graph (i -> k
 and j -> k for each nonzero c_ij^k); only a graph with a cycle computes
-the lower central series, which reads the constants through an index by
-the basis vector they bracket with.
+the lower central series.  On a monomial bracket (one target per pair of
+indices, as on every nice basis) each term of the series is spanned by
+basis vectors, and its index set is read off the constants; any other
+bracket is eliminated, through an index of the constants by the basis
+vector they bracket with.
 """
 
 from __future__ import annotations
@@ -213,22 +216,41 @@ def check_jacobi(mu: LieBracket) -> tuple[bool, tuple[int, int, int] | None]:
 def lower_central_series(mu: LieBracket) -> SubspaceChain:
     """gamma_1 = n, gamma_{k+1} = [n, gamma_k]; stops at stabilization.
 
-    The constants are indexed once by the basis vector they bracket with:
-    x -> [(a, k, c)], c the coefficient of e_k in [e_a, e_x], so c_ab^k
-    is listed under b as (a, k, c) and under a as (b, k, -c).  A spanning
-    vector v of gamma_k then reads only the entries indexed by its
-    support: [e_a, v]_k gains c v_x for each (a, k, c) under x.  The basis
-    of each term is the pivot rows of its reduced echelon form.  Only
-    spans are read, so the constants are scaled to coprime integers once
-    and every vector is an int row.
+    A monomial bracket (each pair (i, j) has one target k) has every term
+    spanned by basis vectors: if gamma_m is spanned by the e_x, x in S_m,
+    then gamma_{m+1} is spanned by the [e_a, e_x], each a multiple of one
+    e_k, so S_{m+1} = {k : (i, j, k) a constant with i or j in S_m}, and
+    the dims are read off by set iteration.
+
+    Any other bracket is eliminated.  The constants are indexed once by
+    the basis vector they bracket with: x -> [(a, k, c)], c the
+    coefficient of e_k in [e_a, e_x], so c_ab^k is listed under b as
+    (a, k, c) and under a as (b, k, -c).  A spanning vector v of gamma_k
+    then reads only the entries indexed by its support: [e_a, v]_k gains
+    c v_x for each (a, k, c) under x.  The basis of each term is the pivot
+    rows of its reduced echelon form.  Only spans are read, so the
+    constants are scaled to coprime integers once and every vector is an
+    int row.
     """
     n = mu.dim
+    dims = [n]
+    if len({(a, b) for a, b, _ in mu.constants}) == len(mu.constants):
+        targets: dict[int, list[int]] = {}
+        for (a, b, k) in mu.constants:
+            targets.setdefault(a, []).append(k)
+            targets.setdefault(b, []).append(k)
+        support: Iterable[int] = range(1, n + 1)
+        while True:
+            support = {k for x in support for k in targets.get(x, ())}
+            d = len(support)
+            if d == 0 or d == dims[-1]:
+                return SubspaceChain(tuple(dims), terminates=(d == 0))
+            dims.append(d)
     by_vector: dict[int, list[tuple[int, int, int]]] = {}
     for (a, b, k), cv in zip(mu.constants, integer_row(mu.constants.values())):
         by_vector.setdefault(b - 1, []).append((a, k - 1, cv))
         by_vector.setdefault(a - 1, []).append((b, k - 1, -cv))
     current: list[dict[int, int]] = [{s: 1} for s in range(n)]
-    dims = [n]
     while True:
         ech = Echelon(n)
         for v in current:
@@ -246,18 +268,12 @@ def lower_central_series(mu: LieBracket) -> SubspaceChain:
         dims.append(d)
 
 
-def is_nilpotent(mu: LieBracket) -> bool:
-    """True iff the lower central series of mu reaches 0.
+def topological_order(mu: LieBracket) -> list[int] | None:
+    """The indices 1..n in a topological order of the index graph, or None
+    when the graph has a cycle.
 
-    The index graph has an edge i -> k and an edge j -> k for each
-    nonzero c_ij^k; k in {i, j} is a self-loop.  If the graph sorts
-    topologically (Kahn), let rho(x) be the position of x in that order
-    and F_m = span{e_x : rho(x) >= m}.  Every [e_a, e_x] lies in the span
-    of the e_k with rho(k) > rho(x), so [n, F_m] lies in F_{m+1}; from
-    gamma_1 = n = F_0 it follows that gamma_{m+1} lies in F_m, and
-    gamma_{n+1} = 0.  No elimination is needed.  A cycle proves nothing
-    (a basis such as (e1, e2, e3 + e1) of heis3 has one), so only then is
-    the series computed.
+    The graph has an edge i -> k and an edge j -> k for each nonzero
+    c_ij^k; k in {i, j} is a self-loop, so a cycle.  Kahn's algorithm.
     """
     n = mu.dim
     successors: dict[int, list[int]] = {}
@@ -267,15 +283,30 @@ def is_nilpotent(mu: LieBracket) -> bool:
         successors.setdefault(j, []).append(k)
         indegree[k] += 2
     ready = [x for x in range(1, n + 1) if not indegree[x]]
-    placed = 0
+    order = []
     while ready:
         x = ready.pop()
-        placed += 1
+        order.append(x)
         for k in successors.get(x, ()):
             indegree[k] -= 1
             if not indegree[k]:
                 ready.append(k)
-    return placed == n or lower_central_series(mu).terminates
+    return order if len(order) == n else None
+
+
+def is_nilpotent(mu: LieBracket) -> bool:
+    """True iff the lower central series of mu reaches 0.
+
+    If the index graph sorts topologically (``topological_order``), let
+    rho(x) be the position of x in that order and F_m = span{e_x :
+    rho(x) >= m}.  Every [e_a, e_x] lies in the span of the e_k with
+    rho(k) > rho(x), so [n, F_m] lies in F_{m+1}; from gamma_1 = n = F_0
+    it follows that gamma_{m+1} lies in F_m, and gamma_{n+1} = 0.  No
+    elimination is needed.  A cycle proves nothing (a basis such as
+    (e1, e2, e3 + e1) of heis3 has one), so only then is the series
+    computed.
+    """
+    return topological_order(mu) is not None or lower_central_series(mu).terminates
 
 
 def center(mu: LieBracket) -> tuple[dict[int, int], ...]:

@@ -22,7 +22,7 @@ from nilcone.certifier import (
     verify_certificate,
 )
 from nilcone.cli import main
-from nilcone.derivations import derivation_algebra, diagonal_derivations, rep_action
+from nilcone.derivations import derivation_algebra, diagonal_derivations
 from nilcone.liecore import LieBracket, is_nice_basis
 from nilcone.momentricci import (
     MetricExtension,
@@ -38,6 +38,7 @@ from nilcone.polytope import (
     weight_set,
 )
 from test_derivations import matrices
+from test_linalg import rep_action
 from test_polytope import evaluate_cone, limit_bracket
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})

@@ -127,6 +127,15 @@ def test_calls_in_one_process_share_no_parameters(capsys):
     assert cli._parser().parse_args(["certify", "heis3"]).param == []
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("certify", "ex9", "--param", "t=1"), "error: entry 'ex9' takes no parameter(s) t\n"),
+    (("catalog", "export", "ex1ex2ex5-iii", "--param", "t=1/2", "--param", "s=3"),
+     "error: entry 'ex1ex2ex5-iii' takes no parameter(s) s\n"),
+])
+def test_a_parameter_the_entry_does_not_take_is_input_error(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
 def test_witness_heis(capsys):
     code, out, _ = run(capsys, "witness", "heis3", "--derivation", "1,1,2")
     assert code == 0

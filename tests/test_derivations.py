@@ -9,14 +9,13 @@ from nilcone.derivations import (
     derivation_algebra,
     diagonal_derivations,
     engel_flag,
-    is_derivation,
     is_diagonal_derivation,
     require_diagonal_derivation,
     solve_phi,
 )
 from nilcone.errors import NotADerivationError
 from nilcone.liecore import LieBracket
-from test_linalg import dense
+from test_linalg import dense, is_derivation
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 

@@ -8,6 +8,11 @@ also run on random skew brackets, most of which break Jacobi and many of
 which are not nilpotent; ``is_nilpotent``, which reads an acyclic index
 graph without the series, is checked against the reference series on
 both, and a counter on the series shows where it still runs.  The
+torus found by substitution is checked against the ``nullspace`` solve
+it replaced (``reference_diagonal_derivations``), and the central series
+of a monomial bracket, read off index sets, against the reference
+series, on relabelled, moved and cyclic brackets; counters show that
+neither calls ``nullspace`` or builds an ``Echelon``.  The
 integer torus is checked against the lcm of its rational basis's
 denominators.  Witness metrics are built for every derivation
 of the generated algebras that gets a cone certificate.  The traceless
@@ -86,8 +91,6 @@ from nilcone.derivations import (
     derivation_algebra,
     diagonal_derivations,
     engel_flag,
-    is_derivation,
-    rep_action,
     solve_phi,
 )
 from nilcone import simplex
@@ -146,9 +149,11 @@ from test_linalg import (
     dense,
     dense_row,
     int_row,
+    is_derivation,
     mat_inv,
     mat_mul,
     min_norm_solution,
+    rep_action,
     solve_affine,
 )
 from test_polytope import evaluate_cone, limit_bracket
@@ -577,20 +582,20 @@ def test_nilpotency_from_the_index_graph_matches_the_series(mu):
 
 
 @contextmanager
-def counted_series_calls():
-    """The brackets ``liecore.lower_central_series`` is called on, while open."""
+def counted_calls(module, name: str):
+    """The arguments of each call of ``module.name``, while open."""
     calls = []
-    real = liecore.lower_central_series
+    real = getattr(module, name)
 
-    def counted(mu):
-        calls.append(mu)
-        return real(mu)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    liecore.lower_central_series = counted
+    setattr(module, name, counted)
     try:
         yield calls
     finally:
-        liecore.lower_central_series = real
+        setattr(module, name, real)
 
 
 @st.composite
@@ -603,7 +608,7 @@ def relabelled_filiforms(draw) -> LieBracket:
 
 def test_certify_nilradical_computes_no_series_on_the_catalog():
     algebras = [catalog_get(id_, **params) for _, id_, params in CASES]
-    with counted_series_calls() as calls:
+    with counted_calls(liecore, "lower_central_series") as calls:
         for mu in algebras:
             certify_nilradical(mu)
     assert calls == []
@@ -612,17 +617,114 @@ def test_certify_nilradical_computes_no_series_on_the_catalog():
 @settings(max_examples=30)
 @given(relabelled_filiforms())
 def test_certify_nilradical_computes_no_series_on_relabelled_filiforms(mu):
-    with counted_series_calls() as calls:
+    with counted_calls(liecore, "lower_central_series") as calls:
         certify_nilradical(mu)
     assert calls == []
 
 
 def test_certify_nilradical_computes_the_series_on_a_cycle():
-    with counted_series_calls() as calls:
+    with counted_calls(liecore, "lower_central_series") as calls:
         v = certify_nilradical(HEIS3_CYCLIC)
-    assert calls == [HEIS3_CYCLIC]
+    assert calls == [(HEIS3_CYCLIC,)]
     assert (v.status, v.certificate.kind, v.d, v.notes) == (
         CERTIFIED_RN, DEGENERATION_CONE, (1, 0, 1), "degeneration keeping 1 of 4 constants")
+
+
+def reference_diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
+    """The torus as the ``nullspace`` solve of one row d_k - d_i - d_j per
+    constant: each primitive kernel vector in dense form, with its entry
+    at its least index."""
+    rows = []
+    for (i, j, k) in mu.keys():
+        row: dict[int, int] = {}
+        for idx, v in ((k - 1, 1), (i - 1, -1), (j - 1, -1)):
+            row[idx] = row.get(idx, 0) + v
+        rows.append(row)
+    integer_basis = []
+    for v in nullspace(rows, mu.dim):
+        ints = [0] * mu.dim
+        for c, x in v.items():
+            ints[c] = x
+        integer_basis.append((tuple(ints), v[min(v)]))
+    return DiagonalDerivationSpace(tuple(integer_basis))
+
+
+def relabelled(mu: LieBracket, p) -> LieBracket:
+    """mu with e_i renamed e_p[i-1]: the same algebra, its keys and
+    weights in another order."""
+    return LieBracket(mu.dim, {(p[i - 1], p[j - 1], p[k - 1]): v
+                               for (i, j, k), v in mu.constants.items()})
+
+
+@st.composite
+def relabelled_algebras(draw) -> LieBracket:
+    """A generated algebra, moved by a unipotent g or not, with its basis permuted."""
+    mu = draw(nilpotent_algebras(unipotent=draw(st.booleans())))
+    return relabelled(mu, draw(st.permutations(range(1, mu.dim + 1))))
+
+
+def assert_torus_by_substitution(mu: LieBracket) -> None:
+    with counted_calls(derivations, "nullspace") as calls:
+        got = diagonal_derivations(mu)
+    assert calls == []
+    assert got.integer_basis == reference_diagonal_derivations(mu).integer_basis
+
+
+# d5 = d1 + d2 first, then d5 = d3 + d4 = d1 + 2 d3: the relation d2 = 2 d3
+# eliminates p3 with the coefficient -2, so p2 is rescaled
+RESCALED = LieBracket(5, {(1, 2, 5): ONE, (1, 3, 4): ONE, (3, 4, 5): ONE})
+
+
+@settings(max_examples=200)
+@given(st.one_of(relabelled_algebras(), relabelled_filiforms(), skew_brackets()))
+@example(HEIS3_CYCLIC)
+@example(LieBracket(2, {(1, 2, 1): ONE}))  # a self-loop
+@example(RESCALED)
+@example(relabelled(RESCALED, (5, 3, 4, 1, 2)))
+@example(LieBracket(4, {}))
+def test_torus_by_substitution_matches_the_nullspace_solve(mu):
+    assert_torus_by_substitution(mu)
+
+
+def test_torus_by_substitution_matches_the_nullspace_solve_on_the_catalog():
+    for _, id_, params in CASES:
+        assert_torus_by_substitution(catalog_get(id_, **params))
+
+
+def is_monomial(mu: LieBracket) -> bool:
+    return len({(i, j) for i, j, _ in mu.constants}) == len(mu.constants)
+
+
+@st.composite
+def monomial_brackets(draw) -> LieBracket:
+    """Random brackets of dim <= 7 with one target per pair; Jacobi and
+    nilpotency may both fail, and targets may sit on a cycle."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    return LieBracket(n, {(i, j, draw(st.integers(1, n))): draw(st.sampled_from([F(-2), F(1), F(3, 2)]))
+                          for i, j in chosen})
+
+
+@settings(max_examples=200)
+@given(st.one_of(monomial_brackets(), relabelled_filiforms(),
+                 relabelled_algebras().filter(is_monomial)))
+@example(LieBracket(2, {(1, 2, 1): ONE}))  # [e1, e2] = e1: stabilizes at span{e1}
+@example(LieBracket(3, {}))
+def test_central_series_by_index_sets_matches_the_reference(mu):
+    assert is_monomial(mu)
+    with counted_calls(liecore, "Echelon") as built:
+        got = lower_central_series(mu)
+    assert built == []
+    assert got == reference_lower_central_series(mu)
+
+
+def test_central_series_of_a_bracket_with_several_targets_eliminates():
+    """The counter above sees the echelon path where it still runs."""
+    assert not is_monomial(HEIS3_CYCLIC)
+    with counted_calls(liecore, "Echelon") as built:
+        got = lower_central_series(HEIS3_CYCLIC)
+    assert built and got == reference_lower_central_series(HEIS3_CYCLIC)
 
 
 @contextmanager
@@ -1183,13 +1285,6 @@ def reference_is_face(j_set, w):
         return True, (0,) * n
     sol = max_margin(comp, [0] * len(comp), [v for key, v in w.items() if key in j_set], free=n)
     return (False, None) if sol is None else (True, integer_row(sol[1]))
-
-
-def relabelled(mu: LieBracket, p) -> LieBracket:
-    """mu with e_i renamed e_p[i-1]: the same algebra, its keys and
-    weights in another order."""
-    return LieBracket(mu.dim, {(p[i - 1], p[j - 1], p[k - 1]): v
-                               for (i, j, k), v in mu.constants.items()})
 
 
 def test_is_face_matches_the_lp_on_every_catalog_subset():

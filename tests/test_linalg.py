@@ -42,6 +42,42 @@ def bracket(mu, x, y):
     return tuple(out)
 
 
+def rep_action(e, mu) -> dict[tuple[int, int], tuple]:
+    """Oracle: (E.mu)(e_i, e_j) for i < j, as coefficient vectors, for a
+    dense rational matrix E."""
+    n = mu.dim
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            res = [ZERO] * n
+            # E mu(e_i, e_j)
+            for k in range(1, n + 1):
+                cv = mu.c(i, j, k)
+                if cv:
+                    for r in range(n):
+                        if e[r][k - 1]:
+                            res[r] += cv * e[r][k - 1]
+            # - mu(E e_i, e_j) - mu(e_i, E e_j)
+            for p in range(1, n + 1):
+                if e[p - 1][i - 1]:
+                    for k in range(1, n + 1):
+                        cv = mu.c(p, j, k)
+                        if cv:
+                            res[k - 1] -= e[p - 1][i - 1] * cv
+                if e[p - 1][j - 1]:
+                    for k in range(1, n + 1):
+                        cv = mu.c(i, p, k)
+                        if cv:
+                            res[k - 1] -= e[p - 1][j - 1] * cv
+            out[(i, j)] = tuple(res)
+    return out
+
+
+def is_derivation(e, mu) -> bool:
+    """Oracle: E.mu = 0, read off ``rep_action``."""
+    return all(not any(v) for v in rep_action(e, mu).values())
+
+
 def mat_mul(a, b):
     """Oracle: the dense matrix product."""
     return tuple(tuple(sum((x * y for x, y in zip(ra, cb)), F(0)) for cb in zip(*b)) for ra in a)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nilcone.catalog import catalog_get, catalog_list
-from nilcone.derivations import derivation_algebra, rep_action
+from nilcone.derivations import derivation_algebra
 from nilcone.liecore import LieBracket
 from nilcone.momentricci import (
     MetricExtension,
@@ -16,7 +16,7 @@ from nilcone.momentricci import (
     norm_squared,
 )
 from test_derivations import matrices
-from test_linalg import bracket
+from test_linalg import bracket, rep_action
 
 HEIS = LieBracket(3, {(1, 2, 3): F(1)})
 
