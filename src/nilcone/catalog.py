@@ -24,7 +24,7 @@ from .certifier import (
 )
 from .derivations import Analysis, is_diagonal_derivation, solve_phi
 from .errors import UnknownCatalogEntry
-from .liecore import LieBracket, center, check_jacobi, emit_bracket, is_nice_basis, is_nilpotent, lower_central_series
+from .liecore import LieBracket, center, check_jacobi, emit_bracket, is_nice_basis, lower_central_series
 from .linalg import Vec, frac
 from .polytope import iter_faces, project_certificate_cone, weight_set
 
@@ -481,7 +481,7 @@ def _check(entry: CatalogEntry, a: Analysis, exp: Expected) -> CheckResult:
     if name == "jacobi":
         got = check_jacobi(mu)[0]
     elif name == "nilpotent":
-        got = is_nilpotent(mu)
+        got = a.nilpotent
     elif name == "nice":
         got = is_nice_basis(mu.keys())
     elif name == "dspace-basis":

@@ -22,7 +22,7 @@ from .derivations import (
     require_diagonal_derivation,
 )
 from .errors import InputError, InvariantViolation, ParseError
-from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, is_nilpotent, parse_bracket, center
+from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, parse_bracket, center
 from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
 from .momentricci import MetricExtension, _negative_definite, _ricci_negative, is_ricci_negative
 from .polytope import (
@@ -334,7 +334,7 @@ def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
     the torus from ``a``, so that a caller holding them builds none twice."""
     mu = a.mu
     require_budget(budget)
-    if not is_nilpotent(mu):
+    if not a.nilpotent:
         raise InputError("algebra is not nilpotent")
 
     if a.traceless:

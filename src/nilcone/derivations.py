@@ -8,18 +8,23 @@ topological order of the index graph, and held as the integer vectors
 that ``nullspace`` would give (``integer_basis``): the reduced basis of a
 span is unique.  The rational basis that ``der``, ``cone`` and the
 catalog print is derived from them.  Whether every derivation
-is traceless is decided on the diagonal derivations first, and needs
-Der(mu) only when they are all traceless.  Whether every derivation is
-nilpotent is decided on the basis derivations first: one with
-tr(D^2) != 0 is not nilpotent.  Only when every basis derivation has
-tr(D^2) = 0 is the Engel flag built: it succeeds iff every derivation
-is strictly triangular in an adapted basis, and otherwise names the
-stage of the flag at which the induced operators have no common
-kernel.  ``Analysis`` holds one bracket's Der(mu), Engel flag and
-diagonal torus for one call, each built on first use, so that the
+is traceless is decided on the diagonal derivations first.  A nonzero
+torus grades Der(mu) by torus weight, every row of E -> E.mu is
+homogeneous and the trace lives in weight 0, so a traceless nonzero
+torus is followed by the weight-zero block of the system alone, and
+only a zero torus needs Der(mu).  Whether every derivation is nilpotent
+is decided on the torus first (a nonzero diagonal derivation is not
+nilpotent), then on the basis derivations: one with tr(D^2) != 0 is not
+nilpotent.  Only when every basis derivation has tr(D^2) = 0 is the
+Engel flag built: it succeeds iff every derivation is strictly
+triangular in an adapted basis, and otherwise names the stage of the
+flag at which the induced operators have no common kernel; each stage
+reads only the columns D e_c not yet in the flag.  ``Analysis`` holds
+one bracket's index order, Der(mu), Engel flag and diagonal torus for
+one call, each built on first use, so that the nilpotency test, the
 traceless test, the characteristically-nilpotent test, the phi solve
 and the algebra verdict build each at most once, and a verdict that
-the traces settle builds no flag.
+the torus or the traces settle builds no flag.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvariantViolation, NotADerivationError
-from .liecore import LieBracket, topological_order
+from .liecore import LieBracket, is_nilpotent, topological_order
 from .linalg import (
     Echelon,
     Vec,
@@ -100,8 +105,8 @@ class DiagonalDerivationSpace:
         return tuple(Fraction(x, den) for x in total)
 
 
-def _derivation_nullspace(mu: LieBracket) -> list[dict[int, int]]:
-    """Exact nullspace of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
+def _derivation_rows(mu: LieBracket, columns: dict[int, int] | None = None) -> list[dict[int, int]]:
+    """The rows of E -> E.mu; unknown E_{pq} indexed as p*n + q (0-based).
 
     Row (i, j, r), i < j, is the e_r coefficient of (E.mu)(e_i, e_j) =
     E mu(e_i, e_j) - mu(E e_i, e_j) - mu(e_i, E e_j), keyed by the one int
@@ -110,9 +115,11 @@ def _derivation_nullspace(mu: LieBracket) -> list[dict[int, int]]:
     integers (the system is homogeneous, so every row is an int row),
     adds its five runs of terms straight into the rows they touch, each
     run a pair of ranges of row keys and unknowns.  Entries that cancel
-    stay as zeros, which ``nullspace`` drops.  Under its fixed pivot rule
-    the reduced form of a span is unique, so the rows go in by length
-    alone and the basis does not depend on their order.
+    stay as zeros, which ``nullspace`` drops.  With ``columns``, only the
+    unknowns it holds are entered, each at the column it maps to.  The
+    rows come sorted by length; under the fixed pivot rule of
+    ``nullspace`` the reduced form of a span is unique, so the basis does
+    not depend on their order.
     """
     n = mu.dim
     nn = n * n
@@ -131,13 +138,43 @@ def _derivation_nullspace(mu: LieBracket) -> list[dict[int, int]]:
             # mu(e_b, E e_j) through E_aj: row (b, j, k), j > b
             (range((b * n + b + 1) * n + k, (b + 1) * nn, n), range(a * n + b + 1, a * n + n), v),
         ):
-            for key, idx in zip(keys, unknowns):
+            pairs = zip(keys, unknowns)
+            if columns is not None:
+                pairs = [(key, columns[idx]) for key, idx in pairs if idx in columns]
+            for key, idx in pairs:
                 row = rows.get(key)
                 if row is None:
                     rows[key] = {idx: x}
                 else:
                     row[idx] = row.get(idx, 0) + x
-    return nullspace(sorted(rows.values(), key=len), nn)
+    return sorted(rows.values(), key=len)
+
+
+def _derivation_nullspace(mu: LieBracket) -> list[dict[int, int]]:
+    """Exact nullspace of E -> E.mu, E_{pq} at p*n + q (see ``_derivation_rows``)."""
+    return nullspace(_derivation_rows(mu), mu.dim * mu.dim)
+
+
+def _weight_zero_nullspace(mu: LieBracket, dspace: DiagonalDerivationSpace) -> list[dict[int, int]]:
+    """Der(mu) in torus weight 0, E_{pq} at p*n + q as ``_derivation_nullspace`` indexes it.
+
+    Index p has the torus weight (w_1[p], ..., w_k[p]) over the integer
+    torus vectors, and E_pq the weight of p minus that of q: diag(w)
+    brackets E_pq to (w_p - w_q) E_pq.  Row (i, j, r) of the system is
+    homogeneous of weight w_r - w_i - w_j, so Der(mu) is the direct sum
+    of its weight spaces, and the weight-zero one is the kernel of the
+    rows over the unknowns E_pq of equal weight at p and q alone.  Those
+    unknowns keep their order, so each vector is the one
+    ``_derivation_nullspace`` gives for the same free column.
+    """
+    n = mu.dim
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for p in range(n):
+        classes.setdefault(tuple(w[p] for w, _ in dspace.integer_basis), []).append(p)
+    unknowns = sorted(p * n + q for cls in classes.values() for p in cls for q in cls)
+    columns = {idx: c for c, idx in enumerate(unknowns)}
+    kernel = nullspace(_derivation_rows(mu, columns), len(unknowns))
+    return [{unknowns[c]: x for c, x in v.items()} for v in kernel]
 
 
 def derivation_algebra(mu: LieBracket) -> DerivationBasis:
@@ -154,6 +191,12 @@ def derivation_algebra(mu: LieBracket) -> DerivationBasis:
 
 
 def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
+    """Solutions of d_k = d_i + d_j over the nonzero structure constants
+    (see ``_diagonal_torus``)."""
+    return _diagonal_torus(mu, topological_order(mu))
+
+
+def _diagonal_torus(mu: LieBracket, order: list[int] | None) -> DiagonalDerivationSpace:
     """Solutions of d_k = d_i + d_j over the nonzero structure constants,
     found by substitution.
 
@@ -178,7 +221,6 @@ def diagonal_derivations(mu: LieBracket) -> DiagonalDerivationSpace:
     returns for that free column, in the same order.
     """
     n = mu.dim
-    order = topological_order(mu)
     if order is None:
         keys = mu.keys()
     else:
@@ -283,9 +325,12 @@ def _trace_of_square(e: Columns) -> int:
 class Analysis:
     """Der(mu), its Engel flag and the diagonal torus of one bracket, each built on first use.
 
-    ``traceless`` reads the torus, and Der(mu) only when the torus is
-    traceless; ``characteristically_nilpotent`` reads Der(mu), and the
-    Engel flag only when no basis derivation has tr(D^2) != 0.  An
+    The topological order of the index graph is sorted once, for both the
+    nilpotency test and the torus.  ``traceless`` reads the torus, then
+    the weight-zero block of Der(mu) when the torus is nonzero and
+    traceless, and Der(mu) itself only when the torus is zero;
+    ``characteristically_nilpotent`` reads the torus, then Der(mu), and
+    the Engel flag only when no basis derivation has tr(D^2) != 0.  An
     instance serves one call and is dropped with it; nothing is cached
     on the bracket or across calls.
     """
@@ -294,8 +339,17 @@ class Analysis:
         self.mu = mu
 
     @cached_property
+    def order(self) -> list[int] | None:
+        return topological_order(self.mu)
+
+    @cached_property
+    def nilpotent(self) -> bool:
+        """``is_nilpotent``, read off the shared order when the graph sorts."""
+        return self.order is not None or is_nilpotent(self.mu)
+
+    @cached_property
     def dspace(self) -> DiagonalDerivationSpace:
-        return diagonal_derivations(self.mu)
+        return _diagonal_torus(self.mu, self.order)
 
     @cached_property
     def der(self) -> DerivationBasis:
@@ -312,25 +366,33 @@ class Analysis:
         The diagonal torus decides first, and exactly: diag(d) with
         d_k = d_i + d_j on every nonzero constant is itself a derivation,
         of trace sum(d).  So one integer vector of ``dspace`` with a
-        nonzero sum settles the question without Der(mu).  Only a
-        traceless torus reads the traces of ``der``.
+        nonzero sum settles the question without Der(mu).  A nonzero
+        traceless torus grades Der(mu) (``_weight_zero_nullspace``), and
+        the trace, the sum of the E_pp, lives in weight 0: the traces of
+        that block decide.  Only a zero torus reads the traces of ``der``.
         """
         if any(sum(w) for w, _ in self.dspace.integer_basis):
             return False
+        if self.dspace.dim:
+            n = self.mu.dim  # E_pp sits at p*n + p = p*(n + 1)
+            return not any(sum(x for idx, x in v.items() if idx % (n + 1) == 0)
+                           for v in _weight_zero_nullspace(self.mu, self.dspace))
         return not any(_trace(e) for e in self.der.basis)
 
     @cached_property
     def characteristically_nilpotent(self) -> bool:
         """True iff every derivation of mu is nilpotent.
 
-        The basis derivations decide first, in integers: a nilpotent D has
-        a nilpotent D^2, so tr(D^2) = 0, and one basis derivation with
+        A nonzero diagonal derivation is not nilpotent, so a nonzero torus
+        settles the answer without Der(mu).  Otherwise the basis
+        derivations decide first, in integers: a nilpotent D has a
+        nilpotent D^2, so tr(D^2) = 0, and one basis derivation with
         tr(D^2) != 0 settles the answer without the Engel flag (an
         integer derivation is c D for some c > 0, and tr((c D)^2) =
         c^2 tr(D^2)).  Only when every basis derivation has tr(D^2) = 0
         is the flag built.
         """
-        if any(_trace_of_square(e) for e in self.der.basis):
+        if self.dspace.dim or any(_trace_of_square(e) for e in self.der.basis):
             return False
         return self.engel.is_nilpotent
 
@@ -343,18 +405,33 @@ class EngelResult:
     witness_stage: int | None = None
 
 
-def _induced_rows(der: DerivationBasis, flag: Echelon, comp: list[int]):
+def _induced_rows(live: list[Columns], flag: Echelon, comp: list[int], kept: list[Columns]):
     """The rows of each operator Der(mu) induces modulo ``flag``, one
-    operator at a time, over the complement columns ``comp``."""
+    operator at a time, over the complement columns ``comp``.
+
+    A column D e_c that is a pivot of the flag, or that reduces to 0, lies
+    in every later flag too.  So each derivation of ``live`` goes to
+    ``kept`` with its other columns only, and not at all when none is
+    left; one that keeps every column goes as it is.
+    """
     position = {c: i for i, c in enumerate(comp)}
-    for cols in der.basis:
-        reduced = [(position[c], *flag.reduce_scaled(col))
-                   for c, col in cols.items() if c in position]
+    for cols in live:
+        reduced = []
+        for c, col in cols.items():
+            if c in position:
+                rcol, den = flag.reduce_scaled(col)
+                if rcol:
+                    reduced.append((c, rcol, den))
+        if len(reduced) == len(cols):
+            kept.append(cols)
+        elif reduced:
+            kept.append({c: cols[c] for c, _, _ in reduced})
         common = lcm(*(den for _, _, den in reduced))
         induced: dict[int, dict[int, int]] = {}
-        for i, col, den in reduced:
+        for c, rcol, den in reduced:
             scale = common // den
-            for a, v in col.items():
+            i = position[c]
+            for a, v in rcol.items():
                 induced.setdefault(a, {})[i] = v * scale
         yield from induced.values()
 
@@ -368,22 +445,25 @@ def engel_flag(der: DerivationBasis) -> EngelResult:
     V_s is column c of the induced operator, read at those columns.  A
     kernel is that of any nonzero multiple, so each induced operator is
     put over the common denominator of its reduced columns.  The rows
-    reach ``nullspace`` one induced operator at a time: no stage holds
-    them all twice.
+    reach ``nullspace`` one induced operator at a time, and each stage
+    reads only the columns not yet in the flag (``_induced_rows``).
     """
     n = der.dim_algebra
     if not der.basis:
         return EngelResult(True, (n,))
+    live = der.basis
     flag = Echelon(n)
     flag_dims: list[int] = []
     while flag.rank < n:
         comp = flag.free_columns()
-        kernel = nullspace(_induced_rows(der, flag, comp), len(comp))
+        kept: list[Columns] = []
+        kernel = nullspace(_induced_rows(live, flag, comp, kept), len(comp))
         if not kernel:
             return EngelResult(False, tuple(flag_dims), witness_stage=len(flag_dims))
         for kv in kernel:
             flag.add_row({comp[i]: x for i, x in kv.items()})
         flag_dims.append(flag.rank)
+        live = kept
     return EngelResult(True, tuple(flag_dims))
 
 
@@ -413,9 +493,13 @@ def solve_phi(a: Analysis) -> Vec | str:
         # phi = 0 is the only candidate; works iff every trace vanishes
         return INFEASIBLE if any(_trace(e) for e in a.der.basis) else (ZERO,) * n
     cols = [w for w, _ in a.dspace.integer_basis]
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # r -> (m, w_m[r]), w_m[r] != 0
+    for m, w in enumerate(cols):
+        for r, x in enumerate(w):
+            if x:
+                at[r].append((m, x))
     rows = [{0: -sum(w)} for w in cols]  # -b_m at column 0, then G_m
-    for r in range(n):
-        pairs = [(m, w[r]) for m, w in enumerate(cols) if w[r]]
+    for pairs in at:
         for m, x in pairs:
             row = rows[m]
             for m2, x2 in pairs:
@@ -425,11 +509,15 @@ def solve_phi(a: Analysis) -> Vec | str:
         raise InvariantViolation("the torus Gram system does not pin phi")
     s = kernel[0]
     den = s[0]  # phi = num / den
-    num = [sum(s.get(m + 1, 0) * w[r] for m, w in enumerate(cols)) for r in range(n)]
+    num = [sum(s.get(m + 1, 0) * x for m, x in pairs) for pairs in at]
+    # tr(phi . E) - tr(E), times den: sum of (num[c] - den) E_cc
+    excess = [x - den for x in num]
     for e in a.der.basis:
-        diag = _diagonal(e)
-        if sum(num[r] * x for r, x in diag.items()) != den * sum(diag.values()):
-            return INFEASIBLE
+        for c, col in e.items():
+            if c in col:  # only a derivation with a diagonal entry can fail
+                if sum(excess[q] * e[q][q] for q in e if q in e[q]):
+                    return INFEASIBLE
+                break
     return tuple(Fraction(x, den) for x in num)
 
 

@@ -227,28 +227,53 @@ def nullspace(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[int, int]
     row has a single entry; only the rest is eliminated.  e_c lies in the
     row space for each pinned c, so it is the pivot row of c in the unique
     reduced form, and the other pivot rows are those of the remaining rows:
-    the basis is the same as eliminating every row.
+    the basis is the same as eliminating every row.  The presolve leaves
+    the rows as they are: a row with one nonzero entry pins it at once,
+    and of the others it keeps the nonzero columns (the row itself when
+    it has no zero) and, only when some unknown is pinned, counts those
+    not pinned.  Only a row left with two or more reaches the echelon.
     """
-    rows = [{c: v for c, v in r.items() if v} for r in rows]
-    by_col: dict[int, list[dict]] = {}
-    for r in rows:
-        for c in r:
-            by_col.setdefault(c, []).append(r)
     pinned = set()
-    singles = [c for r in rows if len(r) == 1 for c in r]
-    while singles:
-        c = singles.pop()
-        if c in pinned:
-            continue
-        pinned.add(c)
-        for r in by_col[c]:
-            del r[c]
-            if len(r) == 1:
-                singles.extend(r)
-    ech = Echelon(ncols)
+    multi = []  # (row, its nonzero columns) for rows with two or more
     for r in rows:
-        if r:
+        if len(r) == 1:
+            (c, v), = r.items()
+            if v:
+                pinned.add(c)
+        elif r and 0 not in r.values():
+            multi.append((r, r))
+        else:
+            nz = [c for c, v in r.items() if v]
+            if len(nz) > 1:
+                multi.append((r, nz))
+            elif nz:
+                pinned.add(nz[0])
+    ech = Echelon(ncols)
+    if not pinned:
+        for r, _ in multi:
             ech.add_row(r)
+        return ech.nullspace_basis()
+    count = []
+    by_col: dict[int, list[int]] = {}
+    for m, (_, nz) in enumerate(multi):
+        live = [c for c in nz if c not in pinned]
+        count.append(len(live))
+        for c in live:
+            by_col.setdefault(c, []).append(m)
+    singles = [m for m, k in enumerate(count) if k == 1]
+    while singles:
+        m = singles.pop()
+        if count[m] != 1:  # its last entry was pinned by another row
+            continue
+        c = next(c for c in multi[m][1] if c not in pinned)
+        pinned.add(c)
+        for m2 in by_col[c]:
+            count[m2] -= 1
+            if count[m2] == 1:
+                singles.append(m2)
+    for (r, nz), k in zip(multi, count):
+        if k > 1:
+            ech.add_row({c: r[c] for c in nz if c not in pinned})
     for c in pinned:
         ech.pivots[c] = {c: 1}
     return ech.nullspace_basis()

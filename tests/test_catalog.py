@@ -79,10 +79,11 @@ def test_regression_flags_do_not_fail():
 
 def test_regression_solves_der_mu_once_per_bracket(monkeypatch):
     # the traceless, char-nilpotent, phi-diagonal and nilradical-verdict
-    # checks share one Der(mu) per bracket (heis3, ex10, ex3, ex4-1, ex4-2)
-    # and one Engel flag, built only where every basis derivation has
-    # tr(D^2) = 0 (ex4-1, ex4-2; ex3 and ex10 have one with tr(D^2) != 0,
-    # and heis3 has no char-nilpotent check)
+    # checks share one Der(mu) per bracket that needs it (heis3, ex10,
+    # ex4-1, ex4-2; ex3's nonzero traceless torus settles both obstructions
+    # on its weight-zero block) and one Engel flag, built only where every
+    # basis derivation has tr(D^2) = 0 (ex4-1, ex4-2; ex10 has one with
+    # tr(D^2) != 0, and heis3 has no char-nilpotent check)
     calls = []
     solve, flag = derivations._derivation_nullspace, derivations.engel_flag
 
@@ -97,4 +98,4 @@ def test_regression_solves_der_mu_once_per_bracket(monkeypatch):
     monkeypatch.setattr(derivations, "_derivation_nullspace", counted)
     monkeypatch.setattr(derivations, "engel_flag", counted_flag)
     assert run_regression().ok
-    assert (calls.count("der"), calls.count("engel")) == (5, 2)
+    assert (calls.count("der"), calls.count("engel")) == (4, 2)

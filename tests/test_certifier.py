@@ -509,35 +509,45 @@ def test_nilradical_n4nonice_uses_degeneration():
     assert v.d == (F(0), x, x, x) and x > 0
 
 
-def _nilradical_counting_engel_flags(monkeypatch, id_):
+def _nilradical_counting_der_mu(monkeypatch, id_):
+    """certify_nilradical on a catalog entry, with the number of full Der(mu)
+    solves and of Engel flags it made."""
     calls = []
-    flag = derivations.engel_flag
+    solve, flag = derivations._derivation_nullspace, derivations.engel_flag
 
-    def counted(der):
-        calls.append(der)
+    def counted(mu):
+        calls.append("der")
+        return solve(mu)
+
+    def counted_flag(der):
+        calls.append("engel")
         return flag(der)
 
-    monkeypatch.setattr(derivations, "engel_flag", counted)
-    return certify_nilradical(catalog_get(id_)), len(calls)
+    monkeypatch.setattr(derivations, "_derivation_nullspace", counted)
+    monkeypatch.setattr(derivations, "engel_flag", counted_flag)
+    return certify_nilradical(catalog_get(id_)), calls.count("der"), calls.count("engel")
 
 
 def test_nilradical_traceless_obstruction(monkeypatch):
-    # a basis derivation with tr(D^2) != 0 settles the Engel question: no flag
-    for id_ in ("ex3", "ex10"):
-        v, flags = _nilradical_counting_engel_flags(monkeypatch, id_)
-        assert (v.status, v.scope, v.obstruction, flags) == (
+    # ex3's nonzero torus is not nilpotent, and its weight-zero block is
+    # traceless: no Der(mu), no flag; ex10 has no torus, and a basis
+    # derivation with tr(D^2) != 0 settles the Engel question: no flag
+    for id_, ders in (("ex3", 0), ("ex10", 1)):
+        v, der, flags = _nilradical_counting_der_mu(monkeypatch, id_)
+        assert (v.status, v.scope, v.obstruction, der, flags) == (
             CERTIFIED_NOT_RN, SCOPE_ALGEBRA,
-            "every derivation is traceless, so all solvable extensions are unimodular", 0)
+            "every derivation is traceless, so all solvable extensions are unimodular",
+            ders, 0)
 
 
 def test_nilradical_engel_obstruction(monkeypatch):
     # every basis derivation has tr(D^2) = 0: one flag decides, and names its dimensions
     for id_, dims in (("ex4-1", "3,6,9,12"), ("ex4-2", "4,6,8,12")):
-        v, flags = _nilradical_counting_engel_flags(monkeypatch, id_)
-        assert (v.status, v.scope, v.obstruction, flags) == (
+        v, der, flags = _nilradical_counting_der_mu(monkeypatch, id_)
+        assert (v.status, v.scope, v.obstruction, der, flags) == (
             CERTIFIED_NOT_RN, SCOPE_ALGEBRA,
             "characteristically nilpotent: every derivation is nilpotent "
-            f"(Engel flag of dimensions {dims})", 1)
+            f"(Engel flag of dimensions {dims})", 1, 1)
 
 
 def _listed_derivations():

@@ -16,10 +16,12 @@ neither calls ``nullspace`` or builds an ``Echelon``.  The
 integer torus is checked against the lcm of its rational basis's
 denominators.  Witness metrics are built for every derivation
 of the generated algebras that gets a cone certificate.  The traceless
-decision, made on the diagonal torus before Der(mu), is checked against
-the traces of the dense Der(mu), and the characteristically-nilpotent
-decision, made on tr(D^2) of the basis derivations before the Engel
-flag, against the flag.  Der(mu) is also checked against its dense
+decision, made on the diagonal torus and its weight-zero block before
+Der(mu), is checked against the traces of the dense Der(mu), and the
+weight-zero block against the weight-zero projection of the dense
+Der(mu); the characteristically-nilpotent decision, made on the torus
+and on tr(D^2) of the basis derivations before the Engel flag, against
+the flag.  Der(mu) is also checked against its dense
 reference on the catalog's brackets of dim 11 to 17, beyond the
 generated sums.
 
@@ -65,7 +67,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nilcone.catalog import catalog_entry, catalog_get, catalog_list
+from nilcone.catalog import FAMILY_SAMPLES, catalog_entry, catalog_get, catalog_list
 from nilcone import certifier, derivations, liecore
 from nilcone.certifier import (
     CERTIFIED_NOT_RN,
@@ -381,9 +383,73 @@ N4NICE_MOVED = act(
 )
 
 
+# a one-dimensional torus, zero on the ex10 summand: 154 of the 484
+# unknowns E_pq have weight 0, more than the diagonal
+EX3_EX10 = direct_sum([catalog_get("ex3"), catalog_get("ex10")])
+
+
+def _assert_weight_zero_block(mu: LieBracket, full: list[dict[int, int]]):
+    """The weight-zero block spans the weight-zero projection of the full
+    Der(mu) basis ``full`` (E_pq at p*n + q), and is the part of
+    ``_derivation_nullspace`` that lies in weight 0."""
+    n = mu.dim
+    dspace = diagonal_derivations(mu)
+    weight = [tuple(v[p] for v in dspace.basis) for p in range(n)]
+    zero = {p * n + q for p in range(n) for q in range(n) if weight[p] == weight[q]}
+    block = derivations._weight_zero_nullspace(mu, dspace)
+    assert all(set(v) <= zero for v in block)
+
+    def span(vectors):
+        ech = FractionEchelon(n * n)
+        for v in vectors:
+            ech.add_row(v)
+        return ech.pivots
+
+    assert span(block) == span({idx: x for idx, x in v.items() if idx in zero} for v in full)
+    assert block == [v for v in derivations._derivation_nullspace(mu) if set(v) <= zero]
+
+
+def _flat(e) -> dict[int, F]:
+    n = len(e)
+    return {r * n + c: x for r in range(n) for c in range(n) if (x := e[r][c])}
+
+
+@settings(max_examples=25)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
+@example(catalog_get("ex3"))  # 11 of 121 unknowns: the diagonal
+@example(EX3_EX10)
+def test_weight_zero_block_spans_the_weight_zero_part_of_der_mu(mu):
+    _assert_weight_zero_block(mu, [_flat(e) for e in reference_derivation_algebra(mu)])
+
+
+def test_weight_zero_block_on_the_catalog():
+    for id_, _, _ in catalog_list():
+        entry = catalog_entry(id_)
+        for t in FAMILY_SAMPLES if entry.params else (None,):
+            mu = entry.bracket(t=t) if entry.params else entry.bracket()
+            _assert_weight_zero_block(mu, derivations._derivation_nullspace(mu))
+
+
+def test_weight_zero_block_sizes(monkeypatch):
+    # the block of ex3 is its diagonal; that of ex3 + ex10 is larger
+    columns = []
+    rows = derivations._derivation_rows
+
+    def counted(mu, cols=None):
+        columns.append(cols)
+        return rows(mu, cols)
+
+    monkeypatch.setattr(derivations, "_derivation_rows", counted)
+    for mu, want in ((catalog_get("ex3"), 11), (EX3_EX10, 154)):
+        columns.clear()
+        derivations._weight_zero_nullspace(mu, diagonal_derivations(mu))
+        assert [len(c) for c in columns] == [want]
+
+
 @settings(max_examples=40)
 @given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
-@example(catalog_get("ex3"))  # traceless, not characteristically nilpotent
+@example(catalog_get("ex3"))  # traceless torus: the weight-zero block decides
+@example(EX3_EX10)
 @example(catalog_get("ex4-1"))  # traceless and characteristically nilpotent
 @example(catalog_get("heis3"))  # decided by the diagonal torus
 @example(N4NICE_MOVED)  # traceless torus, traced Der(mu): the fallback says no
@@ -415,12 +481,37 @@ def test_certify_nilradical_solves_der_mu_at_most_once(monkeypatch):
         calls.append(mu)
         return solve(mu)
 
+    block = derivations._weight_zero_nullspace
+
+    def counted_block(mu, dspace):
+        calls.append("block")
+        return block(mu, dspace)
+
     monkeypatch.setattr(derivations, "_derivation_nullspace", counted)
-    for mu, want in ((catalog_get("heis3"), 0), (FILIFORM_12, 0),
-                     (catalog_get("ex4-1"), 1), (catalog_get("ex3"), 1)):
+    monkeypatch.setattr(derivations, "_weight_zero_nullspace", counted_block)
+    # ex3 has a nonzero traceless torus: only its weight-zero block is solved
+    for mu, der, blocks in ((catalog_get("heis3"), 0, 0), (FILIFORM_12, 0, 0),
+                            (catalog_get("ex4-1"), 1, 0), (catalog_get("ex3"), 0, 1)):
         calls.clear()
         certify_nilradical(mu)
-        assert len(calls) == want, mu
+        assert (len(calls) - calls.count("block"), calls.count("block")) == (der, blocks), mu
+
+
+def test_certify_nilradical_sorts_the_index_graph_once(monkeypatch):
+    calls = []
+    order = liecore.topological_order
+
+    def counted(mu):
+        calls.append(mu)
+        return order(mu)
+
+    monkeypatch.setattr(liecore, "topological_order", counted)
+    monkeypatch.setattr(derivations, "topological_order", counted)
+    for mu in (catalog_get("heis3"), catalog_get("ex3"), catalog_get("ex4-1"),
+               catalog_get("dim7-alg4"), catalog_entry("ex1ex2ex5-iii").bracket(t=F(1, 2))):
+        calls.clear()
+        certify_nilradical(mu)
+        assert len(calls) == 1, mu
 
 
 def _pair(mu: LieBracket, e) -> F:
@@ -440,6 +531,7 @@ def _unit(n: int, a: int, b: int):
 @given(nilpotent_algebras())
 @example(catalog_get("ex10"))  # fails at stage 1: witness operators on a proper quotient
 @example(catalog_get("ex4-1"))  # characteristically nilpotent: the flag reaches n
+@example(EX3_EX10)  # fails at stage 1, after columns of both summands settle
 def test_engel_flag_matches_adapted_basis_reference(mu):
     assert engel_flag(derivation_algebra(mu)) == reference_engel(mu)
 
@@ -453,8 +545,9 @@ def test_derivation_algebra_matches_the_reference_beyond_the_generated_sizes(id_
 
 @settings(max_examples=40)
 @given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
-@example(catalog_get("ex3"))  # tr(D^2) != 0 on the first basis derivation
-@example(catalog_get("ex10"))
+@example(catalog_get("ex3"))  # a nonzero torus: not characteristically nilpotent
+@example(EX3_EX10)
+@example(catalog_get("ex10"))  # tr(D^2) != 0 on a basis derivation
 @example(catalog_get("ex4-1"))  # every tr(D^2) = 0: the flag decides
 @example(catalog_get("ex4-2"))
 @example(LieBracket(3, {}))  # gl(3): D = E_11 has tr(D^2) = 1
