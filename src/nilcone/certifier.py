@@ -24,7 +24,7 @@ from .derivations import (
 from .errors import InputError, InvariantViolation, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, parse_bracket, center
 from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
-from .momentricci import MetricExtension, _negative_definite, _ricci_negative, is_ricci_negative
+from .momentricci import MetricExtension, _positive_definite, _ricci_negative, is_ricci_negative
 from .polytope import (
     Weights,
     face_by_remainders,
@@ -106,12 +106,12 @@ def _positive_on_center(mu: LieBracket, e: tuple[int, ...]) -> bool:
     A sink r settles a failure before the center is solved for: e_r is
     central and D e_r = D_r e_r, so D_r <= 0 there already fails the
     test.  Otherwise the center need not be spanned by standard basis
-    vectors, so the restriction is tested as a quadratic form: minus its
-    Gram matrix must pass the exact Sylvester test.  The Gram matrix is
-    built in integers from e and the integer center basis.  Each integer
-    center vector is a positive multiple of a rational basis vector, and
-    e of D, so every leading principal minor is the rational one times a
-    positive factor, which keeps the verdict.
+    vectors, so the restriction is tested as a quadratic form: its Gram
+    matrix, built in integers from e and the integer center basis as dict
+    rows, must pass the exact Sylvester test.  Each integer center vector
+    is a positive multiple of a rational basis vector, and e of D, so
+    every leading principal minor is the rational one times a positive
+    factor, which keeps the verdict.
     """
     if any(e[r] <= 0 for r in _sinks(mu)):
         return False
@@ -119,9 +119,9 @@ def _positive_on_center(mu: LieBracket, e: tuple[int, ...]) -> bool:
     if not z:
         return True
     # only coordinates where e and both center vectors are nonzero add
-    weighted = [[(r, -e[r] * v) for r, v in za.items() if e[r]] for za in z]
-    return _negative_definite(
-        [[sum([w * zb[r] for r, w in dza if r in zb]) for zb in z] for dza in weighted])
+    weighted = [[(r, e[r] * v) for r, v in za.items() if e[r]] for za in z]
+    return _positive_definite([{b: sum([w * zb[r] for r, w in dza if r in zb])
+                                for b, zb in enumerate(z)} for dza in weighted])
 
 
 def membership_certificate(

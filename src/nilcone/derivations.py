@@ -357,6 +357,11 @@ class Analysis:
 
     @cached_property
     def engel(self) -> EngelResult:
+        """``engel_flag(der)``, which fails at stage 0 without the flag when
+        the integer torus vectors w_m cover every index: each diag(w_m) is
+        a derivation, so Der(mu) has no common kernel."""
+        if self.dspace.dim and all(map(any, zip(*(w for w, _ in self.dspace.integer_basis)))):
+            return EngelResult(False, (), witness_stage=0)
         return engel_flag(self.der)
 
     @cached_property

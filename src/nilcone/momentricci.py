@@ -5,11 +5,11 @@ bracket [e1, e2] = e3 being Diag(-1, -1, 1): the squared norm is the
 plain sum of squared structure constants and the moment map satisfies
 tr(m(mu) E) = <E.mu, mu> / |mu|^2 with no extra factor.
 
-Every matrix is accumulated in ints from one pass over the nonzero
-structure constants, scaled to integers, and divided by that scale once
-(for the extension, the scale T of ``_integer_ricci``); entries that no
-constant reaches are the shared ``ZERO``.  The Sylvester test runs on
-integer rows.
+Every matrix stays as its nonzero upper entries, summed in ints from the
+constants scaled to integers, until a public ``Mat`` is built once: one
+``Fraction(x, t)`` per entry over that scale, the shared ``ZERO`` elsewhere.
+One dict-row elimination in natural order is the Sylvester test of the
+Ricci matrix, of the Gram matrix on the center and of a public ``Mat``.
 """
 
 from __future__ import annotations
@@ -23,14 +23,7 @@ from typing import Iterable
 from .derivations import require_diagonal_derivation
 from .errors import InputError
 from .liecore import Key, LieBracket
-from .linalg import (
-    Mat,
-    Vec,
-    ZERO,
-    frac,
-    integer_row,
-    primitive,
-)
+from .linalg import Mat, Vec, ZERO, frac, integer_row
 
 Upper = dict[tuple[int, int], int]
 
@@ -63,17 +56,12 @@ def _moment_sum(constants: Iterable[tuple[Key, int]]) -> Upper:
     return {key: x for key, x in s.items() if x}
 
 
-def _dense(n: int, upper: Upper) -> list[list[int]]:
-    """Rows of the symmetric matrix with the given upper triangle; 0 everywhere else."""
-    rows = [[0] * n for _ in range(n)]
+def _over(n: int, upper: Upper, t) -> Mat:
+    """The symmetric n x n matrix with upper triangle upper / t, else ZERO."""
+    rows = [[ZERO] * n for _ in range(n)]
     for (a, b), x in upper.items():
-        rows[a][b] = rows[b][a] = x
-    return rows
-
-
-def _over(rows: list[list[int]], t) -> Mat:
-    """The rational matrix rows / t; its zero entries are the shared ZERO."""
-    return tuple(tuple(Fraction(x, t) if x else ZERO for x in row) for row in rows)
+        rows[a][b] = rows[b][a] = Fraction(x, t)
+    return tuple(map(tuple, rows))
 
 
 def moment_map(mu: LieBracket) -> Mat:
@@ -84,7 +72,7 @@ def moment_map(mu: LieBracket) -> Mat:
     c = integer_row(mu.constants.values())
     if not c:
         raise InputError("moment map is undefined at the zero bracket")
-    return _over(_dense(mu.dim, _moment_sum(zip(mu.constants, c))), sum(x * x for x in c))
+    return _over(mu.dim, _moment_sum(zip(mu.constants, c)), sum(x * x for x in c))
 
 
 def moment_diagonal(mu: LieBracket) -> Vec:
@@ -104,12 +92,12 @@ def moment_diagonal(mu: LieBracket) -> Vec:
 def nil_ricci(mu: LieBracket) -> Mat:
     """Ricci operator of the bracket with the basis declared orthonormal.
 
-    Equals (|mu|^2 / 2) m(mu); the zero bracket is flat.
+    Equals (|mu|^2 / 2) m(mu) = S(mu) / 2, which is S(C) / (2 (C_1 / mu_1)^2)
+    for C = integer_row(mu); the zero bracket is flat.
     """
-    if mu.is_zero():
-        return _over(_dense(mu.dim, {}), 1)
-    half = norm_squared(mu) / 2
-    return tuple(tuple(half * x if x else ZERO for x in row) for row in moment_map(mu))
+    c = integer_row(mu.constants.values())
+    t = 2 * (c[0] / next(iter(mu.constants.values()))) ** 2 if c else 1
+    return _over(mu.dim, _moment_sum(zip(mu.constants, c)), t)
 
 
 @dataclass(frozen=True)
@@ -139,9 +127,10 @@ class MetricExtension:
         require_diagonal_derivation(self.d, self.mu)
 
 
-def _integer_ricci(mu: LieBracket, d: Vec, s: Fraction, h: Vec) -> tuple[list[list[int]], int]:
-    """(M, T) in ints with T Ric = M, Ric the matrix of ``extension_ricci``
-    for the extension (mu, d, s, h), whose parts it takes unchecked.
+def _integer_ricci(mu: LieBracket, d: Vec, s: Fraction, h: Vec) -> tuple[Upper, int]:
+    """(M, T) with T Ric = M, Ric the matrix of ``extension_ricci`` for the
+    extension (mu, d, s, h), whose parts it takes unchecked; M is given by
+    its nonzero int entries (a, b), a <= b.
 
     T = 2 L^2 dd^2, with L the lcm of the denominators of the constants
     c' = s h_k / (h_i h_j) c of nu and dd that of d's, so C = L c' and
@@ -161,19 +150,19 @@ def _integer_ricci(mu: LieBracket, d: Vec, s: Fraction, h: Vec) -> tuple[list[li
     dd = lcm(*[x.denominator for x in d])
     e = [x.numerator * (dd // x.denominator) for x in d]
     c = [(key, num * (ell // den)) for key, num, den in scaled]
-    m = _dense(mu.dim + 1, {(a + 1, b + 1): dd * dd * x for (a, b), x in _moment_sum(c).items()})
-    row0, t, f = m[0], 2 * ell * ell, 2 * ell * dd
-    row0[0] = -t * sum(x * x for x in e)
+    m = {(a + 1, b + 1): dd * dd * x for (a, b), x in _moment_sum(c).items()}
+    t, f = 2 * ell * ell, 2 * ell * dd
+    m[0, 0] = -t * sum(x * x for x in e)
     for (i, j, k), x in c:
         if k == j:
-            row0[i] -= f * e[k - 1] * x
+            m[0, i] = m.get((0, i), 0) - f * e[k - 1] * x
         elif k == i:
-            row0[j] += f * e[k - 1] * x
+            m[0, j] = m.get((0, j), 0) + f * e[k - 1] * x
     tre = t * sum(e)
     for a, x in enumerate(e, start=1):
-        m[a][0] = row0[a]
-        m[a][a] -= tre * x
-    return m, t * dd * dd
+        if x:
+            m[a, a] = m.get((a, a), 0) - tre * x
+    return {key: x for key, x in m.items() if x}, t * dd * dd
 
 
 def extension_ricci(ext: MetricExtension) -> Mat:
@@ -186,40 +175,48 @@ def extension_ricci(ext: MetricExtension) -> Mat:
     (row i) or k = i (row j, opposite sign) reach row 0.  Each nonzero
     entry is one Fraction(x, T) of the integer kernel's M = T Ric.
     """
-    return _over(*_integer_ricci(ext.mu, ext.d, ext.s, ext.h))
+    return _over(ext.mu.dim + 1, *_integer_ricci(ext.mu, ext.d, ext.s, ext.h))
 
 
-def _negative_definite(rows: list) -> bool:
-    """Exact Sylvester test, every leading minor of -A positive, on int
-    rows each a positive multiple of that row of A: no minor changes sign.
+def _positive_definite(rows: list[dict[int, int]]) -> bool:
+    """Exact Sylvester test, every leading minor of B positive, on rows
+    {column: int}, each a positive multiple of that row of B (absent
+    entries are 0): no minor changes sign.
 
-    Elimination without row exchanges replaces each later row with a
-    nonzero f under the pivot p > 0 by p row - f prow, divided by its gcd,
-    which again scales the leading minors by positive factors.  So minor
-    k of -A is a positive multiple of the product of the first k pivots,
-    and the test fails at the first pivot that is not positive.
+    Elimination without row exchanges, pivot k at column k, replaces each
+    later row with a nonzero f at column k under the pivot p > 0 by
+    p row - f prow over the columns right of k, divided by its gcd, which
+    again scales the leading minors by positive factors.  So minor k of B
+    is a positive multiple of the product of the first k pivots, and the
+    test fails at the first pivot that is not positive.
     """
-    rows = [[-x for x in r] for r in rows]
-    for k in range(len(rows)):
-        prow = rows[k]
-        p = prow[0]
+    for k, prow in enumerate(rows):
+        p = prow.get(k, 0)
         if p <= 0:
             return False
-        tail = prow[1:]
+        tail = [(b, y) for b, y in prow.items() if b > k]
         for r in range(k + 1, len(rows)):
-            row = rows[r]
-            f = row[0]
+            f = rows[r].get(k)
             if f:
-                rows[r] = primitive([p * x - f * y for x, y in zip(row[1:], tail)])
-            else:
-                rows[r] = row[1:]
+                new = {b: p * x for b, x in rows[r].items() if b > k}
+                for b, y in tail:
+                    new[b] = new.get(b, 0) - f * y
+                g = gcd(*new.values())
+                rows[r] = {b: x // g for b, x in new.items() if x}
     return True
 
 
 def is_negative_definite(a: Mat) -> bool:
     """Exact Sylvester test: every leading minor of -A is positive, by
-    ``_negative_definite`` on the coprime integer rows of A."""
-    return _negative_definite([integer_row(r) for r in a])
+    ``_positive_definite`` on the coprime integer rows of -A's nonzero entries."""
+    rows = []
+    for r in a:
+        nonzero = [(b, x) for b, x in enumerate(r) if x is not ZERO and x]
+        den = lcm(*[x.denominator for _, x in nonzero])
+        ints = {b: -x.numerator * (den // x.denominator) for b, x in nonzero}
+        g = gcd(*ints.values())
+        rows.append({b: x // g for b, x in ints.items()})
+    return _positive_definite(rows)
 
 
 def is_ricci_negative(ext: MetricExtension) -> bool:
@@ -231,4 +228,7 @@ def _ricci_negative(mu: LieBracket, d: Vec, s: Fraction, h: Vec) -> bool:
     """``is_ricci_negative`` on the parts of an extension, which it takes
     unchecked: the witness search tests its candidates here and builds a
     ``MetricExtension`` only for the one it returns."""
-    return _negative_definite(_integer_ricci(mu, d, s, h)[0])
+    rows: list[dict[int, int]] = [{} for _ in range(mu.dim + 1)]
+    for (a, b), x in _integer_ricci(mu, d, s, h)[0].items():
+        rows[a][b] = rows[b][a] = -x
+    return _positive_definite(rows)

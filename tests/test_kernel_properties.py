@@ -114,11 +114,12 @@ from nilcone.linalg import (
     integer_row,
     leading_principal_minors,
     nullspace,
+    primitive,
 )
 from nilcone.momentricci import (
     MetricExtension,
     _integer_ricci,
-    _negative_definite,
+    _positive_definite,
     extension_ricci,
     is_negative_definite,
     is_ricci_negative,
@@ -386,6 +387,8 @@ N4NICE_MOVED = act(
 # a one-dimensional torus, zero on the ex10 summand: 154 of the 484
 # unknowns E_pq have weight 0, more than the diagonal
 EX3_EX10 = direct_sum([catalog_get("ex3"), catalog_get("ex10")])
+# sinks e_3 and e_4 of heis3 + a line; its torus covers every index
+HEIS3_PLUS_LINE = LieBracket(4, {(1, 2, 3): F(1)})
 
 
 def _assert_weight_zero_block(mu: LieBracket, full: list[dict[int, int]]):
@@ -554,6 +557,15 @@ def test_derivation_algebra_matches_the_reference_beyond_the_generated_sizes(id_
 def test_characteristically_nilpotent_matches_the_engel_flag(mu):
     want = engel_flag(derivation_algebra(mu)).is_nilpotent
     assert Analysis(mu).characteristically_nilpotent == want
+
+
+@settings(max_examples=40)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False)))
+@example(HEIS3_PLUS_LINE)  # the torus covers every index: stage 0 without the flag
+@example(catalog_get("ex3"))  # the torus misses an index: the flag fails at stage 1
+@example(catalog_get("ex4-1"))  # zero torus: the flag reaches n
+def test_analysis_engel_matches_the_flag(mu):
+    assert Analysis(mu).engel == engel_flag(derivation_algebra(mu))
 
 
 def reference_phi(der: DerivationBasis, dspace: DiagonalDerivationSpace):
@@ -1777,19 +1789,44 @@ def test_necessary_condition_keeps_its_verdict_on_the_integer_center(case):
         assert v.obstruction == (None if ok else f"necessary condition fails: {reason}")
 
 
+def reference_negative_definite(rows: list) -> bool:
+    """Exact Sylvester test, every leading minor of -A positive, on dense
+    int rows each a positive multiple of that row of A: no minor changes
+    sign.
+
+    Elimination without row exchanges replaces each later row with a
+    nonzero f under the pivot p > 0 by p row - f prow, divided by its gcd,
+    which again scales the leading minors by positive factors.  So minor
+    k of -A is a positive multiple of the product of the first k pivots,
+    and the test fails at the first pivot that is not positive.
+    """
+    rows = [[-x for x in r] for r in rows]
+    for k in range(len(rows)):
+        prow = rows[k]
+        p = prow[0]
+        if p <= 0:
+            return False
+        tail = prow[1:]
+        for r in range(k + 1, len(rows)):
+            row = rows[r]
+            f = row[0]
+            if f:
+                rows[r] = primitive([p * x - f * y for x, y in zip(row[1:], tail)])
+            else:
+                rows[r] = row[1:]
+    return True
+
+
 def reference_positive_on_center(mu: LieBracket, e) -> bool:
-    """``certifier._positive_on_center`` with no sink test: the integer Gram
-    matrix of minus D on the integer center basis, always solved for."""
+    """``certifier._positive_on_center`` with no sink test: the dense
+    integer Gram matrix of minus D on the integer center basis, always
+    solved for."""
     z = center(mu)
     if not z:
         return True
     weighted = [[(r, -e[r] * v) for r, v in za.items() if e[r]] for za in z]
-    return _negative_definite(
+    return reference_negative_definite(
         [[sum([w * zb[r] for r, w in dza if r in zb]) for zb in z] for dza in weighted])
-
-
-# sinks e_3 and e_4 of heis3 + a line; D = (1, 1, 2, -1) fails at the sink e_4
-HEIS3_PLUS_LINE = LieBracket(4, {(1, 2, 3): F(1)})
 
 
 @settings(max_examples=80)
@@ -2070,7 +2107,8 @@ def metric_extensions(draw) -> MetricExtension:
 
 
 def _exact(m) -> bool:
-    return all(type(x) is F for row in m for x in row)
+    """Every entry a Fraction, and every zero entry the shared ZERO."""
+    return all(type(x) is F and (x or x is ZERO) for row in m for x in row)
 
 
 @settings(max_examples=150)
@@ -2112,10 +2150,14 @@ def _heis3_beyond_float_range() -> MetricExtension:
 @example(MetricExtension(catalog_get("heis3"), (F(1, 2), F(1, 3), F(5, 6)), F(3, 7), (ONE, F(2), F(1, 3))))
 @example(MetricExtension(LieBracket(3, {}), (F(1, 2), F(-1, 3), F(2)), F(3), (ONE, F(2), F(1, 5))))  # L = lcm() = 1
 def test_integer_ricci_kernel_matches_the_reference(ext):
-    m, t = _integer_ricci(ext.mu, ext.d, ext.s, ext.h)
+    upper, t = _integer_ricci(ext.mu, ext.d, ext.s, ext.h)
     ref = reference_extension_ricci(ext)
-    assert t > 0 and all(type(x) is int for row in m for x in row)
-    assert tuple(tuple(F(x, t) for x in row) for row in m) == ref
+    n = ext.mu.dim + 1
+    assert t > 0 and all(0 <= a <= b < n and type(x) is int and x for (a, b), x in upper.items())
+    m = [[ZERO] * n for _ in range(n)]
+    for (a, b), x in upper.items():
+        m[a][b] = m[b][a] = F(x, t)
+    assert tuple(map(tuple, m)) == ref
     assert is_ricci_negative(ext) == sylvester_negative_definite(ref)
 
 
@@ -2167,6 +2209,30 @@ def _with_examples(cases):
 @_with_examples(WITNESS_RICCI)
 def test_sign_test_is_the_sylvester_reading_of_the_minors(a):
     assert is_negative_definite(a) == sylvester_negative_definite(a)
+
+
+def _shared_zeros(a):
+    return [[ZERO if x == 0 else x for x in row] for row in a]
+
+
+@settings(max_examples=200)
+@given(st.one_of(rational_matrices(), rational_matrices().map(_symmetrized)))
+@example([[F(-1), ZERO, F(0)], [F(0), F(-2), ZERO], [ZERO, F(0), F(-3)]])  # both zeros, definite
+@example([[ZERO, ONE], [ONE, F(-1)]])  # first pivot 0
+@example([[F(0), F(-1)], [F(-1), ZERO]])  # first pivot a separate Fraction(0)
+@example([[F(-1), F(3)], [ZERO, F(-1)]])  # not symmetric: minors -1, 1
+@example([[F(-1), F(0)], [F(3), F(2)]])  # not symmetric: minors -1, -2
+@example([[F(-1), F(1), F(0)], [F(-1), F(-1), ZERO], [F(0), F(2), F(-1)]])  # not symmetric, definite
+@example([[F(-1), ZERO, F(1)], [F(-3), F(-1), ZERO], [ZERO, F(-1), F(-1)]])  # A_12 = 0, A_21 != 0: det 2
+def test_dict_row_sign_test_matches_the_dense_elimination(a):
+    """The dict-row elimination runs the dense one's steps in the same
+    order, so both read the leading minors of -A, symmetric or not, and
+    neither depends on which zero object an entry is."""
+    want = sylvester_negative_definite(a)
+    assert reference_negative_definite([integer_row(r) for r in a]) == want
+    assert is_negative_definite(a) == is_negative_definite(_shared_zeros(a)) == want
+    rows = [{b: -x for b, x in enumerate(integer_row(r)) if x} for r in a]
+    assert _positive_definite(rows) == want
 
 
 def test_witness_examples_include_the_accepted_ricci_matrices():
