@@ -23,7 +23,7 @@ from .derivations import (
 )
 from .errors import InputError, InvariantViolation, ParseError
 from .liecore import Key, LieBracket, emit_bracket, is_nice_basis, parse_bracket, center
-from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row
+from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row, primitive
 from .momentricci import MetricExtension, _positive_definite, _ricci_negative, is_ricci_negative
 from .polytope import (
     Weights,
@@ -137,7 +137,7 @@ def membership_certificate(
     if degeneration is not None:
         alpha, j_set = degeneration
         degeneration = (alpha(), j_set)
-    return Certificate(kind, tuple(d), degeneration, coefficients, slack)
+    return Certificate(kind, tuple(map(frac, d)), degeneration, coefficients, slack)
 
 
 def certify_derivation(
@@ -263,18 +263,18 @@ def _certified(mu: LieBracket, scope: str, cert: Certificate) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _torus_point(dspace: DiagonalDerivationSpace, t_scaled) -> Vec:
-    """point(t) at t_m = L_m t'_m, for the t' a torus LP finds.
-
-    The torus LPs run on the integer columns L_m v_m of
-    ``dspace.integer_basis``; t is then the point the LP over the rational
-    columns v_m finds, since the simplex takes the same pivots.
-    """
-    return dspace.point([tm * vden for tm, (_, vden) in zip(t_scaled, dspace.integer_basis)])
+def _torus_sum(dspace: DiagonalDerivationSpace, num) -> list[int]:
+    """sum num_m w_m over the integer columns w_m = L_m v_m of
+    ``dspace.integer_basis``: a torus LP on them finds t' = num / den, the
+    LP on the rational v_m finds t_m = L_m t'_m (the same pivots), and
+    point(t) = sum t'_m w_m is this sum over den."""
+    return [sum(map(operator.mul, num, row)) for row in zip(*[w for w, _ in dspace.integer_basis])]
 
 
-def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Vec | None:
-    """LP for a derivation with all diagonal entries positive.
+def _positive_diagonal_derivation(
+    dspace: DiagonalDerivationSpace, n: int
+) -> tuple[Vec, Fraction] | None:
+    """LP for a derivation D with all diagonal entries positive: (D, min D).
 
     An index where every torus vector vanishes is a zero row, and
     ``max_margin`` returns None for it before the simplex runs; with no
@@ -282,18 +282,25 @@ def _positive_diagonal_derivation(dspace: DiagonalDerivationSpace, n: int) -> Ve
     """
     cols = [v for v, _ in dspace.integer_basis]
     t = interior_point([[v[r] for v in cols] for r in range(n)])
-    return None if t is None else _torus_point(dspace, t)
+    if t is None:
+        return None
+    num, den = t
+    total = _torus_sum(dspace, num)
+    d = tuple([Fraction(x, den) for x in total])
+    return d, d[total.index(min(total))]
 
 
-def _torus_cone_point(dspace: DiagonalDerivationSpace, weights: Weights, n: int) -> Vec | None:
+def _torus_cone_point(
+    dspace: DiagonalDerivationSpace, weights: Weights, n: int
+) -> tuple[int, ...] | None:
     """One LP over (t free, a >= 0): D = point(t) with D - sum a_w F_w > 0
-    over the given weights and tr D > 0, as a primitive integer vector.
+    over the given weights and tr D > 0, as a primitive int tuple.
 
     A one-dimensional torus needs no LP: every D(t) is a multiple of its
     one integer vector v, and tr D > 0 fixes the sign s of the multiple.
     The cone is closed under positive scaling, so the LP is feasible
     exactly when s v passes the membership LP, and its D is then
-    ``integer_row(s v)``.  That direction is returned as it is (None when
+    ``primitive(s v)``.  That direction is returned as it is (None when
     tr v = 0), and the caller's membership LP decides.
     """
     cols = [v for v, _ in dspace.integer_basis]
@@ -301,14 +308,14 @@ def _torus_cone_point(dspace: DiagonalDerivationSpace, weights: Weights, n: int)
         trace = sum(cols[0])
         if not trace:
             return None
-        return tuple(map(frac, integer_row(x if trace > 0 else -x for x in cols[0])))
+        return primitive([x if trace > 0 else -x for x in cols[0]])
     wts = list(weights.values())
     rows = [[-v[r] for v in cols] + [wt[r] for wt in wts] for r in range(n)]
     rows.append([-sum(v) for v in cols] + [0] * len(wts))
     sol = max_margin(rows, [0] * len(rows), free=dspace.dim)
     if sol is None:
         return None
-    return tuple(map(frac, integer_row(_torus_point(dspace, sol[1][:dspace.dim]))))
+    return primitive(_torus_sum(dspace, sol[1][:dspace.dim]))
 
 
 def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
@@ -355,7 +362,7 @@ def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
 
     pos = _positive_diagonal_derivation(a.dspace, mu.dim)
     if pos is not None:
-        cert = Certificate(POSITIVE_DERIVATION, pos, slack=min(pos))
+        cert = Certificate(POSITIVE_DERIVATION, pos[0], slack=pos[1])
         return _certified(mu, SCOPE_ALGEBRA, cert)
 
     cols = [v for v, _ in a.dspace.integer_basis]

@@ -140,7 +140,8 @@ def cmd_check(args, out: Printer) -> int:
     lcs = lower_central_series(mu)
     out.emit("nilpotent", lcs.terminates)
     out.emit("lower-central-series", ",".join(map(str, lcs.dims)))
-    out.emit("nilpotency-class", lcs.nilpotency_class)
+    if lcs.terminates:
+        out.emit("nilpotency-class", lcs.nilpotency_class)
     out.emit("center-dim", len(center(mu)))
     return EXIT_OK
 

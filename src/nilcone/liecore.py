@@ -106,15 +106,15 @@ class SubspaceChain:
     """Nested subspaces, e.g. the lower central series.
 
     ``dims`` holds the dimension of each nonzero term; ``terminates`` is
-    True when the series stabilizes at zero.
+    True when the series stabilizes at zero; only then is the class defined.
     """
 
     dims: tuple[int, ...]
     terminates: bool
 
     @property
-    def nilpotency_class(self) -> int:
-        return len(self.dims)
+    def nilpotency_class(self) -> int | None:
+        return len(self.dims) if self.terminates else None
 
 
 def parse_bracket(text: str) -> LieBracket:

@@ -52,8 +52,8 @@ def strict_cone_membership(d: Vec, w: Weights) -> tuple[Fraction, dict[Key, Frac
     sol = max_margin([[v[r] for v in vecs] for r in range(len(d))], d)
     if sol is None:
         return None
-    eps, a = sol
-    return eps, {key: a[q] for q, key in enumerate(w) if a[q]}
+    eps, num, den = sol
+    return eps, {key: Fraction(num[q], den) for q, key in enumerate(w) if num[q]}
 
 
 def verify_membership(d: Vec, w: Weights, assignment: dict[Key, Fraction]) -> Fraction | None:
@@ -134,8 +134,9 @@ def fourier_motzkin(rows: list[tuple[int, ...]], nelim: int) -> ProjectedCone:
     return ProjectedCone(kept, empty=bool(kept) and interior_point(kept) is None)
 
 
-def interior_point(rows) -> Vec | None:
-    """Some t with row . t > 0 for every (int) row, or None if there is none (t free, exact LP).
+def interior_point(rows) -> tuple[tuple[int, ...], int] | None:
+    """Some t with row . t > 0 for every (int) row, as (num, den) with
+    t = num / den, or None if there is none (t free, exact LP).
 
     A single column c needs no LP: c_r t > 0 on every row exactly when
     every c_r is nonzero and of one sign s, and the max-margin optimum is
@@ -145,12 +146,12 @@ def interior_point(rows) -> Vec | None:
     if len(rows[0]) == 1:
         col = [c for c, in rows]
         if all(c > 0 for c in col):
-            return (Fraction(1, min(col)),)
+            return (1,), min(col)
         if all(c < 0 for c in col):
-            return (Fraction(1, max(col)),)
+            return (-1,), -max(col)
         return None
     sol = max_margin([[-x for x in row] for row in rows], [0] * len(rows), free=len(rows[0]))
-    return None if sol is None else sol[1]
+    return None if sol is None else sol[1:]
 
 
 def project_certificate_cone(
@@ -210,7 +211,7 @@ def separating_alpha(kept, dropped, n: int) -> tuple[int, ...] | None:
     if not dropped:
         return (0,) * n
     sol = max_margin(dropped, [0] * len(dropped), kept, free=n)
-    return None if sol is None else integer_row(sol[1])
+    return None if sol is None else primitive(sol[1])
 
 
 def _dropped_in_span(kept, comp, n: int) -> bool:

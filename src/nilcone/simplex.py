@@ -9,18 +9,19 @@ tableau starts in integers with no per-row conversion.  A caller holding
 rational columns scales each one by a positive factor once and divides the
 solution's entry by it: a column scaled by L > 0 keeps the sign of its
 reduced cost, and each of its ratios in the ratio test is divided by the
-same L, so Bland's rule takes the same pivots.  Scaling a row by a positive
-factor changes no pivot either.
+same L, so Bland's rule takes the same pivots.
 
 The tableau holds Python ints only: each row is the rational row times a
 positive scale, and for a constraint row that scale is its entry in its
-basic column.  A pivot replaces each row with a nonzero in the entering
-column by p*row - f*prow divided by the gcd of its entries; the
-subtraction runs over the pivot row's nonzero columns only, and the
-scaling by p is skipped when p = 1.  That keeps every sign and every ratio of the rational tableau, so
-Bland's rule takes the same pivots and the solution read off at the end is
-the same.  The reduced costs are one more such row, with its own positive
-scale, built once per phase and eliminated at each pivot.
+basic column.  A pivot lists the pivot row's nonzero (column, value) pairs
+once, and in one pass over them replaces each other row with a nonzero f
+in the entering column by p*row - f*prow divided by the gcd of its
+entries, p > 0 being the pivot entry; the reduced costs are one more such
+row, with its own positive scale, built once per phase by the same step.
+At p = 1 the row is row - f*prow, not divided: prow is 0 at the row's
+basic column, so the scale is unchanged and the entries, the rational row
+times that scale, do not grow.  Either way every sign and ratio of the
+rational tableau is kept, so Bland's rule takes the same pivots.
 
 Free variables are folded.  Written as x_j = u_j - v_j over two nonnegative
 columns, the column of v_j is minus that of u_j in every row, the
@@ -30,20 +31,24 @@ stored, and v_j is read as (u_j's column, sign -1).  Bland's rule still
 runs over the split columns, in the order u, the other variables but the
 last, v, the last variable, slacks, artificials, which is the split LP that
 ``max_margin`` poses with its eps last.  ``basis`` holds split indices, so
-ratio-test ties are broken by the split index of the basic variable, and a
-basic v_j is read back as x_j = u_j - v_j = -v_j.
+ratio-test ties are broken by the split index of the basic variable.
+
+The solution is read off in integers: x_j = row[-1] / row[j] on the row
+where u_j or v_j is basic (a basic v_j has scale -row[j]), returned as
+num_j over den, the lcm of the scales of the rows of the nonzero x_j; only
+the objective value is a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .linalg import ZERO, Vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -52,8 +57,11 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LPSolution:
+    """x = num / den entrywise (den > 0), value = c.x; None unless OPTIMAL."""
+
     status: str
-    x: Vec | None
+    num: tuple[int, ...] | None
+    den: int | None
     value: Fraction | None
 
 
@@ -70,20 +78,21 @@ def _split_order(n: int, free: int, ncols: int) -> list[tuple[int, int]]:
             *((j, 1) for j in range(n - 1, ncols))]
 
 
-def _nonzero(row: list[int]) -> list[int]:
-    return [c for c, v in enumerate(row) if v]
-
-
-def _eliminate(row: list[int], prow: list[int], nonzero: list[int], p: int, f: int) -> None:
-    """row := (p*row - f*prow) / gcd in place, with nonzero the columns where
-    prow is nonzero; p > 0 keeps the scale positive."""
-    if p != 1:
-        row[:] = [p * a for a in row]
-    for c in nonzero:
-        row[c] -= f * prow[c]
-    g = gcd(*row)
-    if g > 1:
-        row[:] = [a // g for a in row]
+def _clear(targets, prow: list[int], col: int, sign: int) -> None:
+    """The pivot step of the module docstring at split column (col, sign),
+    p = sign * prow[col] > 0, on each target row but prow itself."""
+    p = sign * prow[col]
+    pairs = [(c, v) for c, v in enumerate(prow) if v]
+    for row in targets:
+        f = row[col]
+        if f and row is not prow:
+            f *= sign
+            if p != 1:
+                row[:] = [p * a for a in row]
+            for c, v in pairs:
+                row[c] -= f * v
+            if p != 1 and (g := gcd(*row)) > 1:
+                row[:] = [a // g for a in row]
 
 
 def _pivot(
@@ -94,17 +103,12 @@ def _pivot(
     order: list[tuple[int, int]],
     extra: tuple[list[int], ...] = (),
 ) -> None:
-    """Make split column s basic in row r; the rows in extra are eliminated too."""
+    """Make split column s basic in row r; the rows in extra are cleared too."""
     col, sign = order[s]
     prow = rows[r]
     if sign * prow[col] < 0:  # only the phase-1 drive-out pivots on a negative entry
         prow[:] = [-v for v in prow]
-    p = sign * prow[col]
-    nonzero = _nonzero(prow)
-    for row in itertools.chain(rows, extra):
-        f = row[col]
-        if f and row is not prow:
-            _eliminate(row, prow, nonzero, p, sign * f)
+    _clear(itertools.chain(rows, extra), prow, col, sign)
     basis[r] = s
 
 
@@ -127,7 +131,7 @@ def _run_simplex(
     for row, b in zip(rows, basis):
         col, sign = order[b]
         if reduced[col]:
-            _eliminate(reduced, row, _nonzero(row), sign * row[col], sign * reduced[col])
+            _clear((reduced,), row, col, sign)
     candidates = list(enumerate(order[:limit]))
     while True:
         # Bland: first improving split index
@@ -207,7 +211,7 @@ def solve_lp(
         # every rhs stays >= 0, so phase 1 reaches 0 exactly when no basic
         # artificial has a positive rhs
         if any(b >= nsplit and row[-1] for row, b in zip(rows, basis)):
-            return LPSolution(INFEASIBLE, None, None)
+            return LPSolution(INFEASIBLE, None, None, None)
         # drive remaining basic artificials out (they sit at level zero);
         # v_j is nonzero only where u_j is, and u_j comes first
         drop = []
@@ -224,35 +228,32 @@ def solve_lp(
 
     status = _run_simplex(rows, basis, [*c, *[0] * (ncols - n)], order, nsplit)
     if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None)
-    x = [ZERO] * n
-    value = ZERO
-    for row, b in zip(rows, basis):
-        if b < n + free:
-            # the scale of a basic v_j is -row[j], so this is u_j or -v_j
-            col = order[b][0]
-            x[col] = Fraction(row[-1], row[col])
-            if c[col]:
-                value += c[col] * x[col]
-    return LPSolution(OPTIMAL, tuple(x), value)
+        return LPSolution(UNBOUNDED, None, None, None)
+    basic = [(order[b][0], row) for row, b in zip(rows, basis) if b < n + free and row[-1]]
+    den = lcm(*[abs(row[col]) for col, row in basic])
+    num = [0] * n
+    for col, row in basic:
+        num[col] = row[-1] * den // row[col]
+    return LPSolution(OPTIMAL, tuple(num), den, Fraction(sum(map(operator.mul, c, num)), den))
 
 
-def feasible_nonneg(a_eq: Sequence[Sequence], b_eq: Sequence) -> Vec | None:
-    """Find x >= 0 with a_eq.x = b_eq, or None."""
+def feasible_nonneg(a_eq: Sequence[Sequence], b_eq: Sequence) -> tuple[tuple[int, ...], int] | None:
+    """Find x >= 0 with a_eq.x = b_eq, as (num, den) with x = num / den, or None."""
     ncols = len(a_eq[0]) if a_eq else 0
     sol = solve_lp([0] * ncols, a_eq=a_eq, b_eq=b_eq)
-    return sol.x if sol.status == OPTIMAL else None
+    return (sol.num, sol.den) if sol.status == OPTIMAL else None
 
 
 def max_margin(
     a_ub: Sequence[Sequence], b_ub: Sequence, a_eq: Sequence[Sequence] = (), free: int = 0
-) -> tuple[Fraction, Vec] | None:
+) -> tuple[Fraction, tuple[int, ...], int] | None:
     """Strict feasibility of a_ub.x < b_ub, a_eq.x = 0 by one exact LP.
 
     Maximizes eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0;
     the first ``free`` entries of x are free, the rest are >= 0.  a_ub
     and a_eq hold ints, b_ub may hold Fractions, and a_ub needs at least
-    one row.  Returns (eps, x) when the optimal eps is positive, else None.
+    one row.  Returns (eps, num, den), x = num / den, when the optimal eps
+    is positive, else None.
     A row of a_ub with no nonzero coefficient and a bound b <= 0 reads
     eps <= b <= 0 on its own, so it returns None before any tableau is
     built: the LP would find eps <= 0 or no feasible point.  The bound is
@@ -271,4 +272,4 @@ def max_margin(
     )
     if sol.status != OPTIMAL or sol.value <= 0:
         return None
-    return sol.value, sol.x[:k]
+    return sol.value, sol.num[:k], sol.den

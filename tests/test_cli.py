@@ -40,6 +40,19 @@ def test_check_file(tmp_path, capsys):
     assert "jacobi: True" in out
 
 
+@pytest.mark.parametrize("fmt, sep", [("text", ": "), ("kv", "=")])
+def test_check_gives_no_class_to_a_bracket_that_is_not_nilpotent(tmp_path, capsys, fmt, sep):
+    # [e1, e2] = e3, [e1, e3] = e2: Jacobi holds, and the series stops at
+    # span(e2, e3), so there is no nilpotency class to print
+    path = tmp_path / "alg.txt"
+    path.write_text("dim 3\nbracket 1 2 3 1\nbracket 1 3 2 1\n")
+    code, out, _ = run(capsys, "--format", fmt, "check", str(path))
+    assert code == 0
+    lines = ["dim", "3", "jacobi", "True", "nilpotent", "False",
+             "lower-central-series", "3,2", "center-dim", "0"]
+    assert out == "".join(f"{k}{sep}{v}\n" for k, v in zip(lines[::2], lines[1::2]))
+
+
 def test_check_dim_400_single_constant(tmp_path, capsys):
     # C(400, 3) basis triples, but no chain of nonzero constants reaches one
     path = tmp_path / "alg.txt"

@@ -46,7 +46,12 @@ and so does the certifiers' ``face_by_remainders``; their walk over the
 nice subsets keeps the filtered walk (``reference_nice_candidates``),
 the one-column ``interior_point`` is checked against ``max_margin``, and
 the torus LP that a one-dimensional torus skips is patched back in
-(``reference_torus_cone_point``) to check the verdict.
+(``reference_torus_cone_point``) to check the verdict.  The LPs return
+their solutions as ints over one denominator; every test reads them back
+as ``Fraction``s (``rational``, ``test_simplex.over``), and the torus
+points and alphas the certifier sums in ints are checked against the
+rational path: each LP solved by the ``Fraction`` simplex, t mapped back
+through the scales of the torus basis (``reference_torus_point``).
 Certificates from both certifiers are checked to survive serialize,
 parse and verify.  The torus LPs of ``certify_nilradical`` are checked
 against the per-derivation walk of ``certify_derivation``, the nice faces
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, islice
 from math import lcm
@@ -138,6 +143,7 @@ from nilcone.polytope import (
     iter_nice_candidates,
     project_certificate_cone,
     remove_redundant,
+    separating_alpha,
     strict_cone_membership,
     weight_relations,
     weight_set,
@@ -160,6 +166,7 @@ from test_linalg import (
     solve_affine,
 )
 from test_polytope import evaluate_cone, limit_bracket
+from test_simplex import margin, over
 
 MAX_DIM = 8
 ABELIAN_LINE = LieBracket(1, {})
@@ -951,7 +958,25 @@ def _reference_run_simplex(
         _reference_pivot(rows, basis, leaving, entering)
 
 
-def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
+@dataclass(frozen=True)
+class RationalLP:
+    """An LP's status, solution x and objective value, all rational."""
+
+    status: str
+    x: tuple | None
+    value: F | None
+
+
+def rational(sol: LPSolution) -> RationalLP:
+    """An ``LPSolution`` read as x = num / den, once den > 0 and every
+    entry of num is an int; an LP with no optimum has none of the three."""
+    if sol.status != OPTIMAL:
+        assert (sol.num, sol.den, sol.value) == (None, None, None)
+        return RationalLP(sol.status, None, None)
+    return RationalLP(sol.status, over(sol.num, sol.den), sol.value)
+
+
+def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> RationalLP:
     """Maximize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0."""
     c = [frac(v) for v in c]
     n = len(c)
@@ -1004,7 +1029,7 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
             raise InvariantViolation("phase 1 of the simplex is unbounded")
         val = sum((costs1[basis[i]] * rows[i][-1] for i in range(len(rows))), ZERO)
         if val != 0:
-            return LPSolution(INFEASIBLE, None, None)
+            return RationalLP(INFEASIBLE, None, None)
         # drive remaining basic artificials out (they sit at level zero)
         drop = []
         for i in range(len(rows)):
@@ -1025,13 +1050,13 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
     allowed = set(range(total))
     status = _reference_run_simplex(rows, basis, costs2, allowed)
     if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None)
+        return RationalLP(UNBOUNDED, None, None)
     x = [ZERO] * n
     for i, bcol in enumerate(basis):
         if bcol < n:
             x[bcol] = rows[i][-1]
     value = sum((c[j] * x[j] for j in range(n)), ZERO)
-    return LPSolution(OPTIMAL, tuple(x), value)
+    return RationalLP(OPTIMAL, tuple(x), value)
 
 
 def reference_fourier_motzkin(rows, nelim: int) -> ProjectedCone:
@@ -1151,14 +1176,14 @@ def integer_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0):
     return (c_int, *scale_rows(a_ub, b_ub), *scale_rows(a_eq, b_eq), free), c_den
 
 
-def reference_solve_folded(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0) -> LPSolution:
+def reference_solve_folded(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0) -> RationalLP:
     """``reference_solve_lp`` on the split LP, read back as x_j = u_j - v_j."""
     sol = reference_solve_lp(*split_lp(c, a_ub, b_ub, a_eq, b_eq, free))
     if sol.x is None or not free:
         return sol
     n, x = len(c), sol.x
     folded = [x[j] - x[n - 1 + j] for j in range(free)] + list(x[free:n - 1]) + [x[-1]]
-    return LPSolution(sol.status, tuple(folded), sol.value)
+    return RationalLP(sol.status, tuple(folded), sol.value)
 
 
 @st.composite
@@ -1217,7 +1242,7 @@ BEALE = (
 def test_simplex_matches_reference(lp):
     # solve_lp gets the row-scaled integer LP, the reference the rational one
     int_lp, c_den = integer_lp(*lp)
-    sol, ref = solve_lp(*int_lp), reference_solve_folded(*lp)
+    sol, ref = rational(solve_lp(*int_lp)), reference_solve_folded(*lp)
     assert (sol.status, sol.x) == (ref.status, ref.x)
     assert sol.value == (None if ref.value is None else c_den * ref.value)
 
@@ -1280,7 +1305,7 @@ def test_every_catalog_lp_matches_the_reference(monkeypatch):
     def checked(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=0):
         assert all(type(v) is int for row in (c, *a_ub, *a_eq) for v in row)
         sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq, free)
-        assert sol == reference_solve_folded(c, a_ub, b_ub, a_eq, b_eq, free)
+        assert rational(sol) == reference_solve_folded(c, a_ub, b_ub, a_eq, b_eq, free)
         solved.append((sol.status, free))
         return sol
 
@@ -1324,8 +1349,8 @@ def test_max_margin_keeps_its_pivots_under_free_column_scaling(lp):
     def scaled(row):
         return [v * f for v, f in zip(row, factors)] + row[free:]
 
-    want = max_margin(a_ub, b_ub, a_eq, free)
-    got = max_margin([scaled(r) for r in a_ub], b_ub, [scaled(r) for r in a_eq], free)
+    want = margin(max_margin(a_ub, b_ub, a_eq, free))
+    got = margin(max_margin([scaled(r) for r in a_ub], b_ub, [scaled(r) for r in a_eq], free))
     if want is None:
         assert got is None
     else:
@@ -1335,7 +1360,8 @@ def test_max_margin_keeps_its_pivots_under_free_column_scaling(lp):
 
 def reference_max_margin(a_ub, b_ub, a_eq=(), free=0):
     """``max_margin`` always through the simplex, with no zero-row rule:
-    maximize eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0."""
+    maximize eps <= 1 subject to a_ub.x + eps <= b_ub and a_eq.x = 0.
+    Returns (eps, x) with x rational, or None."""
     k = len(a_ub[0])
     sol = solve_lp(
         [0] * k + [1],
@@ -1347,7 +1373,7 @@ def reference_max_margin(a_ub, b_ub, a_eq=(), free=0):
     )
     if sol.status != OPTIMAL or sol.value <= 0:
         return None
-    return sol.value, sol.x[:k]
+    return sol.value, rational(sol).x[:k]
 
 
 @st.composite
@@ -1377,7 +1403,7 @@ def test_max_margin_matches_the_simplex_it_skips(system):
     a_ub, b_ub, a_eq, free = system
     with counted_lp_calls() as calls:
         got = max_margin(a_ub, b_ub, a_eq, free)
-    assert got == reference_max_margin(a_ub, b_ub, a_eq, free)
+    assert margin(got) == reference_max_margin(a_ub, b_ub, a_eq, free)
     forced = any(not any(r) and b <= 0 for r, b in zip(a_ub, b_ub))
     assert len(calls) == (0 if forced else 1)
 
@@ -1389,7 +1415,7 @@ def reference_is_face(j_set, w):
     if not comp:
         return True, (0,) * n
     sol = max_margin(comp, [0] * len(comp), [v for key, v in w.items() if key in j_set], free=n)
-    return (False, None) if sol is None else (True, integer_row(sol[1]))
+    return (False, None) if sol is None else (True, integer_row(margin(sol)[1]))
 
 
 def test_is_face_matches_the_lp_on_every_catalog_subset():
@@ -1548,7 +1574,7 @@ def test_interior_point_on_one_column_matches_max_margin(col):
     sol = reference_max_margin([[-c] for c in col], [0] * len(col), free=1)
     with counted_lp_calls() as calls:
         got = interior_point(rows)
-    assert got == (None if sol is None else sol[1])
+    assert (None if got is None else over(*got)) == (None if sol is None else sol[1])
     assert calls == []
 
 
@@ -1900,16 +1926,101 @@ def test_torus_search_agrees_with_the_per_derivation_walk(case):
         assert certify_derivation(mu, d, budget=budget).status != CERTIFIED_RN
 
 
-def reference_torus_cone_point(dspace: DiagonalDerivationSpace, weights, n: int):
-    """``certifier._torus_cone_point`` by its LP on a torus of any dimension."""
+def reference_torus_point(dspace: DiagonalDerivationSpace, t_scaled):
+    """point(t) at t_m = L_m t'_m, for the rational t' a torus LP finds.
+
+    The torus LPs run on the integer columns L_m v_m of
+    ``dspace.integer_basis``; t is then the point the LP over the rational
+    columns v_m finds, since the simplex takes the same pivots.  The
+    certifier sums num_m L_m v_m in integers instead (``certifier._torus_sum``).
+    """
+    return dspace.point([tm * vden for tm, (_, vden) in zip(t_scaled, dspace.integer_basis)])
+
+
+def reference_margin(a_ub, a_eq=(), free: int = 0):
+    """``max_margin(a_ub, [0] * len(a_ub), a_eq, free)`` by the ``Fraction``
+    simplex of the split LP: (eps, x) with x rational, or None."""
+    k = len(a_ub[0])
+    sol = reference_solve_folded(
+        [0] * k + [1],
+        [[*row, 1] for row in a_ub] + [[0] * k + [1]],
+        [0] * len(a_ub) + [1],
+        [[*row, 0] for row in a_eq],
+        [0] * len(a_eq),
+        free,
+    )
+    if sol.status != OPTIMAL or sol.value <= 0:
+        return None
+    return sol.value, sol.x[:k]
+
+
+def torus_lp_rows(dspace: DiagonalDerivationSpace, weights, n: int) -> list[list[int]]:
+    """The rows of the torus LP of ``certifier._torus_cone_point``."""
     cols = [v for v, _ in dspace.integer_basis]
     wts = list(weights.values())
     rows = [[-v[r] for v in cols] + [wt[r] for wt in wts] for r in range(n)]
     rows.append([-sum(v) for v in cols] + [0] * len(wts))
+    return rows
+
+
+def assert_the_rational_torus_path(mu: LieBracket, faces: int = 4) -> None:
+    """The torus LPs of ``certify_nilradical`` and the alpha LPs of its
+    first ``faces`` nice faces on mu, against the rational path: each LP
+    solved by the ``Fraction`` simplex, t mapped back by
+    ``reference_torus_point``, and D and alpha scaled by ``integer_row``."""
+    n = mu.dim
+    dspace = diagonal_derivations(mu)
+    cols = [v for v, _ in dspace.integer_basis]
+    sol = reference_margin([[-v[r] for v in cols] for r in range(n)], free=dspace.dim)
+    got = certifier._positive_diagonal_derivation(dspace, n)
+    if sol is None:
+        assert got is None
+    else:
+        d = reference_torus_point(dspace, sol[1])
+        assert got == (d, min(d))
+        assert all(type(x) is F for x in got[0])
+    w = weight_set(mu)
+    for weights, _, degeneration in islice(certifier._nice_faces(mu, 2 ** len(w)), faces):
+        sol = reference_margin(torus_lp_rows(dspace, weights, n), free=dspace.dim)
+        point = None if sol is None else reference_torus_point(dspace, sol[1][:dspace.dim])
+        assert certifier._torus_cone_point(dspace, weights, n) == (
+            None if point is None else integer_row(point))
+        if degeneration is not None:
+            kept = list(weights.values())
+            dropped = [v for key, v in w.items() if key not in weights]
+            want = integer_row(reference_margin(dropped, kept, free=n)[1])
+            assert separating_alpha(kept, dropped, n) == want == degeneration[0]()
+
+
+@st.composite
+def wide_torus_algebras(draw) -> LieBracket:
+    """A generated algebra with a torus of dimension 2 or more, its basis permuted."""
+    mu = draw(nilpotent_algebras(unipotent=False))
+    assume(diagonal_derivations(mu).dim >= 2)
+    return relabelled(mu, draw(st.permutations(range(1, mu.dim + 1))))
+
+
+FILIFORM_20 = LieBracket(20, {(1, i, i + 1): ONE for i in range(2, 20)})  # m_0(20)
+
+
+@settings(max_examples=40)
+@given(wide_torus_algebras())
+@example(direct_sum([catalog_get("n4nice")] * 4))  # an 8-dimensional torus
+@example(FILIFORM_20)
+@example(relabelled(direct_sum([catalog_get("heis3"), catalog_get("n4nice")]), (5, 2, 7, 1, 3, 6, 4)))
+@example(direct_sum([catalog_get("n5nonice"), catalog_get("heis3")]))  # degenerations
+@example(direct_sum([catalog_get("dim7-alg1"), ABELIAN_LINE]))  # no positive derivation
+def test_torus_lps_match_the_rational_path(mu):
+    assert_the_rational_torus_path(mu)
+
+
+def reference_torus_cone_point(dspace: DiagonalDerivationSpace, weights, n: int):
+    """``certifier._torus_cone_point`` by its LP on a torus of any dimension."""
+    rows = torus_lp_rows(dspace, weights, n)
     sol = max_margin(rows, [0] * len(rows), free=dspace.dim)
     if sol is None:
         return None
-    return tuple(map(frac, integer_row(certifier._torus_point(dspace, sol[1][:dspace.dim]))))
+    return integer_row(reference_torus_point(dspace, margin(sol)[1][:dspace.dim]))
 
 
 def nilradical_verdict_with_the_torus_lp(mu: LieBracket):

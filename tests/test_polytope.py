@@ -171,7 +171,9 @@ def test_face_budget():
 def test_interior_point_is_strictly_inside_or_none():
     rows = [(1, 0, -1), (0, 1, 0), (F(1, 2), 0, 1)]
     # interior_point takes int rows; a positive row scaling keeps row . t > 0
-    t = interior_point([integer_row(row) for row in rows])
+    num, den = interior_point([integer_row(row) for row in rows])
+    assert type(den) is int and den > 0 and all(type(v) is int for v in num)
+    t = [F(v, den) for v in num]
     assert all(sum(r * x for r, x in zip(row, t)) > 0 for row in rows)
     assert interior_point([(1, 0), (-1, 0), (0, 1)]) is None  # d1 > 0 and -d1 > 0
     assert interior_point([(1, 1), (-1, -1)]) is None

@@ -7,12 +7,28 @@ from nilcone.errors import InvariantViolation
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_nonneg, max_margin, solve_lp
 
 
+def over(num, den):
+    """num / den entrywise, once den > 0 and every entry of num is an int."""
+    assert type(den) is int and den > 0 and all(type(v) is int for v in num)
+    return tuple(F(v, den) for v in num)
+
+
+def solution(sol):
+    """The rational x of an optimal LPSolution."""
+    return over(sol.num, sol.den)
+
+
+def margin(got):
+    """max_margin's (eps, num, den) as (eps, x), or None."""
+    return None if got is None else (got[0], over(*got[1:]))
+
+
 def test_basic_optimal():
     # max x + y, x + 2y <= 4, 3x + y <= 6
     sol = solve_lp([1, 1], [[1, 2], [3, 1]], [4, 6])
     assert sol.status == OPTIMAL
     assert sol.value == F(14, 5)
-    assert sol.x == (F(8, 5), F(6, 5))
+    assert solution(sol) == (F(8, 5), F(6, 5))
 
 
 def test_unbounded():
@@ -29,13 +45,13 @@ def test_negative_rhs_needs_artificials():
     # -x <= -2 means x >= 2
     sol = solve_lp([-1], [[-1]], [-2])
     assert sol.status == OPTIMAL
-    assert sol.x == (F(2),)
+    assert solution(sol) == (F(2),)
 
 
 def test_equality_constraints():
     sol = solve_lp([1, 0], a_eq=[[1, 1]], b_eq=[5], a_ub=[[1, 0]], b_ub=[3])
     assert sol.status == OPTIMAL
-    assert sol.x == (F(3), F(2))
+    assert solution(sol) == (F(3), F(2))
 
 
 def test_redundant_equality_dropped():
@@ -48,7 +64,7 @@ def test_every_row_dropped_as_redundant():
     # 0.x = 0 leaves no row after phase 1; x >= 0 alone bounds only from below
     assert solve_lp([1], a_eq=[[0]], b_eq=[0]).status == UNBOUNDED
     sol = solve_lp([-1], a_eq=[[0]], b_eq=[0])
-    assert (sol.status, sol.x, sol.value) == (OPTIMAL, (F(0),), F(0))
+    assert (sol.status, solution(sol), sol.value) == (OPTIMAL, (F(0),), F(0))
 
 
 def test_exact_fractions_survive():
@@ -57,7 +73,7 @@ def test_exact_fractions_survive():
     # the value is 3 times its value 7/30
     sol = solve_lp([1], [[2]], [F(7, 5)])
     assert sol.status == OPTIMAL
-    assert sol.x == (F(7, 10),)
+    assert solution(sol) == (F(7, 10),)
     assert sol.value == 3 * F(7, 30)
 
 
@@ -66,30 +82,31 @@ def test_determinism():
     first = solve_lp(*args)
     for _ in range(5):
         again = solve_lp(*args)
-        assert again.x == first.x
+        assert (again.num, again.den) == (first.num, first.den)
+        assert solution(again) == solution(first)
         assert again.value == first.value
 
 
 def test_feasible_nonneg():
-    x = feasible_nonneg([[1, 1]], [1])
-    assert x is not None and sum(x) == 1 and all(v >= 0 for v in x)
+    x = over(*feasible_nonneg([[1, 1]], [1]))
+    assert sum(x) == 1 and all(v >= 0 for v in x)
     assert feasible_nonneg([[1, 1]], [-1]) is None
 
 
 def test_max_margin_nonneg():
     # x >= 1 + eps and x <= 2 - eps: the margin peaks at eps = 1/2, x = 3/2
-    assert max_margin([[-1], [1]], [-1, 2]) == (F(1, 2), (F(3, 2),))
+    assert margin(max_margin([[-1], [1]], [-1, 2])) == (F(1, 2), (F(3, 2),))
 
 
 def test_max_margin_caps_at_one():
     # x + eps <= 5 alone would allow eps = 5
-    assert max_margin([[1]], [5]) == (F(1), (F(0),))
+    assert margin(max_margin([[1]], [5])) == (F(1), (F(0),))
 
 
 def test_max_margin_free_with_equalities():
     # x1 <= -eps needs a negative coordinate, so only the free split solves it
     assert max_margin([[1, 0]], [0], [[1, -1]]) is None
-    eps, x = max_margin([[1, 0]], [0], [[1, -1]], free=2)
+    eps, x = margin(max_margin([[1, 0]], [0], [[1, -1]], free=2))
     assert eps == 1 and x[0] == x[1] and x[0] <= -1
     # x1 free, x2 >= 0: x1 = x2 cannot be negative
     assert max_margin([[1, 0]], [0], [[1, -1]], free=1) is None
@@ -97,7 +114,7 @@ def test_max_margin_free_with_equalities():
 
 def test_max_margin_leading_free_columns():
     # x1 free, x2 >= 0, x1 + x2 < 0 and x1 - x2 < -1: x1 = -1, x2 = 0 at eps = 1
-    eps, x = max_margin([[1, 1], [1, -1]], [0, -1], free=1)
+    eps, x = margin(max_margin([[1, 1], [1, -1]], [0, -1], free=1))
     assert eps == 1 and x[0] < 0 and x[1] >= 0
     assert max_margin([[0, 1]], [0], free=1) is None  # x2 < 0 with x2 >= 0
 
