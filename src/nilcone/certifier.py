@@ -278,7 +278,9 @@ def _positive_diagonal_derivation(
 
     An index where every torus vector vanishes is a zero row, and
     ``max_margin`` returns None for it before the simplex runs; with no
-    torus at all, every row is one.
+    torus at all, every row is one.  Where D* (``Analysis.generator_ones``)
+    is a derivation this returns (D*, 1), and ``certify_nilradical``
+    skips it there.
     """
     cols = [v for v, _ in dspace.integer_basis]
     t = interior_point([[v[r] for v in cols] for r in range(n)])
@@ -308,6 +310,8 @@ def _torus_cone_point(
         trace = sum(cols[0])
         if not trace:
             return None
+        # v is primitive only when ``_diagonal_torus`` built it, and the
+        # certificate's D is the primitive direction either way
         return primitive([x if trace > 0 else -x for x in cols[0]])
     wts = list(weights.values())
     rows = [[-v[r] for v in cols] + [wt[r] for wt in wts] for r in range(n)]
@@ -319,9 +323,16 @@ def _torus_cone_point(
 
 
 def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
-    """Algebra-level verdict: obstructions first, then a search over the torus.
+    """Algebra-level verdict: the generator-ones derivation, then
+    obstructions, then a search over the torus.
 
-    The diagonal derivations serve both the traceless test and the search,
+    D* (``Analysis.generator_ones``) is 1 at every index no constant
+    targets and d_k = d_i + d_j along the topological order.  When it is
+    a derivation, the positive-derivation LP below has it as its only
+    optimal vertex (README "Verdicts and certificates"), so it is
+    returned with slack 1 and no torus, Der(mu) or LP is built; its trace
+    is positive, so neither obstruction could hold.  Otherwise the
+    diagonal derivations serve both the traceless test and the search,
     and Der(mu) is built only when they are all traceless.  The search
     tries a positive derivation, then rules out every torus D by one LP
     when no D has tr D > 0 and D_r > 0 at each sink r (an index never
@@ -337,12 +348,18 @@ def certify_nilradical(mu: LieBracket, budget: int = 4096) -> Verdict:
 
 
 def nilradical_verdict(a: Analysis, budget: int = 4096) -> Verdict:
-    """``certify_nilradical`` on a.mu, reading Der(mu), its Engel flag and
-    the torus from ``a``, so that a caller holding them builds none twice."""
+    """``certify_nilradical`` on a.mu, reading D*, Der(mu), its Engel flag
+    and the torus from ``a``, so that a caller holding them builds none
+    twice.  A bracket with D* reads nothing else."""
     mu = a.mu
     require_budget(budget)
     if not a.nilpotent:
         raise InputError("algebra is not nilpotent")
+
+    ones = a.generator_ones
+    if ones is not None:
+        cert = Certificate(POSITIVE_DERIVATION, tuple(map(Fraction, ones)), slack=ONE)
+        return _certified(mu, SCOPE_ALGEBRA, cert)
 
     if a.traceless:
         if a.characteristically_nilpotent:

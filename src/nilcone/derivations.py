@@ -20,11 +20,12 @@ Engel flag built: it succeeds iff every derivation is strictly
 triangular in an adapted basis, and otherwise names the stage of the
 flag at which the induced operators have no common kernel; each stage
 reads only the columns D e_c not yet in the flag.  ``Analysis`` holds
-one bracket's index order, Der(mu), Engel flag and diagonal torus for
-one call, each built on first use, so that the nilpotency test, the
-traceless test, the characteristically-nilpotent test, the phi solve
-and the algebra verdict build each at most once, and a verdict that
-the torus or the traces settle builds no flag.
+one bracket's index order, generator-ones derivation D*, Der(mu), Engel
+flag and diagonal torus for one call, each built on first use, so that
+the nilpotency test, the traceless test, the characteristically-nilpotent
+test, the phi solve and the algebra verdict build each at most once, a
+verdict that the torus or the traces settle builds no flag, and a
+verdict that D* settles builds no torus.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvariantViolation, NotADerivationError
-from .liecore import LieBracket, is_nilpotent, topological_order
+from .liecore import Key, LieBracket, is_nilpotent, topological_order
 from .linalg import (
     Echelon,
     Vec,
@@ -65,10 +66,13 @@ class DerivationBasis:
 
 @dataclass(frozen=True)
 class DiagonalDerivationSpace:
-    """The diagonal torus as (w_m, L_m): w_m the dense form of a primitive
-    ``nullspace`` vector, L_m > 0 its entry at its least index.
+    """The diagonal torus as (w_m, L_m): w_m a positive integer multiple of
+    the rational basis vector v_m, in dense form, and L_m > 0 its entry at
+    its least index.
 
-    The rational basis vector v_m = w_m / L_m is 1 at that index.  An LP
+    v_m = w_m / L_m is 1 at that index.  ``_diagonal_torus`` builds each
+    w_m primitive (the ``nullspace`` vector); a space built otherwise
+    need not hold primitive vectors, and nothing here checks it.  An LP
     over t' with the integer columns w_m is the LP over t with the
     rational columns v_m, at t_m = L_m t'_m: a column scaled by a positive
     factor keeps every pivot (see ``nilcone.simplex``).
@@ -323,10 +327,10 @@ def _trace_of_square(e: Columns) -> int:
 
 
 class Analysis:
-    """Der(mu), its Engel flag and the diagonal torus of one bracket, each built on first use.
+    """D*, Der(mu), its Engel flag and the diagonal torus of one bracket, each built on first use.
 
-    The topological order of the index graph is sorted once, for both the
-    nilpotency test and the torus.  ``traceless`` reads the torus, then
+    The topological order of the index graph is sorted once, for the
+    nilpotency test, D* and the torus.  ``traceless`` reads the torus, then
     the weight-zero block of Der(mu) when the torus is nonzero and
     traceless, and Der(mu) itself only when the torus is zero;
     ``characteristically_nilpotent`` reads the torus, then Der(mu), and
@@ -346,6 +350,37 @@ class Analysis:
     def nilpotent(self) -> bool:
         """``is_nilpotent``, read off the shared order when the graph sorts."""
         return self.order is not None or is_nilpotent(self.mu)
+
+    @cached_property
+    def generator_ones(self) -> tuple[int, ...] | None:
+        """D*: 1 at every index that no constant targets, and d_k = d_i + d_j
+        along ``order`` from the first constant into each other k.
+
+        None when the graph has a cycle, or when a later constant into some
+        k breaks d_k = d_i + d_j; otherwise D* is a diagonal derivation with
+        every entry positive.  One pass over the constants, with no sort,
+        splits off the first into each target; only the others are read
+        again, to be checked.
+        """
+        order = self.order
+        if order is None:
+            return None
+        first: dict[int, Key] = {}
+        rest: list[Key] = []
+        for key in self.mu.constants:
+            if key[2] in first:
+                rest.append(key)
+            else:
+                first[key[2]] = key
+        d = [1] * (self.mu.dim + 1)
+        for k in order:
+            if k in first:
+                i, j, _ = first[k]
+                d[k] = d[i] + d[j]
+        for i, j, k in rest:
+            if d[k] != d[i] + d[j]:
+                return None
+        return tuple(d[1:])
 
     @cached_property
     def dspace(self) -> DiagonalDerivationSpace:

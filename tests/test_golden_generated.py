@@ -21,7 +21,6 @@ Regenerate (only when a change of output is intended) with
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,14 +28,15 @@ import pytest
 from nilcone.catalog import catalog_get
 from nilcone.certifier import certify_nilradical
 from nilcone.liecore import LieBracket
+from nilcone.linalg import ONE
 from test_golden import _verdict
 from test_liecore import direct_sum
 
 GOLDEN = Path(__file__).with_name("golden") / "generated.txt"
-ONE = Fraction(1)
 
-# the torus is 2-dimensional, and d_k = d_i + d_j from the generators
-# (1 1 1 2 2) breaks [e3, e4] = e5
+# the torus is 2-dimensional, and the generator-ones derivation, 1 at
+# e1, e2, e3 and d_k = d_i + d_j from the first constant into e4 and e5,
+# is (1, 1, 1, 2, 2), which breaks [e3, e4] = e5
 LP_BRACKET = LieBracket(5, {(1, 3, 5): ONE, (2, 3, 4): ONE, (3, 4, 5): ONE})
 
 

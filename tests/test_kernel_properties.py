@@ -56,7 +56,11 @@ Certificates from both certifiers are checked to survive serialize,
 parse and verify.  The torus LPs of ``certify_nilradical`` are checked
 against the per-derivation walk of ``certify_derivation``, the nice faces
 both certifiers walk against the unfiltered face walk, and the
-Fourier-Motzkin projection against direct cone membership.
+Fourier-Motzkin projection against direct cone membership.  The
+generator-ones derivation that settles most algebra verdicts is checked
+against a ``nullspace`` solve on the torus (``reference_generator_ones``)
+and against the positive-derivation LP it skips, and counters show that
+those verdicts build no torus and solve no LP.
 """
 
 from __future__ import annotations
@@ -149,6 +153,7 @@ from nilcone.polytope import (
     weight_set,
 )
 from nilcone.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution, max_margin, solve_lp
+from test_golden_generated import LP_BRACKET, filiform, free_two_step, heisenberg
 from test_golden_kernels import CASES
 from test_liecore import act, direct_sum
 from test_derivations import matrices
@@ -877,8 +882,8 @@ def test_certify_nilradical_solves_no_lp_where_the_torus_vanishes():
 
 def test_certify_nilradical_lp_counts_without_a_zero_row():
     """The LPs of the algebra verdict and of ``certify_derivation`` at the
-    first listed derivation.  heis3: one LP finds the positive derivation
-    on its two-dimensional torus.  Every other entry has a one-dimensional
+    first listed derivation.  heis3: the generator-ones derivation
+    (1, 1, 2) settles it with no LP.  Every other entry has a one-dimensional
     torus, whose positive-derivation and sink tests are read off the signs
     of its vector, and whose torus LP is the membership LP of its
     direction.  ex8ex7-i and -ii: that vector has entries of both signs,
@@ -887,7 +892,7 @@ def test_certify_nilradical_lp_counts_without_a_zero_row():
     dropped weights that the remainders leave open, and the one LP for
     the alpha of the face that certifies."""
     for id_, want, listed, status, notes in [
-        ("heis3", 1, None, CERTIFIED_RN, "positive derivation"),
+        ("heis3", 0, None, CERTIFIED_RN, "positive derivation"),
         ("ex8ex7-i", 0, 0, UNKNOWN, NO_CANDIDATE),
         ("ex8ex7-ii", 0, 0, UNKNOWN, NO_CANDIDATE),
         ("n4nonice", 2, 2, CERTIFIED_RN, "degeneration keeping 2 of 3 constants"),
@@ -908,6 +913,73 @@ def test_certify_nilradical_lp_counts_without_a_zero_row():
         with counted_lp_calls() as calls:
             certify_derivation(mu, derivations[0])
         assert (id_, len(calls)) == (id_, listed)
+
+
+@pytest.mark.parametrize("mu,calls", [
+    (filiform(20), 0),
+    (direct_sum([catalog_get("n4nice")] * 4), 0),
+    (heisenberg(3), 0),
+    (free_two_step(5), 0),
+    (LP_BRACKET, 1),
+    (direct_sum([LP_BRACKET] * 4), 1),
+], ids=["m0(20)", "n4nice^4", "H7", "free2(5)", "lp5", "lp5^4"])
+def test_certify_nilradical_builds_the_torus_only_without_generator_ones(mu, calls):
+    """Where the generator-ones derivation D* is a derivation, the verdict
+    builds no torus and solves no LP; where it is not, as on lp5 and its
+    sum, the torus is built once and one LP finds the positive derivation."""
+    with counted_calls(derivations, "_diagonal_torus") as tori, \
+            counted_calls(simplex, "solve_lp") as lps:
+        v = certify_nilradical(mu)
+    assert (len(tori), len(lps)) == (calls, calls)
+    assert (v.status, v.certificate.kind, v.certificate.slack) == (
+        CERTIFIED_RN, POSITIVE_DERIVATION, ONE)
+    assert (Analysis(mu).generator_ones is None) == bool(calls)
+
+
+def reference_generator_ones(mu: LieBracket) -> tuple[F, ...] | None:
+    """The torus point that is 1 at every index no constant targets, by one
+    ``nullspace`` solve over the reference torus, or None when there is none.
+
+    On an acyclic index graph a torus point is fixed by its entries at the
+    untargeted indices, so the kernel of the rows sum_m t_m w_m[r] - s = 0
+    over those r has at most one vector, and s != 0 in it.
+    """
+    targets = {k for _, _, k in mu.constants}
+    cols = [w for w, _ in reference_diagonal_derivations(mu).integer_basis]
+    k = len(cols)
+    rows = [{**{m: w[r] for m, w in enumerate(cols) if w[r]}, k: -1}
+            for r in range(mu.dim) if r + 1 not in targets]
+    kernel = nullspace(rows, k + 1)
+    if not kernel:
+        return None
+    (v,) = kernel
+    return tuple(sum((F(v.get(m, 0) * w[r], v[k]) for m, w in enumerate(cols)), ZERO)
+                 for r in range(mu.dim))
+
+
+@settings(max_examples=200)
+@given(st.one_of(nilpotent_algebras(), nilpotent_algebras(unipotent=False),
+                 relabelled_algebras(), relabelled_filiforms()))
+@example(LP_BRACKET)
+@example(relabelled(LP_BRACKET, (5, 3, 4, 1, 2)))
+@example(relabelled(direct_sum([catalog_get("n5nonice"), catalog_get("heis3")]),
+                    (8, 1, 6, 3, 5, 2, 7, 4)))
+@example(HEIS3_CYCLIC)
+@example(LieBracket(4, {}))
+def test_generator_ones_is_the_only_optimum_of_the_positive_derivation_lp(mu):
+    """D* against a linear solve on the torus, and, whenever it is a
+    derivation, against the LP it skips: ``_positive_diagonal_derivation``
+    returns (D*, 1)."""
+    ones = Analysis(mu).generator_ones
+    if liecore.topological_order(mu) is None:
+        assert ones is None
+        return
+    assert ones == reference_generator_ones(mu)
+    if ones is not None:
+        assert all(isinstance(x, int) and x > 0 for x in ones)
+        dspace = diagonal_derivations(mu)
+        assert certifier._positive_diagonal_derivation(dspace, mu.dim) == (
+            tuple(map(F, ones)), ONE)
 
 
 def _reference_pivot(rows: list[list[F]], basis: list[int], r: int, col: int) -> None:
