@@ -9,7 +9,6 @@ the degeneration search under-approximates the true cone.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -27,15 +26,13 @@ from .linalg import ONE, Vec, ZERO, fmt_rational, frac, integer_row, primitive
 from .momentricci import MetricExtension, _positive_definite, _ricci_negative, is_ricci_negative
 from .polytope import (
     Weights,
-    face_by_remainders,
     interior_point,
     iter_nice_candidates,
     pairing,
     require_budget,
-    separating_alpha,
     strict_cone_membership,
     verify_membership,
-    weight_relations,
+    walk_faces,
     weight_set,
 )
 from .simplex import max_margin
@@ -197,54 +194,21 @@ def _nice_faces(mu: LieBracket, budget: int):
     decreasing |J|, with the weights of mu restricted to J.  A diagonal
     derivation of mu solves a subset of its defining equations on
     lambda_J, so it stays a derivation there.
-    The walk visits only the nice subsets (``iter_nice_candidates``).
-    ``face_by_remainders`` settles each with at most two dropped weights,
-    and rules out some others; only those it leaves open reach the LP
-    (``separating_alpha``), which then also finds alpha.  The degeneration
-    of a face is (alpha, J) with alpha a function of no arguments: for a
-    face the remainders found, alpha's LP runs only when a certificate
-    rests on that face.  ``budget`` bounds the nice subsets tested,
-    whether the remainders or the LP settles each; once it is spent with
-    nice subsets left, yields None and stops.
+    The faces come from the face walk (``walk_faces``) over the nice
+    subsets only (``iter_nice_candidates``).  The degeneration of a face
+    is (alpha, J) with alpha a function of no arguments: for a face the
+    remainders found, alpha's LP runs only when a certificate rests on
+    that face.  ``budget`` bounds the nice subsets tested, whether the
+    remainders or the LP settles each; once it is spent with nice subsets
+    left, yields None and stops.
     """
     w = weight_set(mu)
     if is_nice_basis(w):
         yield w, NICE_CONE, None
         return
-    vecs = list(w.values())
-    solved = []
-
-    def relations():
-        if not solved:
-            solved.append(weight_relations(w))
-        return solved[0]
-
     # mu is not nice, so neither is its full index set
-    for tested, (j_set, positions) in enumerate(iter_nice_candidates(list(w))):
-        if tested >= budget:
-            yield None
-            return
-        kept = [v for q, v in enumerate(vecs) if q not in positions]
-        dropped = [vecs[q] for q in positions]
-        face = face_by_remainders(kept, dropped, positions, relations)
-        if face is False:
-            continue
-        weights = {key: v for key, v in w.items() if key in j_set}
-        if face is None:
-            alpha = separating_alpha(kept, dropped, mu.dim)
-            if alpha is not None:
-                yield weights, DEGENERATION_CONE, (lambda alpha=alpha: alpha, j_set)
-        else:
-            alpha = functools.partial(_found_alpha, kept, dropped, mu.dim)
-            yield weights, DEGENERATION_CONE, (alpha, j_set)
-
-
-def _found_alpha(kept, dropped, n: int) -> tuple[int, ...]:
-    """``separating_alpha`` of a face ``face_by_remainders`` found."""
-    alpha = separating_alpha(kept, dropped, n)
-    if alpha is None:
-        raise InvariantViolation("the LP finds no alpha for a face the remainders found")
-    return alpha
+    for face in walk_faces(w, iter_nice_candidates(list(w)), budget):
+        yield None if face is None else (face[2], DEGENERATION_CONE, (face[1], face[0]))
 
 
 def _certified(mu: LieBracket, scope: str, cert: Certificate) -> Verdict:

@@ -2,17 +2,19 @@
 
 Every verdict produced here is exact: feasibility comes from a rational
 simplex with a strictness slack, or, where the simplex's answer is
-already fixed, from a rank test (``is_face``), the remainders of the
-weights a face drops (``face_by_remainders``) or the signs of a single
-column (``interior_point``), and cone projections come from
-Fourier-Motzkin elimination with LP-certified redundancy removal.  A
+already fixed, from the remainders of the weights a face drops
+(``face_by_remainders``) or the signs of a single column
+(``interior_point``), and cone projections come from Fourier-Motzkin
+elimination with LP-certified redundancy removal.  Faces are decided by
+one walk (``walk_faces``), over every subset for ``iter_faces`` and over
+the nice ones for the certifiers.  A
 weight has entries in {-1, 0, 1}, so weights are ``int`` tuples and reach
 the simplex as they are.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,23 +186,19 @@ def pairing(alpha, i: int, j: int, k: int):
 def is_face(j_set, w: Weights) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether CH(F_w : w in J) is a face of the full hull.
 
-    Searches alpha with <alpha, F> = 0 on J and < 0 on the complement by
-    exact LP (``separating_alpha``).  Returns the separating alpha as a
-    primitive ``int`` tuple on success.
-    A rank test comes first: a dropped weight in the span of the kept ones
-    pairs to 0 with every alpha that vanishes on J, so J is no face and
-    no LP runs.  Only the LP finds an alpha.
+    The decision of the face walk (``walk_faces``) on J alone: the
+    remainders of the dropped weights (``face_by_remainders``), then,
+    where they leave it open, the LP ``separating_alpha``, which searches
+    alpha with <alpha, F> = 0 on J and < 0 on the complement.  Returns
+    the separating alpha as a primitive ``int`` tuple on success.
     """
-    j_set = set(j_set)
+    j_set = frozenset(j_set)
     if not j_set <= w.keys():
         raise InputError("J is not a subset of the index set")
-    comp = [v for key, v in w.items() if key not in j_set]
-    n = len(next(iter(w.values()))) if w else 0
-    kept = [v for key, v in w.items() if key in j_set]
-    if _dropped_in_span(kept, comp, n):
-        return False, None
-    alpha = separating_alpha(kept, comp, n)
-    return alpha is not None, alpha
+    positions = tuple(q for q, key in enumerate(w) if key not in j_set)
+    for _, alpha, _ in walk_faces(w, [(j_set, positions)], 1):
+        return True, alpha()
+    return False, None
 
 
 def separating_alpha(kept, dropped, n: int) -> tuple[int, ...] | None:
@@ -212,24 +210,6 @@ def separating_alpha(kept, dropped, n: int) -> tuple[int, ...] | None:
         return (0,) * n
     sol = max_margin(dropped, [0] * len(dropped), kept, free=n)
     return None if sol is None else primitive(sol[1])
-
-
-def _dropped_in_span(kept, comp, n: int) -> bool:
-    """Whether some weight of comp lies in the span of those of kept.
-
-    Only a weight that is zero at every index where every kept weight is
-    zero can, so only such weights are reduced, and with none the echelon
-    is never built.
-    """
-    untouched = [not x for x in map(any, zip(*kept))]
-    suspects = [v for v in comp if not any(itertools.compress(v, untouched))]
-    if not suspects:
-        return False
-    span = Echelon(n)
-    for v in kept:
-        span.add_row(dict(enumerate(v)))
-    return any(not span.reduce_scaled({c: v[c] for c in itertools.compress(range(n), v)})[0]
-               for v in suspects)
 
 
 def weight_relations(w: Weights) -> list[dict[int, int]]:
@@ -246,8 +226,8 @@ def face_by_remainders(kept, dropped, positions, relations) -> bool | None:
     tell.  ``kept`` and ``dropped`` are the weights J keeps and drops,
     ``positions`` those of the dropped ones in the full weight set, and
     ``relations`` a function of no arguments that returns
-    ``weight_relations`` of the full set; it is called only when two or
-    more weights are dropped and their supports leave the answer open.
+    ``weight_relations`` of the full set; it is called only when the
+    supports of the dropped weights leave the answer open.
 
     Every alpha vanishing on J has <alpha, F_q> = <alpha, r_q>, and q -> r_q
     is linear with kernel the span of the kept weights.  So by Gordan's
@@ -260,10 +240,8 @@ def face_by_remainders(kept, dropped, positions, relations) -> bool | None:
     weights there are no others, so J is otherwise a face: r != 0 decides
     for one, and for two r_1, r_2 != 0 and not negatively proportional.
 
-    One dropped weight has remainder 0 exactly when it lies in the span of
-    the kept ones, which the rank test of ``is_face`` decides.  For more,
-    note that a remainder agrees with its weight at the indices where every
-    kept weight is zero.  So only a weight that is zero there can have
+    A remainder agrees with its weight at the indices where every kept
+    weight is zero.  So only a weight that is zero there can have
     remainder 0, and only two that are zero there, or there the negative
     of each other, negatively proportional remainders (a weight has
     entries in {-1, 0, 1}, so a positive multiple of one is the other only
@@ -279,10 +257,9 @@ def face_by_remainders(kept, dropped, positions, relations) -> bool | None:
     the rows whose pivots lie in its support, so a c >= 0 with at most two
     nonzero entries is a row with at most two entries, all positive, or a
     positive combination of two rows whose entries off their pivots are
-    negatively proportional.
+    negatively proportional.  A dropped weight in the span of the kept
+    ones is such a row, with one entry.
     """
-    if len(dropped) == 1:
-        return not _dropped_in_span(kept, dropped, len(dropped[0]))
     untouched = [not x for x in map(any, zip(*kept))]
     # tuples from lists, built at their final size: a tuple built from an
     # iterator is resized, and that filled the tuple free lists, about
@@ -305,39 +282,84 @@ def face_by_remainders(kept, dropped, positions, relations) -> bool | None:
     return True if len(dropped) <= 2 else None
 
 
-def iter_face_candidates(mu: LieBracket):
-    """Nonempty subsets of I_mu, smallest complement first, lex within size."""
-    idx = mu.keys()
-    for drop in range(len(idx)):
-        for comp in itertools.combinations(idx, drop):
-            yield frozenset(idx) - frozenset(comp)
+def walk_faces(w: Weights, candidates, budget: int):
+    """The face walk: (J, alpha, weights of J) for each face J of the hull
+    of the weights ``w`` among ``candidates``, in their order.
+
+    ``candidates`` yields (J, positions of the complement of J in ``w``).
+    ``face_by_remainders`` decides each, with ``weight_relations(w)``
+    solved at most once per walk, and only when first needed; only a
+    candidate it leaves open reaches the LP (``separating_alpha``), which
+    then also finds alpha.  alpha is a function of no arguments: for a
+    face the remainders found, its LP runs only when it is called, and an
+    LP that finds none there is an ``InvariantViolation``.  The weights of
+    J are those of ``w`` at the keys in J, in the same order.  ``budget``
+    bounds the candidates tested, whether the remainders or the LP
+    settles each; once it is spent with a candidate left, yields None and
+    stops.
+    """
+    vecs = list(w.values())
+    n = len(vecs[0]) if vecs else 0
+    relations = functools.cache(lambda: weight_relations(w))
+    for tested, (j_set, positions) in enumerate(candidates):
+        if tested >= budget:
+            yield None
+            return
+        kept = [v for q, v in enumerate(vecs) if q not in positions]
+        dropped = [vecs[q] for q in positions]
+        face = face_by_remainders(kept, dropped, positions, relations)
+        if face is False:
+            continue
+        if face:
+            alpha = functools.partial(_found_alpha, kept, dropped, n)
+        else:
+            found = separating_alpha(kept, dropped, n)
+            if found is None:
+                continue
+            alpha = lambda found=found: found
+        yield j_set, alpha, {key: v for key, v in w.items() if key in j_set}
+
+
+def _found_alpha(kept, dropped, n: int) -> tuple[int, ...]:
+    """``separating_alpha`` of a face ``face_by_remainders`` found."""
+    alpha = separating_alpha(kept, dropped, n)
+    if alpha is None:
+        raise InvariantViolation("the LP finds no alpha for a face the remainders found")
+    return alpha
 
 
 def iter_nice_candidates(keys: Sequence[Key]):
-    """The nice subsets among the face candidates of the index set
-    ``keys`` (``mu.keys()`` for ``iter_face_candidates(mu)``), in their
-    order, without visiting the others: (J, positions of the complement
-    of J in keys).
+    """The nice nonempty subsets of the index set ``keys`` in the order of
+    the full face walk, without visiting the others: (J, positions of the
+    complement of J in keys).  A nice J is an independent set of the
+    conflict graph (``liecore.nice_conflicts``), so its complement is a
+    vertex cover, and these are the covers of ``iter_covers``."""
+    return iter_covers(keys, nice_conflicts(keys))
 
-    A nice J is an independent set of the conflict graph
-    (``liecore.nice_conflicts``), so its complement C is a vertex cover,
-    and the walk runs through the covers size by size, smallest first,
-    each size in lex order of positions.  A branch picks the positions of C in increasing
-    order and keeps those it passes over; it ends as soon as a kept
-    position conflicts with an earlier kept one, since every later pick
-    keeps it too.  A greedy maximal matching of the graph bounds the picks
-    still needed: each matching edge whose later end is not yet passed and
-    whose earlier end is not picked needs a pick of its own, the edges
-    being disjoint.  Keeping a position leaves that count as it is (an
-    edge it ends was covered by a pick, or the branch ends there), and a
-    pick lowers it by the edge it covers, if any; a branch is not entered
-    once the count exceeds the picks left.  No cover is smaller than the
-    matching, so the sizes start there.
+
+def iter_covers(keys: Sequence[Key], adj: Sequence[int]):
+    """The nonempty subsets J of ``keys`` whose complements C are vertex
+    covers of the graph ``adj`` (one bitmask of earlier neighbour
+    positions per position, as ``liecore.nice_conflicts`` builds it), as
+    (J, positions of C): size by size, smallest first, each size in lex
+    order of positions.  On the edgeless graph every subset is a cover, so
+    that lists every nonempty J, the full face walk.
+
+    A branch picks the positions of C in increasing order and keeps those
+    it passes over; it ends as soon as a kept position conflicts with an
+    earlier kept one, since every later pick keeps it too.  A greedy
+    maximal matching of the graph bounds the picks still needed: each
+    matching edge whose later end is not yet passed and whose earlier end
+    is not picked needs a pick of its own, the edges being disjoint.
+    Keeping a position leaves that count as it is (an edge it ends was
+    covered by a pick, or the branch ends there), and a pick lowers it by
+    the edge it covers, if any; a branch is not entered once the count
+    exceeds the picks left.  No cover is smaller than the matching, so the
+    sizes start there.
     """
     m = len(keys)
-    adj = nice_conflicts(keys)
     full = frozenset(keys)
-    # a greedy maximal matching of the conflict graph, as partner positions
+    # a greedy maximal matching of the graph, as partner positions
     partner, matched, pairs = [-1] * m, 0, 0
     for q in range(m):
         free = adj[q] & ~matched
@@ -385,22 +407,19 @@ def require_budget(budget: int) -> None:
 
 def iter_faces(mu: LieBracket, budget: int):
     """The full face walk: (J, alpha, weights of J) for each face J of the
-    hull, over every candidate of ``iter_face_candidates``.
+    hull, over every nonempty subset J of ``mu.keys()``, smallest
+    complement first and in lex order within a size (``iter_covers`` on
+    the edgeless graph).
 
-    Runs ``is_face`` on each candidate.  The weights of J are those of
-    ``weight_set(mu)`` at the keys in J, in the same order: the weights of
-    lambda_J, the bracket keeping the constants of mu indexed by J, which
-    is never built.
-    ``budget`` bounds the candidates tested, i.e. the ``is_face`` calls,
-    whether the rank test or the LP settles each; once it is spent with
-    a candidate left, yields None and stops.
+    ``walk_faces`` decides each subset, and alpha is solved for each face,
+    so the walk solves one LP per face other than the full set.  The
+    weights of J are those of ``weight_set(mu)`` at the keys in J, in the
+    same order: the weights of lambda_J, the bracket keeping the constants
+    of mu indexed by J, which is never built.  ``budget`` bounds the
+    subsets tested, whether the remainders or the LP settles each; once
+    it is spent with a subset left, yields None and stops.
     """
     require_budget(budget)
     w = weight_set(mu)
-    for tested, j_set in enumerate(iter_face_candidates(mu)):
-        if tested >= budget:
-            yield None
-            return
-        face, alpha = is_face(j_set, w)
-        if face:
-            yield j_set, alpha, {key: v for key, v in w.items() if key in j_set}
+    for face in walk_faces(w, iter_covers(list(w), [0] * len(w)), budget):
+        yield None if face is None else (face[0], face[1](), face[2])

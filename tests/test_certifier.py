@@ -708,8 +708,15 @@ def test_nilradical_of_dim7_alg1_five_times_walks_only_nice_subsets(monkeypatch)
     monkeypatch.setattr(certifier, "is_nice_basis", counted)
     monkeypatch.setattr(polytope, "is_nice_basis", counted, raising=False)
     monkeypatch.setattr(certifier, "iter_nice_candidates", recorded)
-    monkeypatch.setattr(polytope, "iter_face_candidates",
-                        lambda mu: pytest.fail("the walk visits every subset"))
+    covers = polytope.iter_covers
+
+    def no_full_walk(keys, adj):
+        # the walk over every subset runs on the edgeless graph
+        if not any(adj):
+            pytest.fail("the walk visits every subset")
+        return covers(keys, adj)
+
+    monkeypatch.setattr(polytope, "iter_covers", no_full_walk)
     v = certify_nilradical(mu)
     dropped = {_summand((2, 3, 7), s) for s in range(5)}
     assert rejected == []
@@ -727,6 +734,6 @@ def test_nilradical_of_dim7_alg1_five_times_walks_only_nice_subsets(monkeypatch)
 def test_a_face_the_remainders_found_without_an_alpha_is_an_invariant_violation(monkeypatch):
     # dim7-alg1's first nice subset drops one weight, which the remainders
     # settle as a face; its alpha is solved for once D passes membership
-    monkeypatch.setattr(certifier, "separating_alpha", lambda *args: None)
+    monkeypatch.setattr(polytope, "separating_alpha", lambda *args: None)
     with pytest.raises(InvariantViolation, match="no alpha for a face the remainders found"):
         certify_nilradical(catalog_get("dim7-alg1"))

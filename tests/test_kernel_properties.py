@@ -40,10 +40,12 @@ the rounding of h, and Gauss-Jordan for the Newton systems.
 and the necessary condition its ``Fraction`` Gram matrix and its integer
 center Gram without the sink test (``reference_positive_on_center``); a counter on
 ``simplex.solve_lp`` shows which torus LPs stop before the simplex.
-``is_face`` keeps its LP without the rank test (``reference_is_face``,
-on every subset of the small catalog index sets and on generated ones),
-and so does the certifiers' ``face_by_remainders``; their walk over the
-nice subsets keeps the filtered walk (``reference_nice_candidates``),
+``is_face`` keeps its LP alone (``reference_is_face``, on every subset
+of the small catalog index sets and on generated ones), and so does
+``face_by_remainders``, which decides faces for every walk; the walk over
+the nice subsets keeps the filtered walk (``reference_nice_candidates``),
+and the walk over every subset the plain enumerator
+(``iter_face_candidates``),
 the one-column ``interior_point`` is checked against ``max_margin``, and
 the torus LP that a one-dimensional torus skips is patched back in
 (``reference_torus_cone_point``) to check the verdict.  The LPs return
@@ -142,7 +144,7 @@ from nilcone.polytope import (
     fourier_motzkin,
     interior_point,
     is_face,
-    iter_face_candidates,
+    iter_covers,
     iter_faces,
     iter_nice_candidates,
     project_certificate_cone,
@@ -1481,7 +1483,7 @@ def test_max_margin_matches_the_simplex_it_skips(system):
 
 
 def reference_is_face(j_set, w):
-    """``is_face`` by its LP alone, without the rank test."""
+    """``is_face`` by its LP alone."""
     comp = [v for key, v in w.items() if key not in j_set]
     n = len(next(iter(w.values()))) if w else 0
     if not comp:
@@ -1493,28 +1495,44 @@ def reference_is_face(j_set, w):
 def test_is_face_matches_the_lp_on_every_catalog_subset():
     """Every subset of each catalog index set of at most 12 constants:
     the same answer and alpha as the LP, which runs once unless J is
-    everything or a dropped weight lies in the span of the kept ones
-    (``FractionEchelon``); some proper subsets are settled that way."""
+    everything or the remainders of its dropped weights rule it out
+    (``face_by_remainders`` returns False); some proper subsets are
+    settled that way."""
     checked = settled = 0
     for label, id_, params in CASES:
         w = weight_set(catalog_get(id_, **params))
         if len(w) > 12:
             continue
+        relations = weight_relations(w)
         for size in range(len(w) + 1):
             for j_set in combinations(w, size):
                 want = reference_is_face(set(j_set), w)
                 with counted_lp_calls() as calls:
                     got = is_face(j_set, w)
                 assert (label, j_set, got) == (label, j_set, want)
-                span = FractionEchelon(len(next(iter(w.values()))))
-                for key in j_set:
-                    span.add_row(dict(enumerate(w[key])))
-                in_span = any(not span.reduce(dict(enumerate(v)))
-                              for key, v in w.items() if key not in j_set)
-                assert len(calls) == (0 if size == len(w) or in_span else 1)
+                ruled_out = remainder_verdict(set(j_set), w, relations) is False
+                assert len(calls) == (0 if size == len(w) or ruled_out else 1)
                 checked += 1
-                settled += in_span
+                settled += ruled_out
     assert settled and checked > 10000
+
+
+N5NONICE_CUBED = direct_sum([catalog_get("n5nonice")] * 3)
+
+
+@pytest.mark.parametrize("mu, lps, faces", [
+    (N5NONICE_CUBED, 998, 999),
+    (catalog_get("dim7-alg1"), 102, None),
+    (catalog_get("dim7-alg2"), 78, None),
+])
+def test_full_face_walk_solves_one_lp_per_proper_face(mu, lps, faces):
+    """``iter_faces`` at full budget solves alpha's LP once per face other
+    than the full set, and no LP for a subset that is no face."""
+    with counted_lp_calls() as calls:
+        got = list(iter_faces(mu, 2 ** len(mu.keys())))
+    assert None not in got
+    assert len(calls) == len(got) - 1 == lps
+    assert faces is None or len(got) == faces
 
 
 @st.composite
@@ -1600,6 +1618,23 @@ def test_remainders_match_the_lp_on_generated_algebras(case):
         assert got == reference_is_face(j_set, w)[0]
 
 
+def iter_face_candidates(mu: LieBracket):
+    """Nonempty subsets of I_mu, smallest complement first, lex within size."""
+    idx = mu.keys()
+    for drop in range(len(idx)):
+        for comp in combinations(idx, drop):
+            yield frozenset(idx) - frozenset(comp)
+
+
+def full_walk_matches_the_reference(mu: LieBracket, limit: int) -> bool:
+    """The first ``limit`` covers of the edgeless graph, in order, are the
+    first face candidates, each with the positions of its complement."""
+    keys = mu.keys()
+    want = [(j_set, tuple(q for q, key in enumerate(keys) if key not in j_set))
+            for j_set in islice(iter_face_candidates(mu), limit)]
+    return list(islice(iter_covers(list(keys), [0] * len(keys)), limit)) == want
+
+
 def reference_nice_candidates(mu: LieBracket):
     """The nice subsets by the filtered walk: every face candidate through
     ``is_nice_basis``, each with the positions of its complement."""
@@ -1620,6 +1655,7 @@ def test_nice_walk_matches_the_filtered_walk_on_the_catalog():
     for label, mu in brackets:
         want = list(islice(reference_nice_candidates(mu), 300))
         assert (label, list(islice(iter_nice_candidates(mu.keys()), 300))) == (label, want)
+        assert (label, full_walk_matches_the_reference(mu, 4096)) == (label, True)
 
 
 @settings(max_examples=60)
@@ -1631,6 +1667,7 @@ def test_nice_walk_matches_the_filtered_walk_on_generated_algebras(mu, rng):
     mu = relabelled(mu, p)
     want = list(islice(reference_nice_candidates(mu), 300))
     assert list(islice(iter_nice_candidates(mu.keys()), 300)) == want
+    assert full_walk_matches_the_reference(mu, 4096)
 
 
 @settings(max_examples=300)
